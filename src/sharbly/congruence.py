@@ -10,47 +10,109 @@ stabilizer orbit of [e_1 * gamma^{-1}].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from math import gcd
+from operator import mul
 
 from . import intlinalg as la
+from .errors import InternalCheckError
 from .intlinalg import Mat, Vec
 from .voronoi import CellOrbit
 
 
-def _units(n_mod: int):
-    if n_mod == 1:
-        return [0]
-    return [u for u in range(n_mod) if gcd(u, n_mod) == 1]
+class ProjectiveSpace:
+    """P^{n-1}(Z/N) with a table-driven normal form.
+
+    A point's canonical representative is its lexicographically least unit
+    multiple mod N; `points` lists them sorted, so a point's index orders
+    points as the tuples do.  The normal form is one lookup: `_table` is
+    indexed by the mixed-radix code sum_i (v_i mod N) N^(n-1-i) of a vector
+    and holds the index of its point, or -1 when the vector is not
+    unimodular mod N.  Building it walks the N^n vectors once.  The right
+    action of a matrix is a permutation of point indices, cached per matrix.
+    """
+
+    def __init__(self, n: int, n_mod: int):
+        if n_mod < 1:
+            raise ValueError("modulus must be >= 1")
+        self.n = n
+        self.n_mod = n_mod
+        units = [u for u in range(n_mod) if gcd(u, n_mod) == 1]
+        table = [-1] * n_mod ** n
+        points = []
+        # Vectors come in code order, which is lexicographic order, so the
+        # first unmarked unimodular vector of a class is its least element.
+        for code, v in enumerate(product(range(n_mod), repeat=n)):
+            if table[code] >= 0:
+                continue
+            g = 0
+            for x in v:
+                g = gcd(g, x)
+            if gcd(g, n_mod) != 1:
+                continue
+            for u in units:
+                c = 0
+                for x in v:
+                    c = c * n_mod + u * x % n_mod
+                table[c] = len(points)
+            points.append(v)
+        self.points = tuple(points)
+        self._table = table
+        self._perms: dict = {}
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def index(self, vec) -> int:
+        """Index of the point of a vector unimodular mod N."""
+        if len(vec) != self.n:
+            raise ValueError(f"{tuple(vec)} does not have length {self.n}")
+        n_mod = self.n_mod
+        code = 0
+        for x in vec:
+            code = code * n_mod + x % n_mod
+        i = self._table[code]
+        if i < 0:
+            raise ValueError(f"{tuple(vec)} is not unimodular mod {n_mod}")
+        return i
+
+    def normalize(self, vec) -> Vec:
+        """Canonical representative: lexicographically least unit multiple."""
+        return self.points[self.index(vec)]
+
+    def perm(self, gamma: Mat) -> tuple:
+        """Right action of gamma: points[i] * gamma is points[perm(gamma)[i]]."""
+        p = self._perms.get(gamma)
+        if p is None:
+            n_mod, table = self.n_mod, self._table
+            cols = [tuple(x % n_mod for x in col) for col in zip(*gamma)]
+            p = []
+            for pt in self.points:
+                code = 0
+                for col in cols:
+                    code = code * n_mod + sum(map(mul, pt, col)) % n_mod
+                p.append(table[code])
+            if min(p) < 0:
+                raise ValueError(f"{gamma} is not invertible mod {n_mod}")
+            p = self._perms[gamma] = tuple(p)
+        return p
+
+
+@lru_cache(maxsize=16)
+def projective_space(n: int, n_mod: int) -> ProjectiveSpace:
+    """The shared ProjectiveSpace(n, N), built once per (n, N)."""
+    return ProjectiveSpace(n, n_mod)
 
 
 def proj_normalize(coords, n_mod: int) -> Vec:
     """Canonical representative: lexicographically least unit multiple."""
-    v = tuple(x % n_mod for x in coords)
-    if n_mod == 1:
-        return v
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    if gcd(g, n_mod) != 1:
-        raise ValueError(f"{coords} is not unimodular mod {n_mod}")
-    return min(tuple(u * x % n_mod for x in v) for u in _units(n_mod))
+    return projective_space(len(coords), n_mod).normalize(coords)
 
 
 def proj_points(n: int, n_mod: int) -> list[Vec]:
     """All of P^{n-1}(Z/N), canonically normalized, sorted."""
-    if n_mod < 1:
-        raise ValueError("modulus must be >= 1")
-    if n_mod == 1:
-        return [(0,) * n]
-    pts = set()
-    for v in product(range(n_mod), repeat=n):
-        g = 0
-        for x in v:
-            g = gcd(g, x)
-        if gcd(g, n_mod) == 1:
-            pts.add(proj_normalize(v, n_mod))
-    return sorted(pts)
+    return list(projective_space(n, n_mod).points)
 
 
 def proj_act(pt: Vec, gamma: Mat, n_mod: int) -> Vec:
@@ -83,7 +145,7 @@ def lift_point(pt: Vec, n_mod: int) -> Vec:
         w[i] += n_mod
         if la.content(tuple(w)) == 1:
             return tuple(w)
-    raise AssertionError(f"no primitive lift for {pt} mod {n_mod}")
+    raise InternalCheckError(f"no primitive lift for {pt} mod {n_mod}")
 
 
 def coset_matrix(pt: Vec, n_mod: int) -> Mat:
@@ -113,44 +175,32 @@ def split_orbits(orbit: CellOrbit, n_mod: int) -> list[SplitOrbit]:
     an orbit is orientation_ok iff no stabilizer element fixing its point
     reverses the cell's orientation.
     """
-    stab = orbit.sl_stabilizer
+    space = projective_space(len(orbit.representative.vertices[0]), n_mod)
+    perms = [space.perm(s) for s in orbit.sl_stabilizer]
     chars = orbit.sl_orientation_chars
-    points = proj_points(len(orbit.representative.vertices[0]), n_mod)
-    remaining = set(points)
+    seen = [False] * len(space)
     out = []
-    for p in points:  # sorted, so orbit reps come out canonically
-        if p not in remaining:
+    for i, p in enumerate(space.points):  # sorted, so orbit reps come out canonically
+        if seen[i]:
             continue
-        seen = {p}
-        queue = [p]
+        seen[i] = True
+        size = 1
+        queue = [i]
         while queue:
-            q = queue.pop()
-            for s in stab:
-                q2 = proj_act(q, s, n_mod)
-                if q2 not in seen:
-                    seen.add(q2)
-                    queue.append(q2)
-        fixers = [
-            ch for s, ch in zip(stab, chars) if proj_act(p, s, n_mod) == p
-        ]
+            j = queue.pop()
+            for perm in perms:
+                j2 = perm[j]
+                if not seen[j2]:
+                    seen[j2] = True
+                    size += 1
+                    queue.append(j2)
+        fixers = [ch for perm, ch in zip(perms, chars) if perm[i] == i]
         out.append(
             SplitOrbit(
                 point=p,
-                size=len(seen),
+                size=size,
                 stabilizer_order=len(fixers),
                 orientation_ok=all(ch == 1 for ch in fixers),
             )
         )
-        remaining -= seen
     return out
-
-
-def orbit_label(orbit: CellOrbit, raw_point: Vec, n_mod: int):
-    """(canonical point, stabilizer element s with raw * s = canonical)."""
-    stab = orbit.sl_stabilizer
-    best = None
-    for s in stab:
-        q = proj_act(raw_point, s, n_mod)
-        if best is None or q < best[0]:
-            best = (q, s)
-    return best

@@ -16,21 +16,10 @@ from . import congruence as cg
 from . import intlinalg as la
 from . import sharbly as sh
 from .errors import InternalCheckError, PreconditionError
-from .fields import Field, charpoly, eigenvalues
+from .fields import Field, _is_prime, charpoly, eigenvalues
 from .homology import GammaComplex, build_complex, express_cycle, homology
 from .intlinalg import Mat
 from .voronoi import VoronoiCell
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -49,7 +38,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise InternalCheckError(f"Gaussian binomial [{n} {k}]_{q} is not an integer")
     return num // den
 
 
@@ -117,7 +107,8 @@ def _unimodular_witness(rep: VoronoiCell, cell: VoronoiCell) -> Mat:
     if la.det(gamma) == -1:
         ac[-1] = [-x for x in ac[-1]]
         gamma = la.mat_mul(la.inverse_unimodular(a0), la.freeze(ac))
-    assert la.det(gamma) == 1
+    if la.det(gamma) != 1:
+        raise InternalCheckError("no SL(n,Z) witness between unimodular cells")
     return gamma
 
 
@@ -126,11 +117,13 @@ def symbol_chain_to_w0(cx: GammaComplex, chain: sh.SharblyChain):
     from .homology import _canonical_label
     from .voronoi import _orientation_transport_sign
 
-    assert chain.k == 0
+    if chain.k != 0:
+        raise InternalCheckError(f"expected a chain of symbols, got degree {chain.k}")
     f = cx.field
     n = cx.n
     d = n - 1
     orbits = cx.table.orbits[d]
+    space = cg.projective_space(n, cx.level)
     index = cx.basis_index(0)
     out = [f.zero] * cx.rank(0)
     for key, c in chain.coeffs.items():
@@ -142,7 +135,7 @@ def symbol_chain_to_w0(cx: GammaComplex, chain: sh.SharblyChain):
             raise InternalCheckError("expected a single unimodular cell orbit")
         gamma = _unimodular_witness(orb.representative, cell)
         q = cg.proj_normalize(la.inverse_unimodular(gamma)[0], cx.level)
-        p_canon, chars = _canonical_label(orb, q, cx.level)
+        p_canon, chars = _canonical_label(space, orb, q)
         rec = cx.splits[d, orb.index][p_canon]
         if not rec.orientation_ok:
             continue

@@ -9,7 +9,7 @@ facet records of the cell table transported through the coset labels.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from . import congruence as cg
@@ -28,6 +28,8 @@ class GammaComplex:
     bases: dict  # degree k -> tuple of (orbit_index, point)
     boundaries: dict  # degree k (>= 1) -> SparseFieldMatrix, degree k -> k-1
     splits: dict  # (dim, orbit_index) -> {point: SplitOrbit}
+    # degree k -> HomologyResult, filled by `homology`
+    homology_memo: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
     @property
     def max_degree(self) -> int:
@@ -40,27 +42,26 @@ class GammaComplex:
         return len(self.bases[k])
 
 
-def _stab_char(orbit, s) -> int:
-    return orbit.sl_orientation_chars[orbit.sl_stabilizer.index(s)]
+def _canonical_label(space, orbit, point):
+    """(canonical point, chars of the stabilizer elements taking `point` there).
 
-
-def _canonical_label(orbit, raw_point, n_mod):
-    """(canonical point, char of the transporting stabilizer element).
-
-    The character is well defined whenever the split orbit survives; when
-    several stabilizer elements reach the canonical point their characters
-    are checked to agree (they can only disagree on killed orbits).
+    The canonical point of a split orbit is its least point, which has the
+    least index.  The character is well defined whenever the split orbit
+    survives; when several stabilizer elements reach the canonical point
+    their characters are checked to agree (they can only disagree on killed
+    orbits).
     """
-    best_point = None
+    i = space.index(point)
+    best = None
     chars = set()
     for s, ch in zip(orbit.sl_stabilizer, orbit.sl_orientation_chars):
-        q = cg.proj_act(raw_point, s, n_mod)
-        if best_point is None or q < best_point:
-            best_point = q
+        j = space.perm(s)[i]
+        if best is None or j < best:
+            best = j
             chars = {ch}
-        elif q == best_point:
+        elif j == best:
             chars.add(ch)
-    return best_point, chars
+    return space.points[best], chars
 
 
 def build_complex(n: int, level: int, field: Field, table=None) -> GammaComplex:
@@ -101,17 +102,23 @@ def build_complex(n: int, level: int, field: Field, table=None) -> GammaComplex:
                     basis.append((orb.index, r.point))
         bases[k] = tuple(sorted(basis))
 
+    space = cg.projective_space(n, level)
     boundaries = {}
     for k in range(1, max_k + 1):
         d = k + n - 1
         row_index = {gen: i for i, gen in enumerate(bases[k - 1])}
         entries = {}
+        # each facet transports the coset label p to p * gamma^{-1}
+        facet_inverses = {
+            orb.index: [la.inverse_unimodular(fr.gamma) for fr in orb.facets]
+            for orb in table.orbits[d]
+        }
         for col, (o_idx, p) in enumerate(bases[k]):
             orb = table.orbits[d][o_idx]
-            for fr in orb.facets:
+            for fr, gamma_inv in zip(orb.facets, facet_inverses[o_idx]):
                 target = table.orbits[d - 1][fr.orbit]
-                q = cg.proj_act(p, la.inverse_unimodular(fr.gamma), level)
-                p_canon, chars = _canonical_label(target, q, level)
+                q = cg.proj_act(p, gamma_inv, level)
+                p_canon, chars = _canonical_label(space, target, q)
                 rec = splits[d - 1, fr.orbit][p_canon]
                 if not rec.orientation_ok:
                     continue
@@ -151,9 +158,19 @@ class HomologyResult:
 
 
 def homology(cx: GammaComplex, k: int) -> HomologyResult:
-    """H_k of the coinvariant complex, with an explicit representative basis."""
+    """H_k of the coinvariant complex, with an explicit representative basis.
+
+    Computed once per (complex, k); later calls return the same result.
+    """
     if not 0 <= k <= cx.max_degree:
         raise ValueError(f"degree {k} out of range 0..{cx.max_degree}")
+    result = cx.homology_memo.get(k)
+    if result is None:
+        result = cx.homology_memo[k] = _compute_homology(cx, k)
+    return result
+
+
+def _compute_homology(cx: GammaComplex, k: int) -> HomologyResult:
     f = cx.field
     ncols = cx.rank(k)
     if k == 0:

@@ -11,6 +11,8 @@ import math
 from fractions import Fraction
 from math import gcd, isqrt
 
+from .errors import InternalCheckError
+
 Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
 
@@ -317,11 +319,13 @@ def complete_to_sl(v: Vec) -> Mat:
         cur[0] = 1
         for r in w:
             r[0] = -r[0]
-    assert cur == [1] + [0] * (n - 1)
+    if cur != [1] + [0] * (n - 1):
+        raise InternalCheckError(f"column reduction of {v} did not reach e_1")
     winv = inverse_unimodular(freeze(w))
     if det(winv) == -1:
         winv = winv[:-1] + (tuple(-x for x in winv[-1]),)
-    assert det(winv) == 1 and winv[0] == v
+    if det(winv) != 1 or winv[0] != v:
+        raise InternalCheckError(f"completion of {v} is not in SL(n,Z) with first row {v}")
     return winv
 
 

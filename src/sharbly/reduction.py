@@ -63,6 +63,7 @@ def chain_to_w(cx: GammaComplex, k: int, chain: sh.SharblyChain):
     n = cx.n
     d = k + n - 1
     orbits = cx.table.orbits[d]
+    space = cg.projective_space(n, cx.level)
     index = cx.basis_index(k)
     out = [f.zero] * cx.rank(k)
     for key, c in chain.coeffs.items():
@@ -77,7 +78,7 @@ def chain_to_w(cx: GammaComplex, k: int, chain: sh.SharblyChain):
             raise ValueError(f"chain term {key} is not a Voronoi cell sharbly")
         orb, gamma = hit
         q = cg.proj_normalize(la.inverse_unimodular(gamma)[0], cx.level)
-        p_canon, chars = _canonical_label(orb, q, cx.level)
+        p_canon, chars = _canonical_label(space, orb, q)
         rec = cx.splits[d, orb.index][p_canon]
         if not rec.orientation_ok:
             continue

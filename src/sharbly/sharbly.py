@@ -247,10 +247,3 @@ def ar_reduce_chain(chain: SharblyChain) -> SharblyChain:
     for key, c in chain.coeffs.items():
         out.add_chain(_reduce_elem(chain.n, key), c)
     return out
-
-
-def max_symbol_det(chain: SharblyChain) -> int:
-    """Largest |det| over the symbols of a degree-0 chain (0 if empty)."""
-    return max(
-        (abs(la.det(la.freeze(key))) for key in chain.coeffs), default=0
-    )

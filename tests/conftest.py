@@ -16,7 +16,7 @@ SHARBLY_ROOT = str(Path(sharbly.__file__).resolve().parent.parent)
 
 @pytest.fixture
 def run_cli(tmp_path):
-    """Run `python -m sharbly.cli ARGS` in a subprocess with caches in tmp_path.
+    """Run `python [FLAGS] -m sharbly.cli ARGS` in a subprocess with caches in tmp_path.
 
     The child gets a minimal env, so an inherited SHARBLY_CACHE_DIR cannot
     leak in; PYTHONPATH points at the package this test process imported.
@@ -27,9 +27,9 @@ def run_cli(tmp_path):
         "PYTHONPATH": SHARBLY_ROOT,
     }
 
-    def run(args):
+    def run(args, python_flags=()):
         return subprocess.run(
-            [sys.executable, "-m", "sharbly.cli", *args],
+            [sys.executable, *python_flags, "-m", "sharbly.cli", *args],
             capture_output=True,
             text=True,
             env=env,

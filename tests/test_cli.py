@@ -71,6 +71,12 @@ class TestExitCodes:
         )
         assert out.returncode == 2, out.stderr
 
+    def test_verify_passes_under_python_O(self, run_cli):
+        # -O strips `assert`; every check in the battery must still run
+        out = run_cli(["verify", "--seed", "7"], python_flags=["-O"])
+        assert out.returncode == 0, out.stderr
+        assert "all verification checks passed" in out.stdout
+
 
 class TestDeterminismAndCache:
     def test_cache_round_trip_byte_identical(self, run_cli, tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sharbly import congruence as cg
 from sharbly import intlinalg as la
+from sharbly import manin
 
 
 def independent_point_count(n, n_mod):
@@ -24,6 +25,25 @@ def independent_point_count(n, n_mod):
             continue
         classes.add(frozenset(tuple(u * x % n_mod for x in v) for u in units))
     return len(classes)
+
+
+def least_unit_multiple(v, n_mod):
+    """The normal form by brute force: the least unit multiple of v mod N,
+    or None when v is not unimodular mod N."""
+    if gcd(gcd(*v), n_mod) != 1:
+        return None
+    units = [u for u in range(n_mod) if gcd(u, n_mod) == 1]
+    return min(tuple(u * x % n_mod for x in v) for u in units)
+
+
+def _random_sl(rng, n):
+    g = la.identity(n)
+    for _ in range(4 * n):
+        i, j = rng.sample(range(n), 2)
+        e = [[int(r == c) for c in range(n)] for r in range(n)]
+        e[i][j] = rng.randint(-3, 3)
+        g = la.mat_mul(g, la.freeze(e))
+    return g
 
 
 def prime_factors(n):
@@ -74,6 +94,49 @@ class TestProjPoints:
         assert cg.proj_normalize(p, n_mod) == p
 
 
+class TestProjectiveSpace:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n_mod", [1, 2, 12, 17, 30])
+    def test_normalize_is_the_least_unit_multiple(self, n, n_mod):
+        space = cg.ProjectiveSpace(n, n_mod)
+        reps = set()
+        for v in itertools.product(range(n_mod), repeat=n):
+            want = least_unit_multiple(v, n_mod)
+            shifted = tuple(x - n_mod * (i % 2) for i, x in enumerate(v))
+            if want is None:
+                with pytest.raises(ValueError):
+                    space.normalize(v)
+                with pytest.raises(ValueError):
+                    space.index(shifted)
+                continue
+            reps.add(want)
+            assert space.normalize(v) == want
+            assert space.points[space.index(shifted)] == want
+        assert space.points == tuple(sorted(reps))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n_mod", [1, 12, 17, 30])
+    def test_perm_is_the_right_action(self, n, n_mod):
+        rng = random.Random(100 * n + n_mod)
+        space = cg.ProjectiveSpace(n, n_mod)
+        for _ in range(4):
+            g1, g2 = _random_sl(rng, n), _random_sl(rng, n)
+            p1, p2 = space.perm(g1), space.perm(g2)
+            assert sorted(p1) == list(range(len(space)))
+            for i, pt in enumerate(space.points):
+                assert space.points[p1[i]] == least_unit_multiple(la.vec_mat(pt, g1), n_mod)
+            # pt * (g1 g2) = (pt * g1) * g2: perm(g1) first, then perm(g2)
+            assert space.perm(la.mat_mul(g1, g2)) == tuple(p2[i] for i in p1)
+
+    def test_perm_rejects_a_matrix_singular_mod_n(self):
+        with pytest.raises(ValueError):
+            cg.ProjectiveSpace(2, 12).perm(((2, 0), (0, 1)))
+
+    @pytest.mark.parametrize("n_mod", [1, 2, 12, 17, 30, 36, 49, 60])
+    def test_p1_count_matches_the_oracle(self, n_mod):
+        assert len(cg.ProjectiveSpace(2, n_mod)) == len(manin.P1(n_mod))
+
+
 class TestAction:
     def test_identity(self):
         for p in cg.proj_points(2, 11):
@@ -90,8 +153,8 @@ class TestAction:
         n_mod = rng.choice([2, 5, 11, 12])
         pts = cg.proj_points(2, n_mod)
         p = pts[rng.randrange(len(pts))]
-        g1 = _random_sl2(rng)
-        g2 = _random_sl2(rng)
+        g1 = _random_sl(rng, 2)
+        g2 = _random_sl(rng, 2)
         assert cg.proj_act(cg.proj_act(p, g1, n_mod), g2, n_mod) == cg.proj_act(
             p, la.mat_mul(g1, g2), n_mod
         )
@@ -108,15 +171,6 @@ class TestAction:
                 assert la.det(g) == 1
                 q = cg.proj_normalize(la.inverse_unimodular(g)[0], n_mod)
                 assert q == p
-
-
-def _random_sl2(rng):
-    g = la.identity(2)
-    for _ in range(5):
-        c = rng.randint(-2, 2)
-        m = ((1, c), (0, 1)) if rng.randrange(2) else ((1, 0), (c, 1))
-        g = la.mat_mul(g, m)
-    return g
 
 
 class TestSplitOrbits:
@@ -141,10 +195,10 @@ class TestSplitOrbits:
         assert not recs[0].orientation_ok
         assert recs[0].stabilizer_order == 4
 
-    def test_sizes_partition_all_orbits(self, table3):
-        for n_mod in (2, 3, 4):
-            total = len(cg.proj_points(3, n_mod))
-            for d, orbs in table3.orbits.items():
+    def test_sizes_partition_all_orbits(self, table2, table3):
+        for table, n_mod in itertools.product((table2, table3), (2, 3, 4, 12, 17)):
+            total = independent_point_count(table.n, n_mod)
+            for d, orbs in table.orbits.items():
                 for o in orbs:
                     recs = cg.split_orbits(o, n_mod)
                     assert sum(r.size for r in recs) == total
@@ -156,7 +210,7 @@ class TestSplitOrbits:
         from sharbly.voronoi import CellOrbit, VoronoiCell, cell_stabilizer, orientation_char
 
         for orb in (table2.orbits[1][0], table2.orbits[2][0]):
-            g = _random_sl2(rng)
+            g = _random_sl(rng, 2)
             moved = VoronoiCell.from_vectors(
                 2, [la.vec_mat(v, g) for v in orb.representative.vertices]
             )

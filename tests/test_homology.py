@@ -59,6 +59,13 @@ class TestHomology:
     def test_level_1(self, cx1):
         assert betti_numbers(cx1) == {0: 0, 1: 1}
 
+    def test_computed_once_per_degree(self, table2):
+        cx = build_complex(2, 11, QQ, table=table2)
+        first = {k: homology(cx, k) for k in (0, 1)}
+        betti_numbers(cx)
+        complex_to_json(cx)
+        assert all(homology(cx, k) is first[k] for k in (0, 1))
+
     def test_degree_out_of_range(self, cx11):
         with pytest.raises(ValueError):
             homology(cx11, 5)
