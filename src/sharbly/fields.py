@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import PreconditionError
+from .errors import InternalCheckError, PreconditionError
 
 
 def _is_prime(p: int) -> bool:
@@ -176,7 +176,11 @@ class SparseFieldMatrix:
 
     def compose(self, other: "SparseFieldMatrix") -> "SparseFieldMatrix":
         """self * other."""
-        assert self.ncols == other.nrows and self.field == other.field
+        if self.ncols != other.nrows or self.field != other.field:
+            raise InternalCheckError(
+                f"cannot compose a {self.nrows}x{self.ncols} {self.field} matrix "
+                f"with a {other.nrows}x{other.ncols} {other.field} one"
+            )
         f = self.field
         acc: dict = {}
         cols_of = {}
@@ -193,109 +197,113 @@ class SparseFieldMatrix:
         return not self.entries
 
 
-def _echelonize(field, rows):
-    """In-place reduced row echelon over `field`; returns pivot column list."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if rows[i][c] != field.zero:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != field.zero:
-                f = rows[i][c]
-                rows[i] = [
-                    field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])
-                ]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
-def rank_kernel(m: SparseFieldMatrix):
-    """(rank, kernel basis) of a sparse field matrix; kernel vectors exact."""
-    f = m.field
-    rows = m.to_dense()
-    pivots = _echelonize(f, rows)
-    rank = len(pivots)
-    free = [c for c in range(m.ncols) if c not in pivots]
-    kernel = []
-    for c in free:
-        v = [f.zero] * m.ncols
-        v[c] = f.one
-        for r, pc in enumerate(pivots):
-            v[pc] = f.neg(rows[r][c])
-        kernel.append(tuple(v))
-    return rank, kernel
-
-
-def rank(m: SparseFieldMatrix) -> int:
-    return rank_kernel(m)[0]
-
-
-def solve(m: SparseFieldMatrix, rhs):
-    """One solution x of m*x = rhs, or None if inconsistent."""
-    f = m.field
-    rows = m.to_dense()
-    for i, b in enumerate(rhs):
-        rows[i].append(f(b))
-    pivots = _echelonize(f, rows)
-    if m.ncols in pivots:
-        return None
-    x = [f.zero] * m.ncols
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][m.ncols]
-    return tuple(x)
-
-
 class LinearSpan:
-    """Incremental row space over a field, for membership and completion."""
+    """A row space over a field, kept in reduced row echelon form (RREF).
 
-    def __init__(self, field, dim: int):
+    This is the one elimination routine of the package.  `rows` maps each
+    pivot column to its sparse row {col: coeff}: the pivot is the row's least
+    column, with coefficient one, and no other row has an entry in a pivot
+    column.  The RREF of a row space is unique, so the stored rows do not
+    depend on the order in which vectors were added.
+    """
+
+    def __init__(self, field):
         self.field = field
-        self.dim = dim
-        self.rows: list = []
-        self.pivots: list[int] = []
+        self.rows: dict = {}
 
-    def reduce(self, vec):
+    def add(self, vec: dict) -> bool:
+        """Add the sparse vector {col: field element} to the span; True if
+        the dimension grew."""
         f = self.field
-        v = [f(x) for x in vec]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != f.zero:
-                c = v[p]
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-        return v
-
-    def contains(self, vec) -> bool:
-        return all(x == self.field.zero for x in self.reduce(vec))
-
-    def add(self, vec) -> bool:
-        """Add vec to the span; True if the dimension grew."""
-        f = self.field
-        v = self.reduce(vec)
-        for p in range(self.dim):
-            if v[p] != f.zero:
-                inv = f.inv(v[p])
-                v = [f.mul(inv, x) for x in v]
-                self.rows.append(v)
-                self.pivots.append(p)
-                return True
-        return False
+        v = {c: x for c, x in vec.items() if x}
+        rows = self.rows
+        # a stored row meets no other pivot column, so one pass reduces v
+        for p in [c for c in v if c in rows]:
+            _axpy(f, v, f.neg(v[p]), rows[p])
+        if not v:
+            return False
+        q = min(v)
+        inv = f.inv(v[q])
+        v = {c: f.mul(inv, x) for c, x in v.items()}
+        for row in rows.values():
+            if q in row:
+                _axpy(f, row, f.neg(row[q]), v)
+        rows[q] = v
+        return True
 
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+
+def _axpy(f, y: dict, a, x: dict):
+    """y += a * x on sparse vectors, dropping the entries that cancel."""
+    zero = f.zero
+    for c, xc in x.items():
+        s = f.add(y.get(c, zero), f.mul(a, xc))
+        if s:
+            y[c] = s
+        else:
+            y.pop(c, None)
+
+
+def _row_span(m: SparseFieldMatrix, rhs=None) -> LinearSpan:
+    """The span of the rows of m (of [m | rhs] when rhs is given).
+
+    Rows go in sparsest first, which keeps the fill-in down; the RREF, and
+    so every result read from it, is the same in any order.
+    """
+    f = m.field
+    rows = [{} for _ in range(m.nrows)]
+    for (i, j), v in m.entries.items():
+        rows[i][j] = v
+    if rhs is not None:
+        for row, b in zip(rows, rhs):
+            row[m.ncols] = f(b)
+    span = LinearSpan(f)
+    for row in sorted(rows, key=len):
+        span.add(row)
+    return span
+
+
+def rank_kernel(m: SparseFieldMatrix):
+    """(rank, kernel basis) of a sparse field matrix; kernel vectors exact.
+
+    The kernel has one vector per free (non-pivot) column c, in increasing
+    c: coordinate 1 at c, minus the RREF entries of column c at the pivots.
+    """
+    f = m.field
+    span = _row_span(m)
+    free = [c for c in range(m.ncols) if c not in span.rows]
+    kernel = {c: [f.zero] * m.ncols for c in free}
+    for c in free:
+        kernel[c][c] = f.one
+    for p, row in span.rows.items():
+        for c, x in row.items():
+            if c != p:
+                kernel[c][p] = f.neg(x)
+    return span.rank, [tuple(kernel[c]) for c in free]
+
+
+def rank(m: SparseFieldMatrix) -> int:
+    """Rank of a sparse field matrix."""
+    return _row_span(m).rank
+
+
+def solve(m: SparseFieldMatrix, rhs):
+    """One solution x of m*x = rhs, or None if inconsistent.
+
+    The solution is zero on the free columns, and on each pivot column it
+    is that RREF row's entry in the rhs column.
+    """
+    f = m.field
+    span = _row_span(m, rhs)
+    if m.ncols in span.rows:
+        return None
+    x = [f.zero] * m.ncols
+    for p, row in span.rows.items():
+        x[p] = row.get(m.ncols, f.zero)
+    return tuple(x)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +367,8 @@ def poly_divide_root(field, poly, root):
     for i in range(n - 1, -1, -1):
         out[i] = carry
         carry = f.add(poly[i], f.mul(root, carry))
-    assert carry == f.zero
+    if carry != f.zero:
+        raise InternalCheckError(f"{root} is not a root: the remainder is {carry}")
     return tuple(out)
 
 

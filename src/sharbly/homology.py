@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import congruence as cg
 from . import intlinalg as la
 from .errors import InternalCheckError, PreconditionError
-from .fields import Field, PrimeField, SparseFieldMatrix, rank_kernel, solve
+from .fields import Field, LinearSpan, PrimeField, SparseFieldMatrix, rank_kernel, solve
 from .voronoi import CellComplexTable, enumerate_cells
 
 
@@ -152,8 +152,7 @@ def _check_dd_zero(cx: GammaComplex):
 class HomologyResult:
     degree: int
     dimension: int
-    cycle_basis: tuple  # basis of ker d_k, coordinates over bases[k]
-    homology_reps: tuple  # subset representing a basis of H_k
+    homology_reps: tuple  # cycles over bases[k] whose classes are a basis of H_k
     _complex: GammaComplex
 
 
@@ -171,49 +170,41 @@ def homology(cx: GammaComplex, k: int) -> HomologyResult:
 
 
 def _compute_homology(cx: GammaComplex, k: int) -> HomologyResult:
+    """The basis vectors of ker d_k whose classes are independent modulo
+    im d_{k+1}, in basis order.
+
+    The elimination runs in coordinates on ker d_k: each vector of the
+    `rank_kernel` basis is 1 at its own free column, which is its last
+    nonzero entry, and 0 at the other free columns, so a cycle's
+    coordinates are its entries at the free columns.  im d_{k+1} lies in
+    ker d_k because build_complex checks d o d = 0.
+    """
     f = cx.field
-    ncols = cx.rank(k)
     if k == 0:
         kernel = [
-            tuple(f.one if i == j else f.zero for j in range(ncols))
-            for i in range(ncols)
+            tuple(f.one if i == j else f.zero for j in range(cx.rank(0)))
+            for i in range(cx.rank(0))
         ]
-        rank_k = 0
     else:
-        rank_k, kernel = rank_kernel(cx.boundaries[k])
-    from .fields import LinearSpan
-
-    span = LinearSpan(f, ncols)
+        kernel = rank_kernel(cx.boundaries[k])[1]
+    free = [max(i for i, x in enumerate(vec) if x != f.zero) for vec in kernel]
+    is_free = set(free)
+    span = LinearSpan(f)
     for col in _image_columns(cx, k):
-        span.add(col)
-    reps = []
-    for vec in kernel:
-        if span.add(vec):
-            reps.append(tuple(vec))
-    dim = (ncols - rank_k) - _image_rank(cx, k)
-    if dim != len(reps):
-        raise InternalCheckError("homology dimension bookkeeping mismatch")
-    return HomologyResult(k, dim, tuple(tuple(v) for v in kernel), tuple(reps), cx)
+        span.add({i: x for i, x in col.items() if i in is_free})
+    reps = tuple(vec for vec, c in zip(kernel, free) if span.add({c: f.one}))
+    return HomologyResult(k, len(reps), reps, cx)
 
 
 def _image_columns(cx: GammaComplex, k: int):
+    """The columns of d_{k+1} as sparse {row: coeff} dicts."""
     if k + 1 > cx.max_degree:
         return []
     mat = cx.boundaries[k + 1]
-    cols = []
-    for j in range(mat.ncols):
-        col = [cx.field.zero] * mat.nrows
-        for (r, c), v in mat.entries.items():
-            if c == j:
-                col[r] = v
-        cols.append(tuple(col))
+    cols = [{} for _ in range(mat.ncols)]
+    for (r, c), v in mat.entries.items():
+        cols[c][r] = v
     return cols
-
-
-def _image_rank(cx: GammaComplex, k: int) -> int:
-    if k + 1 > cx.max_degree:
-        return 0
-    return rank_kernel(cx.boundaries[k + 1])[0]
 
 
 def betti_numbers(cx: GammaComplex) -> dict:
@@ -246,9 +237,8 @@ def express_cycle(result: HomologyResult, vec, want_witness: bool = False):
     ncols = len(image_cols) + len(reps)
     triplets = []
     for j, col in enumerate(image_cols):
-        for i, x in enumerate(col):
-            if x != f.zero:
-                triplets.append((i, j, x))
+        for i, x in col.items():
+            triplets.append((i, j, x))
     for j, rep in enumerate(reps):
         for i, x in enumerate(rep):
             if x != f.zero:

@@ -57,7 +57,8 @@ def det(a: Mat) -> int:
     n = len(a)
     if n == 0:
         return 1
-    assert all(len(row) == n for row in a), "det needs a square matrix"
+    if any(len(row) != n for row in a):
+        raise InternalCheckError("det needs a square matrix")
     m = [list(row) for row in a]
     sign = 1
     prev = 1

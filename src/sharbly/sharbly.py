@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from . import intlinalg as la
 from .errors import InternalCheckError
 from .intlinalg import Mat, Vec
-from .voronoi import VoronoiCell, is_simplex, _rank_of_rows
+from .voronoi import VoronoiCell, _perm_sign, _rank_of_rows, is_simplex
 
 
 @dataclass(frozen=True)
@@ -46,25 +46,8 @@ def normalize(n: int, vectors) -> SharblyElement | None:
     if _rank_of_rows(prim) < n:
         return None  # does not span Q^n
     order = sorted(range(len(prim)), key=lambda i: prim[i])
-    sign = _permutation_sign(order)
+    sign = _perm_sign(order)
     return SharblyElement(n, tuple(prim[i] for i in order), sign)
-
-
-def _permutation_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 @dataclass
@@ -94,7 +77,11 @@ class SharblyChain:
         return self
 
     def add_chain(self, other: "SharblyChain", scale=1) -> "SharblyChain":
-        assert (self.n, self.k) == (other.n, other.k)
+        if (self.n, self.k) != (other.n, other.k):
+            raise InternalCheckError(
+                f"cannot add a (n={other.n}, k={other.k}) chain to a "
+                f"(n={self.n}, k={self.k}) one"
+            )
         for key, c in other.coeffs.items():
             new = self.coeffs.get(key, 0) + c * scale
             if new:
@@ -216,7 +203,8 @@ def ar_reduce(x: Mat) -> SharblyChain:
     if la.det(x) == 0:
         raise ValueError("singular matrix has no modular symbol")
     elem = normalize(n, x)
-    assert elem is not None
+    if elem is None:
+        raise InternalCheckError("a nonsingular matrix normalized to the zero sharbly")
     return _reduce_elem(elem.n, elem.vectors).scaled(elem.sign)
 
 
@@ -242,7 +230,8 @@ def _reduce_elem(n: int, key) -> SharblyChain:
 
 def ar_reduce_chain(chain: SharblyChain) -> SharblyChain:
     """ar_reduce applied to every term of a degree-0 chain."""
-    assert chain.k == 0
+    if chain.k != 0:
+        raise InternalCheckError(f"ar_reduce_chain needs a degree-0 chain, got k = {chain.k}")
     out = SharblyChain(chain.n, 0)
     for key, c in chain.coeffs.items():
         out.add_chain(_reduce_elem(chain.n, key), c)

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from . import intlinalg as la
 from .errors import InternalCheckError, UnsupportedError
+from .fields import QQ, SparseFieldMatrix, rank, rank_kernel, solve
 from .intlinalg import Mat, Vec
 
 
@@ -34,138 +35,40 @@ def sym_coords(v: Vec) -> tuple:
 
 def _rank_of_rows(rows) -> int:
     """Rank over Q of a list of integer row vectors."""
-    work = [[Fraction(x) for x in r] for r in rows]
-    ncols = len(work[0]) if work else 0
-    rank = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, len(work)) if work[i][c]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = 1 / work[rank][c]
-        work[rank] = [x * inv for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-    return rank
+    return rank(SparseFieldMatrix.from_dense(QQ, rows))
 
 
 def _solve_in_basis(basis_rows, targets):
-    """Coordinates of each target row in the Q-span of basis_rows, or None."""
-    k = len(basis_rows)
-    ncols = len(basis_rows[0])
-    work = [
-        [Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(k)]
-        for i, row in enumerate(basis_rows)
-    ]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, k) if work[i][c]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(k):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    coords = []
-    for t in targets:
-        t = [Fraction(x) for x in t]
-        coeff = [Fraction(0)] * k
-        for row, c in zip(work, pivots):
-            if t[c]:
-                f = t[c]
-                for j in range(ncols):
-                    t[j] -= f * row[j]
-                for j in range(k):
-                    coeff[j] += f * row[ncols + j]
-        if any(t):
-            return None
-        coords.append(coeff)
-    return coords
+    """Coordinates of each target row in the Q-span of the independent
+    basis_rows, or None if some target lies outside it."""
+    mat = SparseFieldMatrix.from_dense(QQ, list(zip(*basis_rows)))
+    coords = [solve(mat, t) for t in targets]
+    return None if None in coords else coords
 
 
 def _kernel_of_rows(rows):
     """Basis of the right kernel of a rational row matrix."""
-    work = [[Fraction(x) for x in r] for r in rows]
-    ncols = len(work[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    out = []
-    for c in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[c] = Fraction(1)
-        for rr, pc in enumerate(pivots):
-            v[pc] = -work[rr][c]
-        out.append(v)
-    return out
+    return rank_kernel(SparseFieldMatrix.from_dense(QQ, rows))[1]
 
 
-def _det_sign_fraction(rows) -> int:
-    """Sign of the determinant of a square Fraction matrix."""
-    m = [row[:] for row in rows]
-    n = len(m)
-    sign = 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] / m[c][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    for c in range(n):
-        if m[c][c] < 0:
-            sign = -sign
-    return sign
+def _det_sign(rows) -> int:
+    """Sign of the determinant of a square rational matrix.
 
-
-def _det_fraction(rows) -> Fraction:
-    m = [row[:] for row in rows]
-    n = len(m)
-    out = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            out = -out
-        out *= m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] / m[c][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return out
+    Scaling a row by the positive lcm of its denominators keeps the sign.
+    """
+    ints = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        den = lcm(*(x.denominator for x in row))
+        ints.append([int(x * den) for x in row])
+    d = la.det(la.freeze(ints))
+    return (d > 0) - (d < 0)
 
 
 def _is_posdef_fraction(g_rows) -> bool:
     n = len(g_rows)
     return all(
-        _det_fraction([row[: k + 1] for row in g_rows[: k + 1]]) > 0
+        _det_sign([row[: k + 1] for row in g_rows[: k + 1]]) > 0
         for k in range(n)
     )
 
@@ -375,7 +278,7 @@ def orientation_char(cell: VoronoiCell, gamma: Mat) -> int:
     coords = _solve_in_basis(basis, images)
     if coords is None:
         raise InternalCheckError("gamma does not preserve the cell span")
-    return _det_sign_fraction(coords)
+    return _det_sign(coords)
 
 
 def _orientation_transport_sign(rep: VoronoiCell, gamma: Mat, facet: VoronoiCell) -> int:
@@ -389,7 +292,7 @@ def _orientation_transport_sign(rep: VoronoiCell, gamma: Mat, facet: VoronoiCell
     coords = _solve_in_basis(facet_basis, basis_imgs)
     if coords is None:
         raise InternalCheckError("transported orientation left the facet span")
-    return _det_sign_fraction(coords)
+    return _det_sign(coords)
 
 
 def _geometric_incidence_sign(cell: VoronoiCell, facet: VoronoiCell) -> int:
@@ -408,7 +311,7 @@ def _geometric_incidence_sign(cell: VoronoiCell, facet: VoronoiCell) -> int:
     coords = _solve_in_basis(cell_basis, [w] + facet_basis)
     if coords is None:
         raise InternalCheckError("facet does not lie in the cell span")
-    return _det_sign_fraction(coords)
+    return _det_sign(coords)
 
 
 # ---------------------------------------------------------------------------

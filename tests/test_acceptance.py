@@ -133,7 +133,7 @@ def test_criterion_7_property_suites(table2, table3, cx11):
             assert permuted is None
         else:
             assert permuted.vectors == base.vectors
-            assert permuted.sign == sh._permutation_sign(perm) * base.sign
+            assert permuted.sign == sh._perm_sign(perm) * base.sign
 
     # theta chain-map identity on every n = 3 orbit representative
     for d in sorted(table3.orbits):

@@ -81,6 +81,43 @@ class TestHomology:
                 chi_betti = sum((-1) ** k * b for k, b in betti.items())
                 assert chi_ranks == chi_betti
 
+    def test_n3_level53_first_cuspidal_prime(self, table3):
+        # N = 53 is the least prime level with cuspidal SL(3) cohomology
+        # (Ash-Grayson-Green 1984); it shows up in H_1 and H_0
+        cx = build_complex(3, 53, PrimeField(32003), table=table3)
+        betti = betti_numbers(cx)
+        assert betti == {0: 10, 1: 2, 2: 0, 3: 1}
+        chi_ranks = sum((-1) ** k * cx.rank(k) for k in range(cx.max_degree + 1))
+        assert chi_ranks == sum((-1) ** k * b for k, b in betti.items())
+
+    def test_reps_are_the_first_kernel_vectors_independent_mod_image(self, table2, table3):
+        # homology_reps fixes the basis the Hecke matrices are written in:
+        # the RREF kernel basis of d_k in free-column order, keeping each
+        # vector that is independent of im d_{k+1} and of the kept ones
+        from test_intlinalg import _gauss_jordan
+
+        for n, table, n_mod, f in ((2, table2, 45, QQ), (3, table3, 17, PrimeField(7))):
+            cx = build_complex(n, n_mod, f, table=table)
+            for k in range(cx.max_degree + 1):
+                ncols = cx.rank(k)
+                rref = _gauss_jordan(f, cx.boundaries[k].to_dense()) if k else []
+                pivots = [next(j for j, x in enumerate(r) if x != f.zero) for r in rref]
+                image = []
+                if k < cx.max_degree:
+                    image = [list(col) for col in zip(*cx.boundaries[k + 1].to_dense())]
+                span = _gauss_jordan(f, image)
+                reps = []
+                for c in (c for c in range(ncols) if c not in pivots):
+                    v = [f.zero] * ncols
+                    v[c] = f.one
+                    for p, row in zip(pivots, rref):
+                        v[p] = f.neg(row[c])
+                    grown = _gauss_jordan(f, span + [v])
+                    if len(grown) > len(span):
+                        span = grown
+                        reps.append(v)
+                assert homology(cx, k).homology_reps == tuple(tuple(v) for v in reps)
+
     def test_field_consistency(self, table2, table3):
         # over F_p with p passing the hypotheses and not dividing any
         # elementary divisor of the integral boundary matrices, the Betti

@@ -35,6 +35,29 @@ small_mats = st.integers(min_value=1, max_value=4).flatmap(
 )
 
 
+def _minus(f, row, a, pivot):
+    """row - a * pivot, densely."""
+    if a == f.zero:
+        return row
+    return [f.sub(x, f.mul(a, y)) for x, y in zip(row, pivot)]
+
+
+def _gauss_jordan(f, rows):
+    """Independent dense reference: the nonzero rows of the RREF over f."""
+    work = [list(r) for r in rows]
+    out = []
+    for c in range(len(work[0]) if work else 0):
+        pivot = next((r for r in work if r[c] != f.zero), None)
+        if pivot is None:
+            continue
+        work.remove(pivot)
+        pivot = [f.div(x, pivot[c]) for x in pivot]
+        work = [_minus(f, r, r[c], pivot) for r in work]
+        out = [_minus(f, r, r[c], pivot) for r in out]
+        out.append(pivot)
+    return out
+
+
 class TestHnf:
     def test_identity(self):
         h, u = la.hnf(la.identity(2))
@@ -208,18 +231,61 @@ class TestFields:
         assert r == 0 and len(k) == 2
 
     def test_rank_invariant_under_row_permutation(self):
-        import itertools
+        """rank_kernel and solve read the RREF, which only the row space
+        fixes; LinearSpan.add grows exactly when a dense reference rank does."""
         import random
 
-        from sharbly.fields import PrimeField, SparseFieldMatrix, rank_kernel
+        from sharbly.fields import QQ, LinearSpan, PrimeField, SparseFieldMatrix, rank_kernel, solve
 
         rng = random.Random(4)
-        f = PrimeField(7)
-        rows = [[rng.randrange(7) for _ in range(4)] for _ in range(4)]
-        base = rank_kernel(SparseFieldMatrix.from_dense(f, rows))[0]
-        for perm in itertools.permutations(range(4)):
-            shuffled = [rows[i] for i in perm]
-            assert rank_kernel(SparseFieldMatrix.from_dense(f, shuffled))[0] == base
+        for f in (QQ, PrimeField(7)):
+            rows = [[f(rng.choice((0, 0, 1, -2, 3))) for _ in range(6)] for _ in range(4)]
+            rows.append([f.add(a, f.mul(f(2), b)) for a, b in zip(rows[0], rows[1])])
+            x0 = [f(rng.randrange(-3, 4)) for _ in range(6)]
+            m = SparseFieldMatrix.from_dense(f, rows)
+            rhs = m.matvec(x0)
+            bad = list(rhs)
+            bad[4] = f.add(bad[4], f.one)  # row 4 = row 0 + 2 row 1, so inconsistent
+            base = rank_kernel(m)
+            base_sol = solve(m, rhs)
+            assert base[0] == len(_gauss_jordan(f, rows)) == 6 - len(base[1])
+            assert all(not any(m.matvec(v)) for v in base[1])
+            assert m.matvec(base_sol) == rhs
+            for perm in itertools.permutations(range(len(rows))):
+                shuffled = SparseFieldMatrix.from_dense(f, [rows[i] for i in perm])
+                assert rank_kernel(shuffled) == base
+                assert solve(shuffled, [rhs[i] for i in perm]) == base_sol
+                assert solve(shuffled, [bad[i] for i in perm]) is None
+
+            for _ in range(30):
+                ncols = rng.randrange(1, 9)
+                mat = [
+                    [f(rng.randrange(-4, 5)) if rng.random() < 0.3 else f.zero for _ in range(ncols)]
+                    for _ in range(rng.randrange(1, 10))
+                ]
+                mat.append([f.sub(a, b) for a, b in zip(mat[0], mat[-1])])
+                span = LinearSpan(f)
+                for i, row in enumerate(mat):
+                    grew = len(_gauss_jordan(f, mat[: i + 1])) > len(_gauss_jordan(f, mat[:i]))
+                    assert span.add(dict(enumerate(row))) == grew
+                rref = _gauss_jordan(f, mat)
+                assert span.rows == {
+                    min(j for j, x in enumerate(r) if x): {j: x for j, x in enumerate(r) if x}
+                    for r in rref
+                }
+
+    def test_invariants_raise_internal_check_error(self):
+        from sharbly.errors import InternalCheckError
+        from sharbly.fields import QQ, SparseFieldMatrix, poly_divide_root
+
+        # x^2 - 1 has the root 1 but not 2
+        assert poly_divide_root(QQ, (QQ(-1), QQ(0), QQ(1)), QQ(1)) == (QQ(1), QQ(1))
+        with pytest.raises(InternalCheckError):
+            poly_divide_root(QQ, (QQ(-1), QQ(0), QQ(1)), QQ(2))
+        a = SparseFieldMatrix.from_dense(QQ, [[1, 2], [3, 4]])
+        b = SparseFieldMatrix.from_dense(QQ, [[1, 2, 3]])
+        with pytest.raises(InternalCheckError):
+            a.compose(b)
 
     def test_field_two_rejected(self):
         from sharbly.fields import PreconditionError, PrimeField

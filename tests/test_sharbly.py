@@ -48,7 +48,7 @@ class TestNormalize:
             perm = list(range(4))
             rng.shuffle(perm)
             permuted = sh.normalize(2, [vs[i] for i in perm])
-            sign = sh._permutation_sign(perm)
+            sign = sh._perm_sign(perm)
             if base is None:
                 assert permuted is None
             else:
