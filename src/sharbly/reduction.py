@@ -24,7 +24,9 @@ from .errors import InternalCheckError
 from .fields import SparseFieldMatrix, solve
 from .hecke import HeckeOperator, _eigen_report, hecke_cosets
 from .homology import GammaComplex, _canonical_label, express_cycle, homology, is_cycle
-from .voronoi import VoronoiCell, _orientation_transport_sign, equivalent_cells, _vertex_maps
+from .voronoi import (
+    VoronoiCell, _orientation_transport_sign, _vertex_maps, cell_signature, equivalent_cells,
+)
 
 
 @dataclass(frozen=True)
@@ -127,31 +129,34 @@ def _cone_candidates(n, key):
     return out
 
 
-def _gamma0_witnesses(n_mod, src_key, dst_key):
-    """All gamma in Gamma_0(N) with src * gamma = +-dst as vertex sets."""
-    src = VoronoiCell(len(src_key[0]), src_key)
-    dst = VoronoiCell(src.n, dst_key)
-    out = []
-    for gamma in _vertex_maps(src, dst, dets=(1,)):
-        if all(x % n_mod == 0 for x in gamma[0][1:]):
-            out.append(gamma)
-    return out
-
-
 class _SupportSystem:
-    """Grown support set and the exact linear system over it."""
+    """Grown support set and the exact linear system over it.
+
+    Bar pairs come from orbit labels.  Every support key gets an SL(n,Z)
+    class representative `rep` and a standardizing map h with rep * h = key.
+    The maps src -> dst are then exactly h_src^-1 s h_dst for s in the
+    stabilizer of rep, and such a map lies in Gamma_0(N) iff s moves q_src
+    to q_dst, where q_key is the point of the first row of h_key^-1.  So
+    the Gamma_0(N)-orbit of a key is labelled by (rep, least point in the
+    stabilizer orbit of q_key), as `homology._canonical_label` labels W_k
+    generators, and only keys with equal labels are paired.
+    """
 
     def __init__(self, cx: GammaComplex, with_w1: bool):
-        self.cx = cx
         self.n = cx.n
         self.f = cx.field
         self.with_w1 = with_w1
         self.s1: set = set()
         self.taus: list = []
         self._tau_seen: set = set()
+        self._coned: set = set()
         self.bars: list = []  # (gamma, key)
-        self._bar_seen: set = set()
-        self._pairs_done: set = set()
+        self.shape = (0, 0)  # rows, cols of the last (and largest) system solved
+        self._space = cg.projective_space(self.n, cx.level)
+        self._reps: dict = {}  # cell signature -> representative cells
+        self._stabs: dict = {}  # representative -> ((s, perm(s)), ...)
+        self._placed: dict = {}  # key -> (rep, h^-1, h, q)
+        self._orbits: dict = {}  # orbit label -> keys carrying it
         if with_w1:
             self.lifts = []
             for i, gen in enumerate(cx.bases[1]):
@@ -167,31 +172,67 @@ class _SupportSystem:
     def add_chain_keys(self, chain: sh.SharblyChain):
         self.s1.update(chain.coeffs)
 
-    def grow(self):
-        """One round: cone every bad edge, then pair up equivalent supports."""
-        new_keys = set()
-        for key in sorted(self.s1):
+    def _place(self, key):
+        """Standardize a key and file it under its Gamma_0(N)-orbit label."""
+        cell = VoronoiCell(self.n, key)
+        same_sig = self._reps.setdefault(cell_signature(cell), [])
+        for rep in same_sig:
+            h = equivalent_cells(rep, cell)
+            if h is not None:
+                break
+        else:
+            rep, h = cell, la.identity(self.n)
+            same_sig.append(rep)
+            self._stabs[rep] = tuple(
+                (s, self._space.perm(s)) for s in _vertex_maps(rep, rep, dets=(1,))
+            )
+        h_inv = la.inverse_unimodular(h)
+        q = self._space.index(h_inv[0])
+        self._placed[key] = (rep, h_inv, h, q)
+        label = (rep, min(perm[q] for _s, perm in self._stabs[rep]))
+        self._orbits.setdefault(label, []).append(key)
+        return label
+
+    def _bars_between(self, src, dst):
+        """Sorted gamma != 1 in Gamma_0(N) with src * gamma = +-dst."""
+        rep, h_inv, _h, q_src = self._placed[src]
+        _rep, _h_inv, h_dst, q_dst = self._placed[dst]
+        one = la.identity(self.n)
+        out = []
+        for s, perm in self._stabs[rep]:
+            if perm[q_src] == q_dst:
+                gamma = la.mat_mul(la.mat_mul(h_inv, s), h_dst)
+                if gamma != one:
+                    out.append(gamma)
+        return sorted(out)
+
+    def grow(self) -> bool:
+        """One round: cone the bad edges of the keys not coned yet, then pair
+        the new keys with every key in their Gamma_0(N)-orbit.
+
+        Returns whether the round added a 2-sharbly or a bar; if not, the
+        support is closed and every later round would add nothing either.
+        """
+        n_taus, n_bars = len(self.taus), len(self.bars)
+        fresh = sorted(self.s1 - self._coned)
+        self._coned.update(fresh)
+        for key in fresh:
             for tau_key in _cone_candidates(self.n, key):
                 if tau_key in self._tau_seen:
                     continue
                 self._tau_seen.add(tau_key)
                 self.taus.append(tau_key)
                 bd = sh.boundary(sh.SharblyChain(self.n, 2, {tau_key: 1}))
-                new_keys.update(bd.coeffs)
-        self.s1.update(new_keys)
-        # bar pairs between all supports in the same Gamma_0(N) orbit
-        keys = sorted(self.s1)
-        for src in keys:
-            for dst in keys:
-                if (src, dst) in self._pairs_done:
-                    continue
-                self._pairs_done.add((src, dst))
-                for gamma in _gamma0_witnesses(self.cx.level, src, dst):
-                    if gamma == la.identity(self.n):
-                        continue
-                    if (gamma, src) not in self._bar_seen:
-                        self._bar_seen.add((gamma, src))
-                        self.bars.append((gamma, src))
+                self.s1.update(bd.coeffs)
+        pairs = set()
+        for key in sorted(self.s1 - self._placed.keys()):
+            label = self._place(key)
+            for other in self._orbits[label]:
+                pairs.add((key, other))
+                pairs.add((other, key))
+        for src, dst in sorted(pairs):
+            self.bars.extend((gamma, src) for gamma in self._bars_between(src, dst))
+        return len(self.taus) > n_taus or len(self.bars) > n_bars
 
     def solve(self, rhs_chain: sh.SharblyChain):
         """Solve  w1-part + d(tau-part) + bar-part = rhs  exactly.
@@ -230,6 +271,7 @@ class _SupportSystem:
         mat = SparseFieldMatrix.from_triplets(
             f, len(row_index), len(columns), triplets
         )
+        self.shape = (mat.nrows, mat.ncols)
         rhs = [f.zero] * len(row_index)
         for k, v in rhs_chain.coeffs.items():
             rhs[row_index[k]] = f(v)
@@ -246,6 +288,36 @@ class _SupportSystem:
             if coeff != f.zero:
                 bar_terms.append((gamma, sh.SharblyChain(self.n, 1, {src: coeff})))
         return w1_vec, homotopy, tuple(bar_terms)
+
+    def search(self, rhs_chain: sh.SharblyChain, budget: int):
+        """Solve; while that fails, grow one round and solve again.
+
+        Returns (solution, None), or (None, note) once `budget` rounds have
+        run, the support is closed, or growth is unavailable (cone
+        subdivision is n = 2 only).  The note says which, with the sizes
+        reached.
+        """
+        rounds = 0
+        while True:
+            sol = self.solve(rhs_chain)
+            if sol is not None:
+                return sol, None
+            if rounds == budget:
+                stop = "budget spent"
+                break
+            if self.n != 2:
+                stop = "support growth is implemented for n = 2 only"
+                break
+            if not self.grow():
+                stop = "support closed"
+                break
+            rounds += 1
+        rows, cols = self.shape
+        return None, (
+            f"{stop}; rounds run {rounds}, supports {len(self.s1)}, "
+            f"2-sharblies {len(self.taus)}, bars {len(self.bars)}, "
+            f"largest system {rows} x {cols}"
+        )
 
 
 def _bar_sum(n: int, bar_terms) -> sh.SharblyChain:
@@ -281,7 +353,7 @@ def one_sharbly_reduce_n2(cx: GammaComplex, chain: sh.SharblyChain,
     """Rewrite a coinvariant-cycle 1-chain as a Voronoi-supported one.
 
     Returns a ReductionResult whose identity is exact, or Undetermined when
-    the certificate search exhausts its budget.
+    the certificate search exhausts its budget or its support closes.
     """
     if cx.n != 2 or chain.n != 2 or chain.k != 1:
         raise ValueError("this reduction is implemented for n = 2, k = 1")
@@ -294,18 +366,15 @@ def one_sharbly_reduce_n2(cx: GammaComplex, chain: sh.SharblyChain,
         )
     system = _SupportSystem(cx, with_w1=True)
     system.add_chain_keys(fchain)
-    for round_ in range(budget + 1):
-        sol = system.solve(fchain)
-        if sol is not None:
-            w1_vec, homotopy, bar_terms = sol
-            reduced = theta_lift(cx, 1, w1_vec)
-            result = ReductionResult(f, reduced, w1_vec, homotopy, bar_terms)
-            if not result.verify(fchain):
-                raise InternalCheckError("reduction certificate failed to verify")
-            return result
-        if round_ < budget:
-            system.grow()
-    return Undetermined(f"no reduction certificate within {budget} rounds")
+    sol, note = system.search(fchain, budget)
+    if sol is None:
+        return Undetermined(f"no reduction certificate within {budget} rounds ({note})")
+    w1_vec, homotopy, bar_terms = sol
+    reduced = theta_lift(cx, 1, w1_vec)
+    result = ReductionResult(f, reduced, w1_vec, homotopy, bar_terms)
+    if not result.verify(fchain):
+        raise InternalCheckError("reduction certificate failed to verify")
+    return result
 
 
 def one_sharbly_reduce(cx: GammaComplex, chain: sh.SharblyChain, budget: int = 4):
@@ -352,7 +421,8 @@ def verify_eigen_chain(cx: GammaComplex, x_vec, op: HeckeOperator, a,
     """Search for a chain-level witness that a is the eigenvalue on [x].
 
     Returns a verified Witness or Undetermined; a wrong a can only produce
-    Undetermined, never a witness.
+    Undetermined, never a witness.  Support growth is n = 2 only, so for
+    n != 2 only the unsubdivided support is tried.
     """
     if cx.level % op.ell == 0:
         from .errors import PreconditionError
@@ -367,21 +437,16 @@ def verify_eigen_chain(cx: GammaComplex, x_vec, op: HeckeOperator, a,
     system = _SupportSystem(cx, with_w1=False)
     system.add_chain_keys(x_chain)
     system.add_chain_keys(s_chain)
-    for round_ in range(budget + 1):
-        sol = system.solve(rhs)
-        if sol is not None:
-            # rhs = d(T) + B  ==>  d(-T) + theta(x) s - B = a theta(x)
-            _, homotopy, bar_terms = sol
-            y = homotopy.scaled(f(-1))
-            wit = Witness(f, a, x_chain, s_chain, y, bar_terms)
-            if not wit.verify():
-                raise InternalCheckError("eigen witness failed to verify")
-            return wit
-        if round_ < budget:
-            system.grow()
-    return Undetermined(
-        f"no witness for eigenvalue {a} within {budget} rounds"
-    )
+    sol, note = system.search(rhs, budget)
+    if sol is None:
+        return Undetermined(f"no witness for eigenvalue {a} within {budget} rounds ({note})")
+    # rhs = d(T) + B  ==>  d(-T) + theta(x) s - B = a theta(x)
+    _, homotopy, bar_terms = sol
+    y = homotopy.scaled(f(-1))
+    wit = Witness(f, a, x_chain, s_chain, y, bar_terms)
+    if not wit.verify():
+        raise InternalCheckError("eigen witness failed to verify")
+    return wit
 
 
 def hecke_on_h1_n2(level: int, field, ell: int, budget: int = 4,

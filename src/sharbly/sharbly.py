@@ -11,11 +11,12 @@ by the normal-form vector tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations
 
 from . import intlinalg as la
 from .errors import InternalCheckError
 from .intlinalg import Mat, Vec
-from .voronoi import VoronoiCell, _perm_sign, _rank_of_rows, is_simplex
+from .voronoi import VoronoiCell, _perm_sign, is_simplex
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,8 @@ def normalize(n: int, vectors) -> SharblyElement | None:
         prim.append(la.primitivize(v))
     if len(set(prim)) != len(prim):
         return None  # repeated line: killed since 2 is invertible
-    if _rank_of_rows(prim) < n:
-        return None  # does not span Q^n
+    if not any(la.det(rows) for rows in combinations(prim, n)):
+        return None  # does not span Q^n: every n x n minor vanishes
     order = sorted(range(len(prim)), key=lambda i: prim[i])
     sign = _perm_sign(order)
     return SharblyElement(n, tuple(prim[i] for i in order), sign)

@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from sharbly import intlinalg as la
 from sharbly import reduction as rd
 from sharbly import sharbly as sh
-from sharbly.fields import PrimeField, QQ
+from sharbly.fields import PrimeField, QQ, solve
 from sharbly.hecke import hecke_cosets
 from sharbly.homology import build_complex, homology
+from sharbly.voronoi import VoronoiCell, _vertex_maps
 
 
 class TestLifts:
@@ -46,8 +48,6 @@ class TestOneSharblyReduce:
     def test_translated_cycle_reduces_to_same_class(self, cx11):
         # acting on theta_1(triangle lift) by gamma in Gamma_0(11) does not
         # change the coinvariant coordinates after reduction
-        import sharbly.intlinalg as la
-
         unit = [QQ.zero] * cx11.rank(1)
         unit[2] = QQ.one
         lift = rd.theta_lift(cx11, 1, unit)
@@ -66,12 +66,23 @@ class TestOneSharblyReduce:
         assert isinstance(out, rd.Undetermined)
 
     def test_n3_eigen_chain_best_effort(self, table3):
-        # the witness search itself is rank-agnostic; the trivial case closes
+        # the zero chain needs no search, so it closes at any rank
         cx3 = build_complex(3, 2, QQ, table=table3)
         op = hecke_cosets(3, 5, 1)
         zero = tuple(QQ.zero for _ in range(cx3.rank(1)))
         wit = rd.verify_eigen_chain(cx3, zero, op, 2, budget=0)
         assert isinstance(wit, rd.Witness) and wit.verify()
+
+    @pytest.mark.parametrize("budget", [0, 1])
+    def test_n3_eigen_chain_without_growth_is_undetermined(self, table3, budget):
+        # cone subdivision is n = 2 only: the search solves once and stops
+        cx3 = build_complex(3, 7, QQ, table=table3)
+        unit = [QQ.zero] * cx3.rank(1)
+        unit[0] = QQ.one
+        out = rd.verify_eigen_chain(cx3, unit, hecke_cosets(3, 2, 1), 3, budget=budget)
+        assert isinstance(out, rd.Undetermined)
+        if budget:
+            assert "implemented for n = 2 only" in out.reason
 
 
 class TestHeckeH1:
@@ -131,6 +142,26 @@ class TestVerifyEigenChain:
             wit = rd.verify_eigen_chain(cx11, x, hecke_cosets(2, ell, 1), a, budget=3)
             assert isinstance(wit, rd.Witness) and wit.verify()
 
+    def test_closed_support_stops_the_search(self, cx11, monkeypatch):
+        h1 = homology(cx11, 1)
+        x = h1.homology_reps[0]
+        op = hecke_cosets(2, 2, 1)
+        calls = []
+
+        def counting_solve(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(rd, "solve", counting_solve)
+        counts = []
+        for budget in (4, 20):
+            calls.clear()
+            out = rd.verify_eigen_chain(cx11, x, op, 5, budget=budget)
+            assert isinstance(out, rd.Undetermined)
+            assert "support closed" in out.reason and "bars" in out.reason
+            counts.append(len(calls))
+        assert 1 <= counts[0] == counts[1] <= 4
+
     def test_prime_field_witness(self, table2):
         cx = build_complex(2, 11, PrimeField(5), table=table2)
         h1 = homology(cx, 1)
@@ -138,3 +169,36 @@ class TestVerifyEigenChain:
         op = hecke_cosets(2, 3, 1)
         wit = rd.verify_eigen_chain(cx, x, op, 4, budget=3)
         assert isinstance(wit, rd.Witness) and wit.verify()
+
+
+class TestSupportGrowth:
+    """The orbit-label bar pairing against an all-pairs vertex-map search."""
+
+    @staticmethod
+    def _all_pairs_bars(level, keys, memo):
+        one = la.identity(2)
+        out = set()
+        for src in keys:
+            for dst in keys:
+                if (src, dst) not in memo:
+                    memo[src, dst] = [
+                        gamma
+                        for gamma in _vertex_maps(VoronoiCell(2, src), VoronoiCell(2, dst), dets=(1,))
+                        if gamma != one and all(x % level == 0 for x in gamma[0][1:])
+                    ]
+                out.update((gamma, src) for gamma in memo[src, dst])
+        return out
+
+    @pytest.mark.parametrize("level", [1, 11, 13, 15])
+    def test_bars_equal_all_pairs_reference(self, table2, level):
+        cx = build_complex(2, level, QQ, table=table2)
+        x = homology(cx, 1).homology_reps[0]
+        x_chain, s_chain = rd._theta_s(cx, hecke_cosets(2, 2, 1), x)
+        system = rd._SupportSystem(cx, with_w1=False)
+        system.add_chain_keys(x_chain)
+        system.add_chain_keys(s_chain)
+        memo = {}
+        for _round in range(2):
+            system.grow()
+            assert len(set(system.bars)) == len(system.bars)
+            assert set(system.bars) == self._all_pairs_bars(level, sorted(system.s1), memo)

@@ -4,6 +4,7 @@ import pytest
 
 from sharbly import intlinalg as la
 from sharbly import sharbly as sh
+from sharbly.fields import QQ, SparseFieldMatrix, rank
 from sharbly.hecke import symbol_chain_to_w0
 from sharbly.homology import express_cycle, homology
 
@@ -35,6 +36,35 @@ class TestNormalize:
         e = sh.normalize(2, [(0, 3), (-2, 0), (5, 5)])
         again = sh.normalize(2, e.vectors)
         assert again.vectors == e.vectors and again.sign == 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_zero_exactly_when_rank_over_q_below_n(self, n):
+        # Random sets; sets from a random sublattice of rank n - 1; and such
+        # sets with one random vector appended, which span Q^n although
+        # their first n vectors do not.  For n = 2 a sublattice set is one
+        # line, so only n >= 3 reaches the span test with distinct lines.
+        rng = random.Random(100 + n)
+        dependent = spanning_late = 0
+        for trial in range(300):
+            m = rng.randint(n, n + 2)
+            if trial % 3:
+                gens = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - 1)]
+                coeffs = [[rng.randint(-3, 3) for _ in gens] for _ in range(m)]
+                vs = [[sum(c * g[i] for c, g in zip(cs, gens)) for i in range(n)] for cs in coeffs]
+                if trial % 3 == 2:
+                    vs[-1] = [rng.randint(-3, 3) for _ in range(n)]
+            else:
+                vs = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+            if not all(any(v) for v in vs):
+                continue
+            repeated = len({la.primitivize(tuple(v)) for v in vs}) < m
+            low_rank = rank(SparseFieldMatrix.from_dense(QQ, vs)) < n
+            if not repeated:
+                dependent += low_rank
+                spanning_late += not low_rank and rank(SparseFieldMatrix.from_dense(QQ, vs[:n])) < n
+            assert (sh.normalize(n, vs) is None) == (repeated or low_rank), vs
+        assert dependent >= (0 if n == 2 else 20)
+        assert spanning_late >= (0 if n == 2 else 20)
 
     def test_sign_law_under_permutations(self):
         rng = random.Random(17)
