@@ -25,15 +25,20 @@ from .fields import SparseFieldMatrix, solve
 from .hecke import HeckeOperator, _eigen_report, hecke_cosets
 from .homology import GammaComplex, _canonical_label, express_cycle, homology, is_cycle
 from .voronoi import (
-    VoronoiCell, _orientation_transport_sign, _vertex_maps, cell_signature, equivalent_cells,
+    VoronoiCell, _orientation_transport_sign, cell_signature, cell_stabilizer, equivalent_cells,
 )
 
 
 @dataclass(frozen=True)
 class Undetermined:
-    """Search budget exhausted without a certificate; never a wrong answer."""
+    """Search budget exhausted without a certificate; never a wrong answer.
+
+    `closed` is set when the search stopped on a closed support: a round of
+    growth added nothing, so no larger budget can find a certificate.
+    """
 
     reason: str
+    closed: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +157,8 @@ class _SupportSystem:
         self._coned: set = set()
         self.bars: list = []  # (gamma, key)
         self.shape = (0, 0)  # rows, cols of the last (and largest) system solved
+        self.closed = False  # a grow() round added nothing
+        self._level = cx.level
         self._space = cg.projective_space(self.n, cx.level)
         self._reps: dict = {}  # cell signature -> representative cells
         self._stabs: dict = {}  # representative -> ((s, perm(s)), ...)
@@ -183,9 +190,7 @@ class _SupportSystem:
         else:
             rep, h = cell, la.identity(self.n)
             same_sig.append(rep)
-            self._stabs[rep] = tuple(
-                (s, self._space.perm(s)) for s in _vertex_maps(rep, rep, dets=(1,))
-            )
+            self._stabs[rep] = tuple((s, self._space.perm(s)) for s in cell_stabilizer(rep)[1])
         h_inv = la.inverse_unimodular(h)
         q = self._space.index(h_inv[0])
         self._placed[key] = (rep, h_inv, h, q)
@@ -194,7 +199,12 @@ class _SupportSystem:
         return label
 
     def _bars_between(self, src, dst):
-        """Sorted gamma != 1 in Gamma_0(N) with src * gamma = +-dst."""
+        """Sorted gamma != 1 in Gamma_0(N) with src * gamma = +-dst.
+
+        Membership is re-checked on every bar: certificates apply their bar
+        matrices without testing them, so a slip in the labels would
+        otherwise verify.
+        """
         rep, h_inv, _h, q_src = self._placed[src]
         _rep, _h_inv, h_dst, q_dst = self._placed[dst]
         one = la.identity(self.n)
@@ -203,6 +213,8 @@ class _SupportSystem:
             if perm[q_src] == q_dst:
                 gamma = la.mat_mul(la.mat_mul(h_inv, s), h_dst)
                 if gamma != one:
+                    if not cg.is_gamma0(gamma, self._level):
+                        raise InternalCheckError("orbit label admitted a bar outside Gamma_0(N)")
                     out.append(gamma)
         return sorted(out)
 
@@ -293,9 +305,9 @@ class _SupportSystem:
         """Solve; while that fails, grow one round and solve again.
 
         Returns (solution, None), or (None, note) once `budget` rounds have
-        run, the support is closed, or growth is unavailable (cone
-        subdivision is n = 2 only).  The note says which, with the sizes
-        reached.
+        run, the support is closed (then `self.closed` is set), or growth is
+        unavailable (cone subdivision is n = 2 only).  The note says which,
+        with the sizes reached.
         """
         rounds = 0
         while True:
@@ -309,6 +321,7 @@ class _SupportSystem:
                 stop = "support growth is implemented for n = 2 only"
                 break
             if not self.grow():
+                self.closed = True
                 stop = "support closed"
                 break
             rounds += 1
@@ -318,6 +331,10 @@ class _SupportSystem:
             f"2-sharblies {len(self.taus)}, bars {len(self.bars)}, "
             f"largest system {rows} x {cols}"
         )
+
+
+def _bars_in_gamma0(level: int, bar_terms) -> bool:
+    return all(cg.is_gamma0(gamma, level) for gamma, _chain in bar_terms)
 
 
 def _bar_sum(n: int, bar_terms) -> sh.SharblyChain:
@@ -330,15 +347,21 @@ def _bar_sum(n: int, bar_terms) -> sh.SharblyChain:
 
 @dataclass(frozen=True)
 class ReductionResult:
-    """c = reduced + d(homotopy) + sum(c_i gamma_i - c_i), exactly."""
+    """c = reduced + d(homotopy) + sum(c_i gamma_i - c_i), exactly.
+
+    Every gamma_i must lie in Gamma_0(level); `verify` checks that too.
+    """
 
     field: object
+    level: int
     reduced: sh.SharblyChain
     w1_coords: tuple
     homotopy: sh.SharblyChain
     bar_terms: tuple
 
     def verify(self, original: sh.SharblyChain) -> bool:
+        if not _bars_in_gamma0(self.level, self.bar_terms):
+            return False
         n = original.n
         total = self.reduced.copy()
         if not self.homotopy.is_zero():
@@ -362,16 +385,18 @@ def one_sharbly_reduce_n2(cx: GammaComplex, chain: sh.SharblyChain,
     if is_voronoi_supported(cx, fchain):
         coords = chain_to_w(cx, 1, fchain)
         return ReductionResult(
-            f, fchain, tuple(coords), sh.SharblyChain(2, 2), ()
+            f, cx.level, fchain, tuple(coords), sh.SharblyChain(2, 2), ()
         )
     system = _SupportSystem(cx, with_w1=True)
     system.add_chain_keys(fchain)
     sol, note = system.search(fchain, budget)
     if sol is None:
-        return Undetermined(f"no reduction certificate within {budget} rounds ({note})")
+        return Undetermined(
+            f"no reduction certificate within {budget} rounds ({note})", system.closed
+        )
     w1_vec, homotopy, bar_terms = sol
     reduced = theta_lift(cx, 1, w1_vec)
-    result = ReductionResult(f, reduced, w1_vec, homotopy, bar_terms)
+    result = ReductionResult(f, cx.level, reduced, w1_vec, homotopy, bar_terms)
     if not result.verify(fchain):
         raise InternalCheckError("reduction certificate failed to verify")
     return result
@@ -386,9 +411,13 @@ def one_sharbly_reduce(cx: GammaComplex, chain: sh.SharblyChain, budget: int = 4
 
 @dataclass(frozen=True)
 class Witness:
-    """Chains certifying  d1 y + theta(x) s - d2 u = a theta(x)  exactly."""
+    """Chains certifying  d1 y + theta(x) s - d2 u = a theta(x)  exactly.
+
+    Every bar matrix in u must lie in Gamma_0(level); `verify` checks that too.
+    """
 
     field: object
+    level: int
     a: object
     x_chain: sh.SharblyChain  # theta(x)
     s_chain: sh.SharblyChain  # theta(x) * s (sum over cosets)
@@ -396,6 +425,8 @@ class Witness:
     u: tuple  # bar terms (gamma, 1-sharbly chain)
 
     def verify(self) -> bool:
+        if not _bars_in_gamma0(self.level, self.u):
+            return False
         f = self.field
         n = self.x_chain.n
         total = sh.SharblyChain(n, 1)
@@ -432,18 +463,20 @@ def verify_eigen_chain(cx: GammaComplex, x_vec, op: HeckeOperator, a,
     a = f(a)
     x_chain, s_chain = _theta_s(cx, op, x_vec)
     if x_chain.is_zero() and s_chain.is_zero():
-        return Witness(f, a, x_chain, s_chain, sh.SharblyChain(cx.n, 2), ())
+        return Witness(f, cx.level, a, x_chain, s_chain, sh.SharblyChain(cx.n, 2), ())
     rhs = s_chain.copy().add_chain(x_chain, f.neg(a)).reduced(f)
     system = _SupportSystem(cx, with_w1=False)
     system.add_chain_keys(x_chain)
     system.add_chain_keys(s_chain)
     sol, note = system.search(rhs, budget)
     if sol is None:
-        return Undetermined(f"no witness for eigenvalue {a} within {budget} rounds ({note})")
+        return Undetermined(
+            f"no witness for eigenvalue {a} within {budget} rounds ({note})", system.closed
+        )
     # rhs = d(T) + B  ==>  d(-T) + theta(x) s - B = a theta(x)
     _, homotopy, bar_terms = sol
     y = homotopy.scaled(f(-1))
-    wit = Witness(f, a, x_chain, s_chain, y, bar_terms)
+    wit = Witness(f, cx.level, a, x_chain, s_chain, y, bar_terms)
     if not wit.verify():
         raise InternalCheckError("eigen witness failed to verify")
     return wit
@@ -468,7 +501,7 @@ def hecke_on_h1_n2(level: int, field, ell: int, budget: int = 4,
         _, s_chain = _theta_s(cx, op, rep_vec)
         result = one_sharbly_reduce_n2(cx, s_chain, budget)
         if isinstance(result, Undetermined):
-            return Undetermined(f"column {j}: {result.reason}")
+            return Undetermined(f"column {j}: {result.reason}", result.closed)
         y_vec = list(result.w1_coords)
         if not is_cycle(cx, 1, y_vec):
             raise InternalCheckError("reduced image is not a cycle")

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from sharbly import intlinalg as la
 from sharbly import reduction as rd
 from sharbly import sharbly as sh
+from sharbly.congruence import is_gamma0
 from sharbly.fields import PrimeField, QQ, solve
 from sharbly.hecke import hecke_cosets
 from sharbly.homology import build_complex, homology
@@ -118,6 +120,19 @@ class TestVerifyEigenChain:
         assert wit.verify()
         assert not wit.y.is_zero() or not wit.u  # nontrivial certificate
 
+    def test_bars_are_checked_against_the_level(self, cx11):
+        # the same chains with bars outside Gamma_0(level) do not verify
+        x = homology(cx11, 1).homology_reps[0]
+        wit = rd.verify_eigen_chain(cx11, x, hecke_cosets(2, 2, 1), 3, budget=3)
+        assert wit.verify() and wit.level == 11
+        assert any(not is_gamma0(gamma, 13) for gamma, _c in wit.u)
+        assert not dataclasses.replace(wit, level=13).verify()
+        s_chain = rd._theta_s(cx11, hecke_cosets(2, 2, 1), x)[1].reduced(QQ)
+        res = rd.one_sharbly_reduce_n2(cx11, s_chain, 3)
+        assert res.verify(s_chain) and res.level == 11
+        assert any(not is_gamma0(gamma, 13) for gamma, _c in res.bar_terms)
+        assert not dataclasses.replace(res, level=13).verify(s_chain)
+
     def test_wrong_eigenvalue_undetermined(self, cx11):
         h1 = homology(cx11, 1)
         x = h1.homology_reps[0]
@@ -158,9 +173,12 @@ class TestVerifyEigenChain:
             calls.clear()
             out = rd.verify_eigen_chain(cx11, x, op, 5, budget=budget)
             assert isinstance(out, rd.Undetermined)
-            assert "support closed" in out.reason and "bars" in out.reason
+            assert out.closed and "bars" in out.reason
             counts.append(len(calls))
         assert 1 <= counts[0] == counts[1] <= 4
+        # a search cut by its budget is not marked closed
+        spent = rd.verify_eigen_chain(cx11, x, op, 5, budget=0)
+        assert isinstance(spent, rd.Undetermined) and not spent.closed
 
     def test_prime_field_witness(self, table2):
         cx = build_complex(2, 11, PrimeField(5), table=table2)
