@@ -8,7 +8,7 @@ n = 2 against an independent classical modular-symbol implementation.
 
 __version__ = "0.1.0"
 
-from .errors import InternalCheckError, PreconditionError, UnsupportedError  # noqa: F401
+from .errors import ConfigError, InternalCheckError, PreconditionError, UnsupportedError  # noqa: F401
 from .fields import QQ, PrimeField, parse_field  # noqa: F401
 from .voronoi import (  # noqa: F401
     VoronoiCell,

@@ -1,7 +1,8 @@
 """Command-line front end: cells, homology, hecke, oracle, verify, nofake.
 
-Exit codes: 0 success, 1 invalid configuration, 2 precondition rejection,
-3 undetermined result, 4 internal invariant violation (always a bug).
+Exit codes: 0 success, 1 invalid configuration (an argument, field spec or
+cache file that cannot be parsed, or a file error), 2 precondition
+rejection, 3 undetermined result, 4 internal failure (always a bug).
 Reports are deterministic given the configuration; the seed only feeds
 redundant randomized self-checks inside `verify`.
 """
@@ -22,7 +23,7 @@ from pathlib import Path
 from . import intlinalg as la
 from . import manin
 from . import sharbly as sh
-from .errors import InternalCheckError, PreconditionError, UnsupportedError
+from .errors import ConfigError, InternalCheckError, PreconditionError, UnsupportedError
 from .fields import Field, QQ, parse_field
 from .hecke import hecke_cosets, hecke_on_h0
 from .homology import (
@@ -106,7 +107,10 @@ def format_factored(eigen, remainder) -> str:
 def _load_or_build_cells(n: int, cache: Path):
     path = cache / f"cells-n{n}.json"
     if path.exists():
-        return cells_from_json(path.read_text())
+        try:
+            return cells_from_json(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"cell cache {path} is not valid JSON: {exc}") from None
     table = enumerate_cells(n)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(cells_to_json(table))
@@ -222,7 +226,10 @@ def cmd_nofake(cfg: RunConfig) -> int:
     op = hecke_cosets(2, cfg.ell, 1)
     if cfg.a is None:
         raise PreconditionError("--a <eigenvalue> is required for nofake")
-    a = field(Fraction(cfg.a))
+    try:
+        a = field(Fraction(cfg.a))
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"--a {cfg.a!r} is not a number of {field.name}") from None
     wit = verify_eigen_chain(cx, x, op, a, budget=cfg.budget)
     if isinstance(wit, Undetermined):
         print(f"undetermined: {wit.reason}")
@@ -424,12 +431,12 @@ def main(argv=None) -> int:
     except (PreconditionError, UnsupportedError) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except InternalCheckError as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except (ValueError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    except (InternalCheckError, ValueError) as exc:
+        print(f"internal invariant violated: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -127,11 +127,6 @@ def is_gamma0(gamma: Mat, n_mod: int) -> bool:
     return all(x % n_mod == 0 for x in gamma[0][1:])
 
 
-def coset_point(gamma: Mat, n_mod: int) -> Vec:
-    """The point labeling the coset Gamma_0(N) * gamma."""
-    return proj_normalize(gamma[0], n_mod)
-
-
 def lift_point(pt: Vec, n_mod: int) -> Vec:
     """A primitive integer vector reducing to the projective point pt."""
     if n_mod == 1:

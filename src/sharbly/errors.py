@@ -1,6 +1,10 @@
 """Shared exception types, mapped to CLI exit codes in sharbly.cli."""
 
 
+class ConfigError(ValueError):
+    """An argument, field spec or cache file cannot be parsed; exit 1."""
+
+
 class PreconditionError(ValueError):
     """A validity hypothesis is violated (bad field, bad prime, l | N); exit 2."""
 

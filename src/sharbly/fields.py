@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import InternalCheckError, PreconditionError
+from .errors import ConfigError, InternalCheckError, PreconditionError
 
 
 def _is_prime(p: int) -> bool:
@@ -122,11 +122,10 @@ def parse_field(spec: str) -> Field:
     s = spec.strip()
     if s == "Q":
         return QQ
-    if s.startswith("Fp:"):
-        return PrimeField(int(s[3:]))
-    if s.startswith("F") and s[1:].isdigit():
-        return PrimeField(int(s[1:]))
-    raise ValueError(f"unrecognized field spec {spec!r}; use 'Q' or 'Fp:<p>'")
+    digits = s[3:] if s.startswith("Fp:") else s[1:] if s.startswith("F") else ""
+    if not digits.isdecimal():
+        raise ConfigError(f"unrecognized field spec {spec!r}; use 'Q' or 'Fp:<p>'")
+    return PrimeField(int(digits))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Coset representatives are the lower-triangular Hermite forms of
 determinant l^k whose elementary divisors are (1, .., 1, l, .., l); these
 tile the double coset of diag(1, .., 1, l, .., l) by right SL(n,Z)-cosets,
 which is the decomposition the chain-level action needs.  The action on
-H_0 goes through reduction of modular symbols to unimodular ones.
+H_0 lifts a class by theta, translates it by the cosets, reduces the
+modular symbols to unimodular ones and reads the result back in W_0.
 """
 
 from __future__ import annotations
@@ -12,14 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from . import congruence as cg
 from . import intlinalg as la
 from . import sharbly as sh
 from .errors import InternalCheckError, PreconditionError
 from .fields import Field, _is_prime, charpoly, eigenvalues
-from .homology import GammaComplex, build_complex, express_cycle, homology
+from .homology import GammaComplex, build_complex, chain_to_w, express_cycle, homology, theta_lift
 from .intlinalg import Mat
-from .voronoi import VoronoiCell
 
 
 @dataclass(frozen=True)
@@ -96,64 +95,24 @@ def coset_of(op: HeckeOperator, mat: Mat) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Unimodular symbol chains -> degree-0 coordinates
+# theta(x) * T and its degree-0 read-back
 # ---------------------------------------------------------------------------
 
-def _unimodular_witness(rep: VoronoiCell, cell: VoronoiCell) -> Mat:
-    """gamma in SL(n,Z) with rep * gamma = cell, both unimodular cells."""
-    a0 = la.freeze(rep.vertices)
-    ac = [list(v) for v in cell.vertices]
-    gamma = la.mat_mul(la.inverse_unimodular(a0), la.freeze(ac))
-    if la.det(gamma) == -1:
-        ac[-1] = [-x for x in ac[-1]]
-        gamma = la.mat_mul(la.inverse_unimodular(a0), la.freeze(ac))
-    if la.det(gamma) != 1:
-        raise InternalCheckError("no SL(n,Z) witness between unimodular cells")
-    return gamma
+def theta_s(cx: GammaComplex, k: int, op: HeckeOperator, x_vec) -> tuple:
+    """(theta(x), theta(x) * s summed over the cosets s of op) as plain chains."""
+    x_chain = theta_lift(cx, k, x_vec)
+    s_chain = sh.SharblyChain(cx.n, k)
+    for s in op.cosets:
+        s_chain.add_chain(x_chain.act(s))
+    return x_chain, s_chain
 
 
 def symbol_chain_to_w0(cx: GammaComplex, chain: sh.SharblyChain):
     """Coordinates in W_0 of a chain of unimodular symbols."""
-    from .homology import _canonical_label
-    from .voronoi import _orientation_transport_sign
-
+    # A name of its own so that bench/tracer.py can time the degree-0 read-back.
     if chain.k != 0:
         raise InternalCheckError(f"expected a chain of symbols, got degree {chain.k}")
-    f = cx.field
-    n = cx.n
-    d = n - 1
-    orbits = cx.table.orbits[d]
-    space = cg.projective_space(n, cx.level)
-    index = cx.basis_index(0)
-    out = [f.zero] * cx.rank(0)
-    for key, c in chain.coeffs.items():
-        cell = VoronoiCell(n, key)
-        if abs(la.det(la.freeze(key))) != 1:
-            raise ValueError("chain contains a non-unimodular symbol")
-        orb = orbits[0]
-        if len(orbits) != 1:
-            raise InternalCheckError("expected a single unimodular cell orbit")
-        gamma = _unimodular_witness(orb.representative, cell)
-        q = cg.proj_normalize(la.inverse_unimodular(gamma)[0], cx.level)
-        p_canon, chars = _canonical_label(space, orb, q)
-        rec = cx.splits[d, orb.index][p_canon]
-        if not rec.orientation_ok:
-            continue
-        if len(chars) != 1:
-            raise InternalCheckError("ambiguous transport on a surviving orbit")
-        eta = _orientation_transport_sign(orb.representative, gamma, cell)
-        coeff = f(c * eta * chars.pop())
-        pos = index[orb.index, p_canon]
-        out[pos] = f.add(out[pos], coeff)
-    return out
-
-
-def w0_symbol_matrix(cx: GammaComplex, gen) -> Mat:
-    """The unimodular n x n matrix realizing a W_0 basis generator."""
-    o_idx, point = gen
-    rep = cx.table.orbits[cx.n - 1][o_idx].representative
-    gamma_p = cg.coset_matrix(point, cx.level)
-    return la.mat_mul(la.freeze(rep.vertices), gamma_p)
+    return chain_to_w(cx, 0, chain)
 
 
 # ---------------------------------------------------------------------------
@@ -194,28 +153,22 @@ def _eigen_report(cx: GammaComplex, ell: int, power: int, degree: int, matrix):
 
 
 def hecke_matrix_on_h0(cx: GammaComplex, op: HeckeOperator) -> tuple:
-    """Matrix of the operator on H_0, columns = images of basis classes."""
+    """Matrix of the operator on H_0, columns = images of basis classes.
+
+    A class x goes to theta(x) * T, reduced to unimodular symbols by
+    ar_reduce and read back in W_0, as in every degree.
+    """
     if cx.level % op.ell == 0:
         raise PreconditionError(
             f"gcd(l, N) = 1 required: l = {op.ell} divides N = {cx.level}"
         )
-    f = cx.field
     h0 = homology(cx, 0)
-    dim = h0.dimension
-    base_mats = [w0_symbol_matrix(cx, gen) for gen in cx.bases[0]]
     columns = []
     for rep_vec in h0.homology_reps:
-        image = [f.zero] * cx.rank(0)
-        for pos, lam in enumerate(rep_vec):
-            if lam == f.zero:
-                continue
-            x_mat = base_mats[pos]
-            for s in op.cosets:
-                y = la.mat_mul(x_mat, s)
-                reduced = sh.ar_reduce(y)
-                coords = symbol_chain_to_w0(cx, reduced)
-                image = [f.add(a, f.mul(lam, b)) for a, b in zip(image, coords)]
-        columns.append(express_cycle(h0, image))
+        _, s_chain = theta_s(cx, 0, op, rep_vec)
+        reduced = sh.ar_reduce_chain(s_chain.reduced(cx.field))
+        columns.append(express_cycle(h0, symbol_chain_to_w0(cx, reduced)))
+    dim = h0.dimension
     return tuple(
         tuple(columns[j][i] for j in range(dim)) for i in range(dim)
     )

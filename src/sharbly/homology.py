@@ -14,9 +14,12 @@ from fractions import Fraction
 
 from . import congruence as cg
 from . import intlinalg as la
+from . import sharbly as sh
 from .errors import InternalCheckError, PreconditionError
 from .fields import Field, LinearSpan, PrimeField, SparseFieldMatrix, rank_kernel, solve
-from .voronoi import CellComplexTable, enumerate_cells
+from .voronoi import (
+    CellComplexTable, VoronoiCell, _orientation_transport_sign, enumerate_cells, equivalent_cells,
+)
 
 
 @dataclass(frozen=True)
@@ -42,14 +45,15 @@ class GammaComplex:
         return len(self.bases[k])
 
 
-def _canonical_label(space, orbit, point):
-    """(canonical point, chars of the stabilizer elements taking `point` there).
+def _canonical_label(space, orbit, point, recs):
+    """(canonical point, transport character) of `point`, or None if killed.
 
     The canonical point of a split orbit is its least point, which has the
-    least index.  The character is well defined whenever the split orbit
-    survives; when several stabilizer elements reach the canonical point
-    their characters are checked to agree (they can only disagree on killed
-    orbits).
+    least index; the character is that of a stabilizer element taking
+    `point` there.  `recs` maps points to the orbit's split records; a
+    split orbit killed by orientation gives None.  On a surviving orbit
+    every stabilizer element reaching the canonical point has the same
+    character, and that is checked.
     """
     i = space.index(point)
     best = None
@@ -61,7 +65,12 @@ def _canonical_label(space, orbit, point):
             chars = {ch}
         elif j == best:
             chars.add(ch)
-    return space.points[best], chars
+    p_canon = space.points[best]
+    if not recs[p_canon].orientation_ok:
+        return None
+    if len(chars) != 1:
+        raise InternalCheckError("ambiguous transport character on a surviving orbit")
+    return p_canon, chars.pop()
 
 
 def build_complex(n: int, level: int, field: Field, table=None) -> GammaComplex:
@@ -118,15 +127,11 @@ def build_complex(n: int, level: int, field: Field, table=None) -> GammaComplex:
             for fr, gamma_inv in zip(orb.facets, facet_inverses[o_idx]):
                 target = table.orbits[d - 1][fr.orbit]
                 q = cg.proj_act(p, gamma_inv, level)
-                p_canon, chars = _canonical_label(space, target, q)
-                rec = splits[d - 1, fr.orbit][p_canon]
-                if not rec.orientation_ok:
+                label = _canonical_label(space, target, q, splits[d - 1, fr.orbit])
+                if label is None:
                     continue
-                if len(chars) != 1:
-                    raise InternalCheckError(
-                        "ambiguous transport character on a surviving orbit"
-                    )
-                coeff = fr.sign * chars.pop()
+                p_canon, char = label
+                coeff = fr.sign * char
                 key = (row_index[fr.orbit, p_canon], col)
                 entries[key] = entries.get(key, 0) + coeff
         triplets = [(r, c, v) for (r, c), v in entries.items() if v]
@@ -255,6 +260,93 @@ def express_cycle(result: HomologyResult, vec, want_witness: bool = False):
 
 
 # ---------------------------------------------------------------------------
+# Lifts between W_k coordinates and plain sharbly chains
+# ---------------------------------------------------------------------------
+
+def theta_lift(cx: GammaComplex, k: int, vec) -> sh.SharblyChain:
+    """Plain sharbly chain lifting a W_k coordinate vector."""
+    out = sh.SharblyChain(cx.n, k)
+    orbits = cx.table.orbits[k + cx.n - 1]
+    for (o_idx, point), coeff in zip(cx.bases[k], vec):
+        if coeff == cx.field.zero:
+            continue
+        gamma_p = cg.coset_matrix(point, cx.level)
+        rep = orbits[o_idx].representative
+        out.add_term([la.vec_mat(v, gamma_p) for v in rep.vertices], coeff)
+    return out
+
+
+def _locate(cx: GammaComplex, d: int, cell: VoronoiCell):
+    """(orbit, gamma) with orbit.representative * gamma = cell, or None when
+    `cell` is no Voronoi cell of dimension d.
+
+    A cell on n vertices is a unimodular simplex, of the single orbit in
+    dimension n - 1, and its gamma is read off the vertex matrices.
+    """
+    orbits = cx.table.orbits[d]
+    if len(cell.vertices) != cx.n:
+        for orb in orbits:
+            gamma = equivalent_cells(orb.representative, cell)
+            if gamma is not None:
+                return orb, gamma
+        return None
+    if len(orbits) != 1:
+        raise InternalCheckError("expected a single unimodular cell orbit")
+    rows = [list(v) for v in cell.vertices]
+    if abs(la.det(la.freeze(rows))) != 1:
+        return None
+    rep_inv = la.inverse_unimodular(la.freeze(orbits[0].representative.vertices))
+    gamma = la.mat_mul(rep_inv, la.freeze(rows))
+    if la.det(gamma) == -1:  # a vertex is a line: flip the last one's sign
+        rows[-1] = [-x for x in rows[-1]]
+        gamma = la.mat_mul(rep_inv, la.freeze(rows))
+    if la.det(gamma) != 1:
+        raise InternalCheckError("no SL(n,Z) witness between unimodular cells")
+    return orbits[0], gamma
+
+
+def _cell_coordinate(cx: GammaComplex, orb, gamma, cell: VoronoiCell):
+    """(W_k generator, sign) of the cell orb.representative * gamma = cell,
+    or None when its split orbit is killed by orientation."""
+    space = cg.projective_space(cx.n, cx.level)
+    q = la.inverse_unimodular(gamma)[0]
+    label = _canonical_label(space, orb, q, cx.splits[orb.dim, orb.index])
+    if label is None:
+        return None
+    p_canon, char = label
+    eta = _orientation_transport_sign(orb.representative, gamma, cell)
+    return (orb.index, p_canon), char * eta
+
+
+def chain_to_w(cx: GammaComplex, k: int, chain: sh.SharblyChain):
+    """Coordinates in W_k of a Voronoi-supported plain chain.
+
+    Every term must be the sharbly of an actual Voronoi cell; terms whose
+    split orbit is killed by orientation contribute zero.
+    """
+    f = cx.field
+    d = k + cx.n - 1
+    index = cx.basis_index(k)
+    out = [f.zero] * cx.rank(k)
+    for key, c in chain.coeffs.items():
+        cell = VoronoiCell(cx.n, key)
+        hit = _locate(cx, d, cell)
+        if hit is None:
+            raise ValueError(f"chain term {key} is not a Voronoi cell sharbly")
+        term = _cell_coordinate(cx, *hit, cell)
+        if term is not None:
+            gen, sign = term
+            pos = index[gen]
+            out[pos] = f.add(out[pos], f(c * sign))
+    return out
+
+
+def is_voronoi_supported(cx: GammaComplex, chain: sh.SharblyChain) -> bool:
+    d = chain.k + cx.n - 1
+    return all(_locate(cx, d, VoronoiCell(cx.n, key)) is not None for key in chain.coeffs)
+
+
+# ---------------------------------------------------------------------------
 # JSON cache (complex-n{n}-N{N}-{field}.json)
 # ---------------------------------------------------------------------------
 
@@ -263,15 +355,6 @@ def _coeff_to_str(field: Field, x) -> str:
         return str(int(x))
     fr = Fraction(x)
     return f"{fr.numerator}/{fr.denominator}" if fr.denominator != 1 else str(fr.numerator)
-
-
-def _coeff_from_str(field: Field, s: str):
-    if isinstance(field, PrimeField):
-        return field(int(s))
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
 
 
 def complex_cache_name(n: int, level: int, field: Field) -> str:

@@ -40,10 +40,6 @@ def vec_mat(v: Vec, a: Mat) -> Vec:
     return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0])))
 
 
-def mat_vec(a: Mat, v: Vec) -> Vec:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
-
-
 def transpose(a: Mat) -> Mat:
     return tuple(zip(*a))
 

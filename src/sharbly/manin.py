@@ -45,7 +45,8 @@ class P1:
     """P^1(Z/N) with Stein-style canonical representatives."""
 
     def __init__(self, n_mod: int):
-        assert n_mod >= 1
+        if n_mod < 1:
+            raise PreconditionError("level must be >= 1")
         self.n_mod = n_mod
         pts = set()
         for u in range(n_mod):

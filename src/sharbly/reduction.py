@@ -22,11 +22,11 @@ from . import intlinalg as la
 from . import sharbly as sh
 from .errors import InternalCheckError
 from .fields import SparseFieldMatrix, solve
-from .hecke import HeckeOperator, _eigen_report, hecke_cosets
-from .homology import GammaComplex, _canonical_label, express_cycle, homology, is_cycle
-from .voronoi import (
-    VoronoiCell, _orientation_transport_sign, cell_signature, cell_stabilizer, equivalent_cells,
+from .hecke import HeckeOperator, _eigen_report, hecke_cosets, theta_s
+from .homology import (
+    GammaComplex, chain_to_w, express_cycle, homology, is_cycle, is_voronoi_supported, theta_lift,
 )
+from .voronoi import VoronoiCell, cell_signature, cell_stabilizer, equivalent_cells
 
 
 @dataclass(frozen=True)
@@ -39,71 +39,6 @@ class Undetermined:
 
     reason: str
     closed: bool = False
-
-
-# ---------------------------------------------------------------------------
-# Lifts between coinvariant coordinates and plain chains
-# ---------------------------------------------------------------------------
-
-def theta_lift(cx: GammaComplex, k: int, vec) -> sh.SharblyChain:
-    """Plain sharbly chain lifting a W_k coordinate vector."""
-    f = cx.field
-    n = cx.n
-    out = sh.SharblyChain(n, k)
-    d = k + n - 1
-    for (o_idx, point), coeff in zip(cx.bases[k], vec):
-        if coeff == f.zero:
-            continue
-        rep = cx.table.orbits[d][o_idx].representative
-        gamma_p = cg.coset_matrix(point, cx.level)
-        out.add_term([la.vec_mat(v, gamma_p) for v in rep.vertices], coeff)
-    return out
-
-
-def chain_to_w(cx: GammaComplex, k: int, chain: sh.SharblyChain):
-    """Coordinates in W_k of a Voronoi-supported plain chain.
-
-    Every term must be the sharbly of an actual Voronoi cell; terms whose
-    split orbit is killed by orientation contribute zero.
-    """
-    f = cx.field
-    n = cx.n
-    d = k + n - 1
-    orbits = cx.table.orbits[d]
-    space = cg.projective_space(n, cx.level)
-    index = cx.basis_index(k)
-    out = [f.zero] * cx.rank(k)
-    for key, c in chain.coeffs.items():
-        cell = VoronoiCell(n, key)
-        hit = None
-        for orb in orbits:
-            gamma = equivalent_cells(orb.representative, cell)
-            if gamma is not None:
-                hit = (orb, gamma)
-                break
-        if hit is None:
-            raise ValueError(f"chain term {key} is not a Voronoi cell sharbly")
-        orb, gamma = hit
-        q = cg.proj_normalize(la.inverse_unimodular(gamma)[0], cx.level)
-        p_canon, chars = _canonical_label(space, orb, q)
-        rec = cx.splits[d, orb.index][p_canon]
-        if not rec.orientation_ok:
-            continue
-        if len(chars) != 1:
-            raise InternalCheckError("ambiguous transport on a surviving orbit")
-        eta = _orientation_transport_sign(orb.representative, gamma, cell)
-        pos = index[orb.index, p_canon]
-        out[pos] = f.add(out[pos], f(c * eta * chars.pop()))
-    return out
-
-
-def is_voronoi_supported(cx: GammaComplex, chain: sh.SharblyChain) -> bool:
-    orbits = cx.table.orbits[chain.k + cx.n - 1]
-    for key in chain.coeffs:
-        cell = VoronoiCell(cx.n, key)
-        if all(equivalent_cells(o.representative, cell) is None for o in orbits):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -438,15 +373,6 @@ class Witness:
         return total.reduced(f).is_zero()
 
 
-def _theta_s(cx: GammaComplex, op: HeckeOperator, x_vec) -> tuple:
-    """(theta(x), theta(x) * s) as plain chains."""
-    x_chain = theta_lift(cx, 1, x_vec)
-    s_chain = sh.SharblyChain(cx.n, 1)
-    for s in op.cosets:
-        s_chain.add_chain(x_chain.act(s))
-    return x_chain, s_chain
-
-
 def verify_eigen_chain(cx: GammaComplex, x_vec, op: HeckeOperator, a,
                        budget: int = 4):
     """Search for a chain-level witness that a is the eigenvalue on [x].
@@ -461,7 +387,7 @@ def verify_eigen_chain(cx: GammaComplex, x_vec, op: HeckeOperator, a,
         raise PreconditionError(f"l = {op.ell} divides N = {cx.level}")
     f = cx.field
     a = f(a)
-    x_chain, s_chain = _theta_s(cx, op, x_vec)
+    x_chain, s_chain = theta_s(cx, 1, op, x_vec)
     if x_chain.is_zero() and s_chain.is_zero():
         return Witness(f, cx.level, a, x_chain, s_chain, sh.SharblyChain(cx.n, 2), ())
     rhs = s_chain.copy().add_chain(x_chain, f.neg(a)).reduced(f)
@@ -498,7 +424,7 @@ def hecke_on_h1_n2(level: int, field, ell: int, budget: int = 4,
     h1 = homology(cx, 1)
     columns = []
     for j, rep_vec in enumerate(h1.homology_reps):
-        _, s_chain = _theta_s(cx, op, rep_vec)
+        _, s_chain = theta_s(cx, 1, op, rep_vec)
         result = one_sharbly_reduce_n2(cx, s_chain, budget)
         if isinstance(result, Undetermined):
             return Undetermined(f"column {j}: {result.reason}", result.closed)

@@ -151,10 +151,6 @@ def theta(cell: VoronoiCell) -> SharblyElement:
 # Reduction of modular symbols to unimodular symbols
 # ---------------------------------------------------------------------------
 
-def is_unimodular(key) -> bool:
-    return abs(la.det(la.freeze(key))) == 1
-
-
 def _reducing_vector(rows: Mat, exclude=frozenset()) -> Vec | None:
     """Auxiliary vector v with every replacement determinant < |det rows|.
 
@@ -235,5 +231,5 @@ def ar_reduce_chain(chain: SharblyChain) -> SharblyChain:
         raise InternalCheckError(f"ar_reduce_chain needs a degree-0 chain, got k = {chain.k}")
     out = SharblyChain(chain.n, 0)
     for key, c in chain.coeffs.items():
-        out.add_chain(_reduce_elem(chain.n, key), c)
+        out.add_chain(ar_reduce(key), c)
     return out

@@ -1,4 +1,9 @@
+import importlib
 import json
+
+import pytest
+
+from sharbly import cli
 
 
 class TestCommands:
@@ -50,6 +55,35 @@ class TestExitCodes:
         assert out.returncode == 1, out.stderr
         # Exit 1 also comes from an interpreter that cannot import sharbly.
         assert "invalid configuration" in out.stderr
+
+    @pytest.mark.parametrize("a", ["1/0", "abc"])
+    def test_unparsable_eigenvalue_exit_1(self, run_cli, a):
+        out = run_cli(["nofake", "--n", "2", "--level", "11", "--ell", "2", "--a", a])
+        assert out.returncode == 1, out.stderr
+        assert "invalid configuration" in out.stderr
+
+    def test_unparsable_cell_cache_exit_1(self, run_cli, tmp_path):
+        (tmp_path / "cells-n2.json").write_text("{")
+        out = run_cli(["homology", "--n", "2", "--level", "11"])
+        assert out.returncode == 1, out.stderr
+        assert "not valid JSON" in out.stderr
+
+    @pytest.mark.parametrize("flags", [(), ("-O",)])
+    def test_oracle_level_0_exit_2(self, run_cli, flags):
+        out = run_cli(["oracle", "--level", "0"], python_flags=flags)
+        assert out.returncode == 2, out.stderr
+        assert "level must be >= 1" in out.stderr
+
+    def test_internal_value_error_exit_4(self, monkeypatch, tmp_path, capsys):
+        # a ValueError from inside the pipeline is a bug, not a bad argument
+        def broken(_x):
+            raise ValueError("singular matrix has no modular symbol")
+
+        monkeypatch.setattr(importlib.import_module("sharbly.sharbly"), "ar_reduce", broken)
+        code = cli.main(["hecke", "--n", "2", "--level", "11", "--ell", "2",
+                         "--cache-dir", str(tmp_path)])
+        assert code == 4
+        assert "singular matrix" in capsys.readouterr().err
 
     def test_undetermined_exit_3(self, run_cli):
         out = run_cli(

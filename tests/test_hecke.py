@@ -113,20 +113,13 @@ class TestHeckeH0:
         mixed[2] = tuple(3 * c for c in mixed[2])
         twisted = replace(h0, homology_reps=tuple(mixed))
         op = hk.hecke_cosets(2, 2, 1)
-        base_mats = [hk.w0_symbol_matrix(cx11, gen) for gen in cx11.bases[0]]
         columns = []
         import sharbly.sharbly as sh
         from sharbly.homology import express_cycle
 
         for rep_vec in twisted.homology_reps:
-            image = [QQ.zero] * cx11.rank(0)
-            for pos, lam in enumerate(rep_vec):
-                if lam == QQ.zero:
-                    continue
-                for s in op.cosets:
-                    y = la.mat_mul(base_mats[pos], s)
-                    coords = hk.symbol_chain_to_w0(cx11, sh.ar_reduce(y))
-                    image = [a + lam * b for a, b in zip(image, coords)]
+            _, s_chain = hk.theta_s(cx11, 0, op, rep_vec)
+            image = hk.symbol_chain_to_w0(cx11, sh.ar_reduce_chain(s_chain))
             columns.append(express_cycle(twisted, image))
         mat = tuple(
             tuple(columns[j][i] for j in range(len(columns)))

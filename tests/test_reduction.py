@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,12 @@ from sharbly import reduction as rd
 from sharbly import sharbly as sh
 from sharbly.congruence import is_gamma0
 from sharbly.fields import PrimeField, QQ, solve
-from sharbly.hecke import hecke_cosets
-from sharbly.homology import build_complex, homology
-from sharbly.voronoi import VoronoiCell, _vertex_maps
+from sharbly.hecke import hecke_cosets, theta_s
+from sharbly.homology import (
+    _cell_coordinate, _locate, build_complex, chain_to_w, homology, is_voronoi_supported,
+    theta_lift,
+)
+from sharbly.voronoi import VoronoiCell, _vertex_maps, equivalent_cells
 
 
 class TestLifts:
@@ -19,13 +23,40 @@ class TestLifts:
             for i in range(cx11.rank(k)):
                 unit = [QQ.zero] * cx11.rank(k)
                 unit[i] = QQ.one
-                lift = rd.theta_lift(cx11, k, unit)
-                assert tuple(rd.chain_to_w(cx11, k, lift)) == tuple(unit)
+                lift = theta_lift(cx11, k, unit)
+                assert tuple(chain_to_w(cx11, k, lift)) == tuple(unit)
 
     def test_non_voronoi_term_rejected(self, cx11):
         bad = sh.chain_of(2, [(1, 0), (1, 2)])  # determinant 2
         with pytest.raises(ValueError):
-            rd.chain_to_w(cx11, 0, bad)
+            chain_to_w(cx11, 0, bad)
+        bad = sh.chain_of(2, [(1, 0), (0, 1), (1, 2)])  # a determinant-2 edge
+        assert not is_voronoi_supported(cx11, bad)
+        with pytest.raises(ValueError):
+            chain_to_w(cx11, 1, bad)
+
+    @pytest.mark.parametrize("n, level", [(2, 11), (3, 7)])
+    def test_unimodular_shortcut_matches_equivalent_cells(self, table2, table3, n, level):
+        # an n-vertex cell's gamma is read off its vertex matrix; an
+        # equivalent_cells witness must give the same W_0 coordinate
+        cx = build_complex(n, level, QQ, table=table2 if n == 2 else table3)
+        rng = random.Random(level)
+        rep = cx.table.orbits[n - 1][0].representative
+        checked = flipped = 0
+        while checked < 40:
+            m = la.freeze([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
+            if la.det(m) == 0:
+                continue
+            for key in sh.ar_reduce(m).coeffs:
+                cell = VoronoiCell(n, key)
+                orb, gamma = _locate(cx, n - 1, cell)
+                reference = equivalent_cells(rep, cell)
+                assert _cell_coordinate(cx, orb, gamma, cell) == _cell_coordinate(
+                    cx, orb, reference, cell
+                )
+                checked += 1
+                flipped += la.det(la.freeze(key)) * la.det(la.freeze(rep.vertices)) < 0
+        assert 0 < flipped < checked  # both signs of the vertex matrix occur
 
 
 class TestOneSharblyReduce:
@@ -43,7 +74,7 @@ class TestOneSharblyReduce:
         res = rd.one_sharbly_reduce_n2(cx1, c, budget=3)
         assert not isinstance(res, rd.Undetermined)
         assert res.verify(c.reduced(QQ))
-        assert rd.is_voronoi_supported(cx1, res.reduced)
+        assert is_voronoi_supported(cx1, res.reduced)
         homotopy_vertices = {v for key in res.homotopy.coeffs for v in key}
         assert (1, 1) in homotopy_vertices
 
@@ -52,7 +83,7 @@ class TestOneSharblyReduce:
         # change the coinvariant coordinates after reduction
         unit = [QQ.zero] * cx11.rank(1)
         unit[2] = QQ.one
-        lift = rd.theta_lift(cx11, 1, unit)
+        lift = theta_lift(cx11, 1, unit)
         gamma = la.freeze([[1, 11], [2, 23]])
         assert la.det(gamma) == 1 and gamma[0][1] % 11 == 0
         moved = lift.act(gamma)
@@ -127,7 +158,7 @@ class TestVerifyEigenChain:
         assert wit.verify() and wit.level == 11
         assert any(not is_gamma0(gamma, 13) for gamma, _c in wit.u)
         assert not dataclasses.replace(wit, level=13).verify()
-        s_chain = rd._theta_s(cx11, hecke_cosets(2, 2, 1), x)[1].reduced(QQ)
+        s_chain = theta_s(cx11, 1, hecke_cosets(2, 2, 1), x)[1].reduced(QQ)
         res = rd.one_sharbly_reduce_n2(cx11, s_chain, 3)
         assert res.verify(s_chain) and res.level == 11
         assert any(not is_gamma0(gamma, 13) for gamma, _c in res.bar_terms)
@@ -211,7 +242,7 @@ class TestSupportGrowth:
     def test_bars_equal_all_pairs_reference(self, table2, level):
         cx = build_complex(2, level, QQ, table=table2)
         x = homology(cx, 1).homology_reps[0]
-        x_chain, s_chain = rd._theta_s(cx, hecke_cosets(2, 2, 1), x)
+        x_chain, s_chain = theta_s(cx, 1, hecke_cosets(2, 2, 1), x)
         system = rd._SupportSystem(cx, with_w1=False)
         system.add_chain_keys(x_chain)
         system.add_chain_keys(s_chain)
