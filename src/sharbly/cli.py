@@ -108,9 +108,14 @@ def _load_or_build_cells(n: int, cache: Path):
     path = cache / f"cells-n{n}.json"
     if path.exists():
         try:
-            return cells_from_json(path.read_text())
+            table = cells_from_json(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"cell cache {path} is not valid JSON: {exc}") from None
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"cell cache {path} is not a cell table: {exc!r}") from None
+        if table.n != n:
+            raise ConfigError(f"cell cache {path} holds a table for n = {table.n}, not n = {n}")
+        return table
     table = enumerate_cells(n)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(cells_to_json(table))

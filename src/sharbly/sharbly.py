@@ -154,32 +154,70 @@ def theta(cell: VoronoiCell) -> SharblyElement:
 def _reducing_vector(rows: Mat, exclude=frozenset()) -> Vec | None:
     """Auxiliary vector v with every replacement determinant < |det rows|.
 
-    Candidates are integer vectors whose coordinates w.r.t. the rows are all
-    less than 1 in absolute value (nonempty by Minkowski); the one minimizing
-    the largest replacement determinant wins, ties broken lexicographically.
-    Vectors in `exclude` (as +- classes) are skipped; None when everything
-    is excluded.
+    Replacing row j of `rows` by v gives the determinant u_j of u = v * adj,
+    adj the adjugate.  So the candidates u run over the row lattice of adj,
+    {u : u * rows = 0 mod d} with d = |det rows|, and the admissible ones lie
+    in the box max_j |u_j| <= d - 1 (a nonzero one exists by Minkowski when
+    d > 1).  With the row HNF  U * adj = H,  H upper triangular with positive
+    diagonal, each u is c * H for one integer c, and v = c * U with no
+    division.  The walk fixes c_0, c_1, ... in turn, each in the range
+    |acc_j + c_j * H_jj| <= t, where acc_j = sum_{i<j} c_i H_ij, for
+    t = 1, 2, 4, ... capped at d - 1, until some v is admissible.
+
+    The winner is the least (max_j |u_j|, sign_normalize(v)) with
+    primitivize(v) not in `exclude`.  Every v with a smaller key lies in the
+    same box, so the choice does not depend on t.  None when everything is
+    excluded.
     """
-    n = len(rows)
     d = abs(la.det(rows))
-    adj = la.adjugate(rows)
-    gram = la.mat_mul(adj, la.transpose(adj))
-    cands = la.short_vectors(gram, n * (d - 1) ** 2)
-    best = None
-    for v in cands:
-        if la.primitivize(v) in exclude:
-            continue
-        repl = la.vec_mat(v, adj)  # j-th entry = det(rows with row j -> v)
-        worst = max(abs(x) for x in repl)
-        if worst >= d:
-            continue
-        if best is None or (worst, v) < best:
-            best = (worst, v)
+    if d == 0:
+        raise ValueError("singular rows have no reducing vector")
+    h, u = la.hnf(la.adjugate(rows))
+    best, t = None, 0
+    while best is None and t < d - 1:
+        t = min(max(2 * t, 1), d - 1)
+        best = _least_in_box(h, u, t, exclude)
     if best is None:
         if exclude:
             return None
         raise InternalCheckError("no reducing vector found; |det| must be > 1")
     return best[1]
+
+
+def _least_in_box(h: Mat, u: Mat, t: int, exclude) -> tuple[int, Vec] | None:
+    """Least (max_j |(c*h)_j|, sign_normalize(c*u)) over c != 0 with every
+    |(c*h)_j| <= t and primitivize(c*u) not in `exclude`, or None.
+
+    h is upper triangular with positive diagonal.  Only c whose first nonzero
+    entry is positive are walked, since c and -c give the same key; the box
+    shrinks to the best key's first entry once one is found.
+    """
+    n = len(h)
+    c = [0] * n
+    best = None
+
+    def walk(j: int, acc: list, worst: int, lead: bool):
+        nonlocal best
+        if j == n:
+            if lead:
+                return  # c = 0
+            v = la.sign_normalize(la.vec_mat(c, u))
+            if exclude and la.primitivize(v) in exclude:
+                return
+            if best is None or (worst, v) < best:
+                best = (worst, v)
+            return
+        bound = t if best is None else best[0]
+        hj = h[j][j]
+        lo = 0 if lead else -((bound + acc[j]) // hj)
+        for cj in range(lo, (bound - acc[j]) // hj + 1):
+            c[j] = cj
+            nxt = [a + cj * x for a, x in zip(acc, h[j])] if cj else acc
+            walk(j + 1, nxt, max(worst, abs(nxt[j])), lead and not cj)
+        c[j] = 0
+
+    walk(0, [0] * n, 0, True)
+    return best
 
 
 _AR_CACHE: dict = {}

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from sharbly import cli
+from sharbly.voronoi import cells_to_json
 
 
 class TestCommands:
@@ -67,6 +68,21 @@ class TestExitCodes:
         out = run_cli(["homology", "--n", "2", "--level", "11"])
         assert out.returncode == 1, out.stderr
         assert "not valid JSON" in out.stderr
+
+    @pytest.mark.parametrize("doc", ["{}", '{"n": 2, "dimensions": []}', "[2]"])
+    def test_wrong_shape_cell_cache_exit_1(self, run_cli, tmp_path, doc):
+        (tmp_path / "cells-n2.json").write_text(doc)
+        out = run_cli(["homology", "--n", "2", "--level", "11"])
+        assert out.returncode == 1, out.stderr
+        assert "invalid configuration" in out.stderr and "not a cell table" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_cell_cache_for_another_n_exit_1(self, run_cli, tmp_path, table3):
+        (tmp_path / "cells-n2.json").write_text(cells_to_json(table3))
+        out = run_cli(["homology", "--n", "2", "--level", "11"])
+        assert out.returncode == 1, out.stderr
+        assert "invalid configuration" in out.stderr and "not n = 2" in out.stderr
+        assert "Traceback" not in out.stderr
 
     @pytest.mark.parametrize("flags", [(), ("-O",)])
     def test_oracle_level_0_exit_2(self, run_cli, flags):

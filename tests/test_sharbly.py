@@ -4,6 +4,7 @@ import pytest
 
 from sharbly import intlinalg as la
 from sharbly import sharbly as sh
+from sharbly.errors import InternalCheckError
 from sharbly.fields import QQ, SparseFieldMatrix, rank
 from sharbly.hecke import symbol_chain_to_w0
 from sharbly.homology import express_cycle, homology
@@ -199,17 +200,48 @@ class TestArReduce:
 
     def test_reducing_vector_strictly_decreases(self):
         rng = random.Random(9)
-        for n in (2, 3):
+        # the last case has |det| in the thousands (1030 to 11826 with this seed)
+        for n, entry, min_det in ((2, 5, 2), (3, 5, 2), (4, 3, 2), (3, 20, 1000)):
             for _ in range(25):
-                while True:
-                    m = la.freeze(
-                        [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-                    )
-                    if abs(la.det(m)) > 1:
-                        break
+                m = _random_nonsingular(rng, n, entry, min_det)
                 v = sh._reducing_vector(m)
                 repl = la.vec_mat(v, la.adjugate(m))
                 assert max(abs(x) for x in repl) < abs(la.det(m))
+
+    @pytest.mark.parametrize("n,entry,reps", [(2, 9, 40), (3, 3, 20), (4, 2, 6)])
+    def test_reducing_vector_matches_short_vectors_reference(self, n, entry, reps):
+        rng = random.Random(31 + n)
+        runner_up = exhausted = 0
+        for trial in range(reps):
+            m = _random_nonsingular(rng, n, entry, min_det=2)
+            exclude = frozenset()
+            if trial % 2:
+                exclude = frozenset(la.primitivize(r) for r in m)
+            want = _reference_reducing_vector(m, exclude)
+            assert sh._reducing_vector(m, exclude) == want, (m, exclude)
+            # Exclude the reference's choice to force the runner-up; at small
+            # |det| keep going until everything is excluded.
+            for _ in range(1 if abs(la.det(m)) > 6 else 50):
+                if want is None:
+                    exhausted += 1
+                    break
+                exclude = exclude | {la.primitivize(want)}
+                want = _reference_reducing_vector(m, exclude)
+                assert sh._reducing_vector(m, exclude) == want, (m, exclude)
+                runner_up += 1
+        assert runner_up >= reps
+        assert exhausted >= 1 or n == 4  # the n = 4 draws all have |det| > 6
+
+    def test_reducing_vector_edge_cases(self):
+        unimodular = ((2, 1), (1, 1))
+        with pytest.raises(InternalCheckError):
+            sh._reducing_vector(unimodular)
+        assert sh._reducing_vector(unimodular, exclude=frozenset({(1, 0)})) is None
+        assert sh._reducing_vector(la.identity(3), exclude=frozenset({(0, 0, 1)})) is None
+        with pytest.raises(ValueError):
+            sh._reducing_vector(((1, 2), (2, 4)))
+        with pytest.raises(ValueError):
+            sh._reducing_vector(((1, 2, 3), (4, 5, 6), (7, 8, 9)))
 
     def test_class_equivariance(self, cx11):
         h0 = homology(cx11, 0)
@@ -234,6 +266,41 @@ class TestArReduce:
         manual = sh.ar_reduce(((1, 0), (1, 2))).scaled(3)
         manual.add_chain(sh.ar_reduce(((2, 1), (1, 1))), -1)
         assert out == manual
+
+
+def _random_nonsingular(rng, n, entry, min_det=1):
+    while True:
+        m = la.freeze([[rng.randint(-entry, entry) for _ in range(n)] for _ in range(n)])
+        if abs(la.det(m)) >= min_det:
+            return m
+
+
+def _reference_reducing_vector(rows, exclude=frozenset()):
+    """The Fincke-Pohst selection that sh._reducing_vector must reproduce.
+
+    Candidates are the short vectors of the Gram matrix of the adjugate with
+    bound n (d - 1)^2, kept when every replacement determinant is below d.
+    """
+    n = len(rows)
+    d = abs(la.det(rows))
+    adj = la.adjugate(rows)
+    gram = la.mat_mul(adj, la.transpose(adj))
+    cands = la.short_vectors(gram, n * (d - 1) ** 2)
+    best = None
+    for v in cands:
+        if la.primitivize(v) in exclude:
+            continue
+        repl = la.vec_mat(v, adj)  # j-th entry = det(rows with row j -> v)
+        worst = max(abs(x) for x in repl)
+        if worst >= d:
+            continue
+        if best is None or (worst, v) < best:
+            best = (worst, v)
+    if best is None:
+        if exclude:
+            return None
+        raise InternalCheckError("no reducing vector found; |det| must be > 1")
+    return best[1]
 
 
 def _random_gamma0(rng, n_mod):
