@@ -24,17 +24,18 @@ from . import intlinalg as la
 from . import manin
 from . import sharbly as sh
 from .errors import ConfigError, InternalCheckError, PreconditionError, UnsupportedError
-from .fields import Field, QQ, parse_field
-from .hecke import hecke_cosets, hecke_on_h0
+from .fields import Field, QQ, eigenvalues, parse_field
+from .hecke import hecke_cosets, hecke_on_h0, symbol_chain_to_w0
 from .homology import (
     betti_numbers,
     build_complex,
     complex_cache_name,
     complex_to_json,
+    express_cycle,
     homology,
 )
 from .reduction import Undetermined, hecke_on_h1_n2, verify_eigen_chain
-from .voronoi import cells_from_json, cells_to_json, enumerate_cells
+from .voronoi import cell_dim, cells_from_json, cells_to_json, enumerate_cells, is_simplex
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
@@ -67,7 +68,7 @@ class RunConfig:
 
 
 def _coeff_str(x) -> str:
-    fr = Fraction(x) if not isinstance(x, int) else Fraction(x)
+    fr = Fraction(x)
     return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
 
 
@@ -207,8 +208,6 @@ def cmd_oracle(cfg: RunConfig) -> int:
     dim = manin.manin_dim(cfg.level)
     print(f"manin_dim({cfg.level}) = {dim}")
     if cfg.ell:
-        from .fields import charpoly, eigenvalues
-
         _, cp = manin.manin_hecke(cfg.level, cfg.ell)
         roots, rem = eigenvalues(QQ, cp)
         print(f"T_{cfg.ell}: charpoly {format_poly(cp)}")
@@ -273,8 +272,6 @@ def cmd_verify(cfg: RunConfig) -> int:
             tables[n] = enumerate_cells(n)
             if len(tables[n].orbits[n - 1]) != 1:
                 return False
-            from .voronoi import cell_dim, is_simplex
-
             for d, orbs in tables[n].orbits.items():
                 for o in orbs:
                     if not is_simplex(o.representative):
@@ -326,9 +323,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     def ar_equivariance():
         cx = build_complex(2, 11, QQ, table=tables[2])
         h0 = homology(cx, 0)
-        from .hecke import symbol_chain_to_w0
-        from .homology import express_cycle
-
         for _ in range(10):
             while True:
                 m = la.freeze(

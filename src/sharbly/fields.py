@@ -210,24 +210,31 @@ class LinearSpan:
         self.field = field
         self.rows: dict = {}
 
-    def add(self, vec: dict) -> bool:
-        """Add the sparse vector {col: field element} to the span; True if
-        the dimension grew."""
+    def reduce(self, vec: dict) -> dict:
+        """The sparse vector {col: field element} minus its multiples of the
+        stored rows: equal to vec modulo the span, and zero at every pivot."""
         f = self.field
         v = {c: x for c, x in vec.items() if x}
         rows = self.rows
         # a stored row meets no other pivot column, so one pass reduces v
         for p in [c for c in v if c in rows]:
             _axpy(f, v, f.neg(v[p]), rows[p])
+        return v
+
+    def add(self, vec: dict) -> bool:
+        """Add the sparse vector {col: field element} to the span; True if
+        the dimension grew."""
+        f = self.field
+        v = self.reduce(vec)
         if not v:
             return False
         q = min(v)
         inv = f.inv(v[q])
         v = {c: f.mul(inv, x) for c, x in v.items()}
-        for row in rows.values():
+        for row in self.rows.values():
             if q in row:
                 _axpy(f, row, f.neg(row[q]), v)
-        rows[q] = v
+        self.rows[q] = v
         return True
 
     @property

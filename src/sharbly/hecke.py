@@ -134,7 +134,8 @@ class EigenReport:
     remainder: tuple | None  # unfactored part of the char poly, if any
 
 
-def _eigen_report(cx: GammaComplex, ell: int, power: int, degree: int, matrix):
+def _eigen_report(cx: GammaComplex, ell: int, power: int, degree: int, columns):
+    matrix = tuple(zip(*columns))
     cp = charpoly(cx.field, matrix)
     roots, rem = eigenvalues(cx.field, cp)
     return EigenReport(
@@ -145,15 +146,15 @@ def _eigen_report(cx: GammaComplex, ell: int, power: int, degree: int, matrix):
         power=power,
         degree=degree,
         dimension=len(matrix),
-        matrix=tuple(tuple(row) for row in matrix),
+        matrix=matrix,
         charpoly=cp,
         eigen=tuple(roots),
         remainder=rem,
     )
 
 
-def hecke_matrix_on_h0(cx: GammaComplex, op: HeckeOperator) -> tuple:
-    """Matrix of the operator on H_0, columns = images of basis classes.
+def hecke_matrix_on_h0(cx: GammaComplex, op: HeckeOperator) -> list:
+    """Columns of the operator on H_0: the images of the basis classes.
 
     A class x goes to theta(x) * T, reduced to unimodular symbols by
     ar_reduce and read back in W_0, as in every degree.
@@ -168,10 +169,7 @@ def hecke_matrix_on_h0(cx: GammaComplex, op: HeckeOperator) -> tuple:
         _, s_chain = theta_s(cx, 0, op, rep_vec)
         reduced = sh.ar_reduce_chain(s_chain.reduced(cx.field))
         columns.append(express_cycle(h0, symbol_chain_to_w0(cx, reduced)))
-    dim = h0.dimension
-    return tuple(
-        tuple(columns[j][i] for j in range(dim)) for i in range(dim)
-    )
+    return columns
 
 
 def hecke_on_h0(n: int, level: int, field: Field, ell: int, power: int,
@@ -180,5 +178,4 @@ def hecke_on_h0(n: int, level: int, field: Field, ell: int, power: int,
     op = hecke_cosets(n, ell, power)
     if cx is None:
         cx = build_complex(n, level, field)
-    matrix = hecke_matrix_on_h0(cx, op)
-    return _eigen_report(cx, ell, power, 0, matrix)
+    return _eigen_report(cx, ell, power, 0, hecke_matrix_on_h0(cx, op))

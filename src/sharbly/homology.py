@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 
 from . import congruence as cg
 from . import intlinalg as la
@@ -159,6 +160,8 @@ class HomologyResult:
     dimension: int
     homology_reps: tuple  # cycles over bases[k] whose classes are a basis of H_k
     _complex: GammaComplex
+    _position: dict = dc_field(compare=False, repr=False)  # free column -> position
+    _image: LinearSpan = dc_field(compare=False, repr=False)  # im d_{k+1} in positions
 
 
 def homology(cx: GammaComplex, k: int) -> HomologyResult:
@@ -176,13 +179,17 @@ def homology(cx: GammaComplex, k: int) -> HomologyResult:
 
 def _compute_homology(cx: GammaComplex, k: int) -> HomologyResult:
     """The basis vectors of ker d_k whose classes are independent modulo
-    im d_{k+1}, in basis order.
+    im d_{k+1}, in basis order, and the span of im d_{k+1} in positions.
 
     The elimination runs in coordinates on ker d_k: each vector of the
     `rank_kernel` basis is 1 at its own free column, which is its last
     nonzero entry, and 0 at the other free columns, so a cycle's
     coordinates are its entries at the free columns.  im d_{k+1} lies in
-    ker d_k because build_complex checks d o d = 0.
+    ker d_k because build_complex checks d o d = 0.  The free columns
+    c_0 < ... < c_{f-1} sit at positions f-1, ..., 0, reversed, so that a
+    `LinearSpan` pivot (a row's least position) is the last free column of
+    an image vector: the kernel vector at c is independent of im d_{k+1}
+    and of the vectors before it iff c is no such last column.
     """
     f = cx.field
     if k == 0:
@@ -193,27 +200,26 @@ def _compute_homology(cx: GammaComplex, k: int) -> HomologyResult:
     else:
         kernel = rank_kernel(cx.boundaries[k])[1]
     free = [max(i for i, x in enumerate(vec) if x != f.zero) for vec in kernel]
-    is_free = set(free)
-    span = LinearSpan(f)
-    for col in _image_columns(cx, k):
-        span.add({i: x for i, x in col.items() if i in is_free})
-    reps = tuple(vec for vec, c in zip(kernel, free) if span.add({c: f.one}))
-    return HomologyResult(k, len(reps), reps, cx)
-
-
-def _image_columns(cx: GammaComplex, k: int):
-    """The columns of d_{k+1} as sparse {row: coeff} dicts."""
-    if k + 1 > cx.max_degree:
-        return []
-    mat = cx.boundaries[k + 1]
-    cols = [{} for _ in range(mat.ncols)]
-    for (r, c), v in mat.entries.items():
-        cols[c][r] = v
-    return cols
+    top = len(free) - 1
+    position = {c: top - j for j, c in enumerate(free)}
+    cols: dict = {}  # the columns of d_{k+1}, in positions
+    if k < cx.max_degree:
+        for (i, c), x in cx.boundaries[k + 1].entries.items():
+            if i in position:
+                cols.setdefault(c, {})[position[i]] = x
+    image = LinearSpan(f)
+    for c in sorted(cols):
+        image.add(cols[c])
+    reps = tuple(vec for j, vec in enumerate(kernel) if top - j not in image.rows)
+    return HomologyResult(k, len(reps), reps, cx, position, image)
 
 
 def betti_numbers(cx: GammaComplex) -> dict:
-    return {k: homology(cx, k).dimension for k in range(cx.max_degree + 1)}
+    """dim H_k for every k, checked against the Euler characteristic of W_*."""
+    betti = {k: homology(cx, k).dimension for k in range(cx.max_degree + 1)}
+    if sum((-1) ** k * (cx.rank(k) - b) for k, b in betti.items()):
+        raise InternalCheckError(f"Betti numbers {betti} miss the Euler characteristic of W_*")
+    return betti
 
 
 def is_cycle(cx: GammaComplex, k: int, vec) -> bool:
@@ -226,9 +232,12 @@ def is_cycle(cx: GammaComplex, k: int, vec) -> bool:
 def express_cycle(result: HomologyResult, vec, want_witness: bool = False):
     """Coordinates of a cycle in the homology basis of `result`.
 
-    The input must be an exact cycle; the reconstruction differs from the
-    input by an explicit boundary (returned as a degree-(k+1) preimage when
-    want_witness is set).
+    A cycle's class is its entries at the free columns, in positions,
+    reduced against im d_{k+1} (see `_compute_homology`); one solve against
+    the classes of the reps gives the coordinates.  The input must be an
+    exact cycle; it differs from the reconstruction by a boundary, and with
+    want_witness its preimage on the first column basis of d_{k+1} is
+    returned too.
     """
     cx = result._complex
     k = result.degree
@@ -237,25 +246,27 @@ def express_cycle(result: HomologyResult, vec, want_witness: bool = False):
     if not is_cycle(cx, k, vec):
         bad = cx.boundaries[k].matvec(vec)
         raise ValueError(f"input is not a cycle; boundary = {bad}")
-    image_cols = _image_columns(cx, k)
-    reps = list(result.homology_reps)
-    ncols = len(image_cols) + len(reps)
-    triplets = []
-    for j, col in enumerate(image_cols):
-        for i, x in col.items():
-            triplets.append((i, j, x))
-    for j, rep in enumerate(reps):
-        for i, x in enumerate(rep):
-            if x != f.zero:
-                triplets.append((i, len(image_cols) + j, x))
-    mat = SparseFieldMatrix.from_triplets(f, cx.rank(k), ncols, triplets)
-    sol = solve(mat, vec)
-    if sol is None:
+    position, image = result._position, result._image
+
+    def class_of(cycle):
+        return image.reduce({position[i]: x for i, x in enumerate(cycle) if i in position})
+
+    classes = [class_of(rep) for rep in result.homology_reps]
+    rows = [p for p in range(len(position)) if p not in image.rows]
+    mat = SparseFieldMatrix.from_dense(f, [[c.get(p, f.zero) for c in classes] for p in rows])
+    target = class_of(vec)
+    coords = solve(mat, [target.get(p, f.zero) for p in rows])
+    if coords is None:
         raise InternalCheckError("cycle not in image + homology span")
-    coords = tuple(sol[len(image_cols):])
     if not want_witness:
         return coords
-    witness = tuple(sol[: len(image_cols)])  # coefficients over bases[k+1]
+    if k == cx.max_degree:
+        return coords, ()
+    for c, rep in zip(coords, result.homology_reps):
+        vec = [f.sub(x, f.mul(c, y)) for x, y in zip(vec, rep)]
+    witness = solve(cx.boundaries[k + 1], vec)  # coefficients over bases[k+1]
+    if witness is None:
+        raise InternalCheckError("cycle minus its homology part is not a boundary")
     return coords, witness
 
 
@@ -295,7 +306,7 @@ def _locate(cx: GammaComplex, d: int, cell: VoronoiCell):
     rows = [list(v) for v in cell.vertices]
     if abs(la.det(la.freeze(rows))) != 1:
         return None
-    rep_inv = la.inverse_unimodular(la.freeze(orbits[0].representative.vertices))
+    rep_inv = _vertex_inverse(orbits[0].representative)
     gamma = la.mat_mul(rep_inv, la.freeze(rows))
     if la.det(gamma) == -1:  # a vertex is a line: flip the last one's sign
         rows[-1] = [-x for x in rows[-1]]
@@ -303,6 +314,12 @@ def _locate(cx: GammaComplex, d: int, cell: VoronoiCell):
     if la.det(gamma) != 1:
         raise InternalCheckError("no SL(n,Z) witness between unimodular cells")
     return orbits[0], gamma
+
+
+@lru_cache(maxsize=None)
+def _vertex_inverse(cell: VoronoiCell):
+    """The inverse of the vertex matrix of a unimodular cell."""
+    return la.inverse_unimodular(la.freeze(cell.vertices))
 
 
 def _cell_coordinate(cx: GammaComplex, orb, gamma, cell: VoronoiCell):

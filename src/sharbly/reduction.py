@@ -20,11 +20,12 @@ from dataclasses import dataclass
 from . import congruence as cg
 from . import intlinalg as la
 from . import sharbly as sh
-from .errors import InternalCheckError
+from .errors import InternalCheckError, PreconditionError
 from .fields import SparseFieldMatrix, solve
 from .hecke import HeckeOperator, _eigen_report, hecke_cosets, theta_s
 from .homology import (
-    GammaComplex, chain_to_w, express_cycle, homology, is_cycle, is_voronoi_supported, theta_lift,
+    GammaComplex, build_complex, chain_to_w, express_cycle, homology, is_cycle, is_voronoi_supported,
+    theta_lift,
 )
 from .voronoi import VoronoiCell, cell_signature, cell_stabilizer, equivalent_cells
 
@@ -85,12 +86,15 @@ class _SupportSystem:
     def __init__(self, cx: GammaComplex, with_w1: bool):
         self.n = cx.n
         self.f = cx.field
-        self.with_w1 = with_w1
         self.s1: set = set()
         self.taus: list = []
         self._tau_seen: set = set()
         self._coned: set = set()
         self.bars: list = []  # (gamma, key)
+        # the system's columns as {key: field coeff}, each built once
+        self.lift_cols: list = []  # theta-lifts of the W_1 generators
+        self.tau_cols: list = []  # boundaries of self.taus
+        self.bar_cols: list = []  # key * gamma - key for (gamma, key) in self.bars
         self.shape = (0, 0)  # rows, cols of the last (and largest) system solved
         self.closed = False  # a grow() round added nothing
         self._level = cx.level
@@ -100,16 +104,18 @@ class _SupportSystem:
         self._placed: dict = {}  # key -> (rep, h^-1, h, q)
         self._orbits: dict = {}  # orbit label -> keys carrying it
         if with_w1:
-            self.lifts = []
-            for i, gen in enumerate(cx.bases[1]):
+            for i in range(cx.rank(1)):
                 unit = [cx.field.zero] * cx.rank(1)
                 unit[i] = cx.field.one
                 lift = theta_lift(cx, 1, unit)
                 back = chain_to_w(cx, 1, lift)
                 if tuple(back) != tuple(unit):
                     raise InternalCheckError("theta lift does not invert chain_to_w")
-                self.lifts.append(lift)
+                self.lift_cols.append(self._column(lift))
                 self.s1.update(lift.coeffs)
+
+    def _column(self, chain: sh.SharblyChain) -> dict:
+        return {k: self.f(c) for k, c in chain.coeffs.items()}
 
     def add_chain_keys(self, chain: sh.SharblyChain):
         self.s1.update(chain.coeffs)
@@ -170,6 +176,7 @@ class _SupportSystem:
                 self._tau_seen.add(tau_key)
                 self.taus.append(tau_key)
                 bd = sh.boundary(sh.SharblyChain(self.n, 2, {tau_key: 1}))
+                self.tau_cols.append(self._column(bd))
                 self.s1.update(bd.coeffs)
         pairs = set()
         for key in sorted(self.s1 - self._placed.keys()):
@@ -178,7 +185,10 @@ class _SupportSystem:
                 pairs.add((key, other))
                 pairs.add((other, key))
         for src, dst in sorted(pairs):
-            self.bars.extend((gamma, src) for gamma in self._bars_between(src, dst))
+            base = sh.SharblyChain(self.n, 1, {src: 1})
+            for gamma in self._bars_between(src, dst):
+                self.bars.append((gamma, src))
+                self.bar_cols.append(self._column(base.act(gamma).add_chain(base, -1)))
         return len(self.taus) > n_taus or len(self.bars) > n_bars
 
     def solve(self, rhs_chain: sh.SharblyChain):
@@ -188,24 +198,9 @@ class _SupportSystem:
         ordered first so already-supported inputs come back unchanged.
         """
         f = self.f
-        columns = []  # list of chains (as dicts key -> field coeff)
-
-        def as_field_chain(chain):
-            return {k: f(c) for k, c in chain.coeffs.items()}
-
-        if self.with_w1:
-            for lift in self.lifts:
-                columns.append(as_field_chain(lift))
-        tau_start = len(columns)
-        for tau_key in self.taus:
-            bd = sh.boundary(sh.SharblyChain(self.n, 2, {tau_key: 1}))
-            columns.append(as_field_chain(bd))
-        bar_start = len(columns)
-        for gamma, src in self.bars:
-            base = sh.SharblyChain(self.n, 1, {src: 1})
-            delta = base.act(gamma).add_chain(base, -1)
-            columns.append(as_field_chain(delta))
-
+        columns = self.lift_cols + self.tau_cols + self.bar_cols
+        tau_start = len(self.lift_cols)
+        bar_start = tau_start + len(self.tau_cols)
         row_keys = set(rhs_chain.coeffs)
         for col in columns:
             row_keys.update(col)
@@ -213,8 +208,7 @@ class _SupportSystem:
         triplets = []
         for j, col in enumerate(columns):
             for k, v in col.items():
-                if v != f.zero:
-                    triplets.append((row_index[k], j, v))
+                triplets.append((row_index[k], j, v))
         mat = SparseFieldMatrix.from_triplets(
             f, len(row_index), len(columns), triplets
         )
@@ -225,7 +219,7 @@ class _SupportSystem:
         sol = solve(mat, rhs)
         if sol is None:
             return None
-        w1_vec = tuple(sol[: tau_start]) if self.with_w1 else ()
+        w1_vec = tuple(sol[:tau_start])
         homotopy = sh.SharblyChain(self.n, 2)
         for tau_key, coeff in zip(self.taus, sol[tau_start:bar_start]):
             if coeff != f.zero:
@@ -382,8 +376,6 @@ def verify_eigen_chain(cx: GammaComplex, x_vec, op: HeckeOperator, a,
     n != 2 only the unsubdivided support is tried.
     """
     if cx.level % op.ell == 0:
-        from .errors import PreconditionError
-
         raise PreconditionError(f"l = {op.ell} divides N = {cx.level}")
     f = cx.field
     a = f(a)
@@ -411,16 +403,11 @@ def verify_eigen_chain(cx: GammaComplex, x_vec, op: HeckeOperator, a,
 def hecke_on_h1_n2(level: int, field, ell: int, budget: int = 4,
                    cx: GammaComplex | None = None):
     """T(l, 1) on H_1 for n = 2, via one-sharbly reduction of theta-images."""
-    from .homology import build_complex
-
     if cx is None:
         cx = build_complex(2, level, field)
     if cx.level % ell == 0:
-        from .errors import PreconditionError
-
         raise PreconditionError(f"l = {ell} divides N = {level}")
     op = hecke_cosets(2, ell, 1)
-    f = cx.field
     h1 = homology(cx, 1)
     columns = []
     for j, rep_vec in enumerate(h1.homology_reps):
@@ -432,6 +419,4 @@ def hecke_on_h1_n2(level: int, field, ell: int, budget: int = 4,
         if not is_cycle(cx, 1, y_vec):
             raise InternalCheckError("reduced image is not a cycle")
         columns.append(express_cycle(h1, y_vec))
-    dim = h1.dimension
-    matrix = tuple(tuple(columns[j][i] for j in range(dim)) for i in range(dim))
-    return _eigen_report(cx, ell, 1, 1, matrix)
+    return _eigen_report(cx, ell, 1, 1, columns)

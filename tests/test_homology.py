@@ -1,9 +1,11 @@
 import json
+import random
+from dataclasses import replace
 
 import pytest
 
 from sharbly import intlinalg as la
-from sharbly.errors import PreconditionError
+from sharbly.errors import InternalCheckError, PreconditionError
 from sharbly.fields import PrimeField, QQ
 from sharbly.homology import (
     betti_numbers,
@@ -80,6 +82,13 @@ class TestHomology:
                 )
                 chi_betti = sum((-1) ** k * b for k, b in betti.items())
                 assert chi_ranks == chi_betti
+
+    def test_betti_numbers_check_the_euler_characteristic(self, table2):
+        cx = build_complex(2, 11, QQ, table=table2)
+        h0 = homology(cx, 0)
+        cx.homology_memo[0] = replace(h0, dimension=h0.dimension + 1)
+        with pytest.raises(InternalCheckError):
+            betti_numbers(cx)
 
     def test_n3_level53_first_cuspidal_prime(self, table3):
         # N = 53 is the least prime level with cuspidal SL(3) cohomology
@@ -192,6 +201,36 @@ class TestExpressCycle:
             recon = [r + c_coeff * b for r, b in zip(recon, basis_vec)]
         boundary_part = mat.matvec(list(witness))
         assert [a - b for a, b in zip(vec, recon)] == boundary_part
+
+    def test_matches_dense_reference(self, table2, table3):
+        # coordinates and witness of seeded random cycles (reps plus
+        # boundaries) against the RREF of [im d_{k+1} | reps | z], whose
+        # solution is read at the pivot columns and is zero elsewhere
+        from test_intlinalg import _gauss_jordan
+
+        rng = random.Random(8)
+        for n, table, n_mod, f in ((2, table2, 45, QQ), (3, table3, 17, PrimeField(7))):
+            cx = build_complex(n, n_mod, f, table=table)
+            for k in range(cx.max_degree + 1):
+                h = homology(cx, k)
+                image = []
+                if k < cx.max_degree:
+                    image = [list(col) for col in zip(*cx.boundaries[k + 1].to_dense())]
+                for _ in range(3):
+                    z = [f.zero] * cx.rank(k)
+                    terms = [(f(rng.randint(-3, 3)), rep) for rep in h.homology_reps]
+                    terms += [(f(rng.randint(-2, 2)), col) for col in image if rng.random() < 0.3]
+                    for a, vec in terms:
+                        z = [f.add(x, f.mul(a, y)) for x, y in zip(z, vec)]
+                    columns = image + [list(rep) for rep in h.homology_reps] + [z]
+                    x = [f.zero] * (len(columns) - 1)
+                    for row in _gauss_jordan(f, [list(r) for r in zip(*columns)]):
+                        p = next(j for j, v in enumerate(row) if v != f.zero)
+                        assert p < len(x)  # z lies in im d_{k+1} + span(reps)
+                        x[p] = row[-1]
+                    coords, witness = express_cycle(h, z, want_witness=True)
+                    assert coords == tuple(x[len(image):])
+                    assert witness == tuple(x[: len(image)])
 
     def test_non_cycle_rejected(self, cx11):
         h1 = homology(cx11, 1)

@@ -232,12 +232,14 @@ class TestFields:
 
     def test_rank_invariant_under_row_permutation(self):
         """rank_kernel and solve read the RREF, which only the row space
-        fixes; LinearSpan.add grows exactly when a dense reference rank does."""
+        fixes; LinearSpan.add grows exactly when a dense reference rank does,
+        and LinearSpan.reduce leaves a vector's class off the pivots."""
         import random
 
         from sharbly.fields import QQ, LinearSpan, PrimeField, SparseFieldMatrix, rank_kernel, solve
 
         rng = random.Random(4)
+        probe = random.Random(5)  # a stream of its own, so `rng` draws the same matrices
         for f in (QQ, PrimeField(7)):
             rows = [[f(rng.choice((0, 0, 1, -2, 3))) for _ in range(6)] for _ in range(4)]
             rows.append([f.add(a, f.mul(f(2), b)) for a, b in zip(rows[0], rows[1])])
@@ -273,6 +275,13 @@ class TestFields:
                     min(j for j, x in enumerate(r) if x): {j: x for j, x in enumerate(r) if x}
                     for r in rref
                 }
+                rows = {p: dict(row) for p, row in span.rows.items()}
+                for _ in range(3):
+                    vec = {j: f(probe.randrange(-4, 5)) for j in range(ncols)}
+                    left = span.reduce(vec)
+                    assert not left.keys() & rows.keys()
+                    assert not span.add({j: f.sub(x, left.get(j, f.zero)) for j, x in vec.items()})
+                    assert span.rows == rows
 
     def test_invariants_raise_internal_check_error(self):
         from sharbly.errors import InternalCheckError
