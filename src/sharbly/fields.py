@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import ConfigError, InternalCheckError, PreconditionError
 
@@ -319,49 +321,50 @@ def solve(m: SparseFieldMatrix, rhs):
 def charpoly(field, dense_rows):
     """Monic characteristic polynomial det(xI - A), low degree first.
 
-    Samuelson-Berkowitz recursion over trailing principal submatrices;
-    division-free, so valid over F_p for any p.
+    The Samuelson-Berkowitz recursion is division-free, so it runs on
+    Python ints (`_berkowitz`).  Over F_p the entries are ints in [0, p) and
+    the recursion reduces mod p as it goes.  Over Q it runs on B = d*A, d
+    the lcm of the entries' denominators: det(xI - A) = d^-n det(dxI - B),
+    so coefficient k of det(xI - A) is coefficient k of det(xI - B) divided
+    by d^(n-k).
     """
-    n = len(dense_rows)
-    f = field
-    a = [[f(x) for x in row] for row in dense_rows]
-    if n == 0:
-        return (f.one,)
-    p = [f.one, f.neg(a[n - 1][n - 1])]  # leading coefficient first
-    for i in range(n - 2, -1, -1):
-        m = n - i
-        top = a[i][i]
+    rows = [[field(x) for x in row] for row in dense_rows]
+    if isinstance(field, PrimeField):
+        return tuple(reversed(_berkowitz(rows, field.p)))
+    d = lcm(*(x.denominator for row in rows for x in row))
+    lead_first = _berkowitz([_clear(d, row) for row in rows], None)
+    # entry k of lead_first is the coefficient of x^(n-k): divide it by d^k
+    return tuple(reversed([Fraction(c, d**k) for k, c in enumerate(lead_first)]))
+
+
+def _berkowitz(a, p: int | None):
+    """det(xI - a) of a square int matrix, leading coefficient first;
+    reduced into [0, p) when p is given.
+
+    Runs over the trailing principal submatrices a[i:, i:], i = n-1 .. 0.
+    With top = a[i][i], R the rest of row i, C the rest of column i and M
+    the trailing block a[i+1:, i+1:], the char poly of a[i:, i:] is the
+    Toeplitz column 1, -top, -R*C, -R*M*C, .., -R*M^(m-2)*C (m = n - i)
+    convolved with the char poly of M.
+    """
+    n = len(a)
+    poly = [1]
+    for i in range(n - 1, -1, -1):
         row_r = a[i][i + 1:]
-        col_c = [a[j][i] for j in range(i + 1, n)]
-        block = [a[j][i + 1:] for j in range(i + 1, n)]
-        # Toeplitz column: 1, -top, -R*C, -R*M*C, ..., -R*M^(m-2)*C
-        t = [f.one, f.neg(top)]
-        vec = col_c
-        for _ in range(m - 1):
-            t.append(f.neg(_dot(f, row_r, vec)))
-            vec = [_dot(f, brow, vec) for brow in block]
-        new = [f.zero] * (m + 1)
-        for r in range(m + 1):
-            acc = f.zero
-            for c in range(max(0, r - m), min(r, m - 1) + 1):
-                acc = f.add(acc, f.mul(t[r - c], p[c]))
-            new[r] = acc
-        p = new
-    return tuple(reversed(p))
-
-
-def _dot(f, u, v):
-    acc = f.zero
-    for x, y in zip(u, v):
-        acc = f.add(acc, f.mul(x, y))
-    return acc
-
-
-def poly_eval(field, poly, x):
-    acc = field.zero
-    for c in reversed(poly):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
+        block = [r[i + 1:] for r in a[i + 1:]]
+        vec = [r[i] for r in a[i + 1:]]
+        t = [1, -a[i][i]]
+        for k in range(n - 1 - i):
+            if k:
+                vec = [sum(map(mul, r, vec)) for r in block]
+                if p:
+                    vec = [x % p for x in vec]
+            t.append(-sum(map(mul, row_r, vec)))
+        poly = [sum(t[r - c] * poly[c] for c in range(min(r, len(poly) - 1) + 1))
+                for r in range(len(t))]
+        if p:
+            poly = [x % p for x in poly]
+    return poly
 
 
 def poly_divide_root(field, poly, root):
@@ -382,36 +385,65 @@ def eigenvalues(field, poly):
     """Roots in the field with multiplicities, plus the unfactored remainder.
 
     Returns (sorted [(root, multiplicity)], remainder_poly or None).
+
+    The candidates are every element of F_p, or over Q the rational roots
+    the root theorem allows.  A candidate num/den is tested on the cleared
+    int polynomial g (g = d*f for d the lcm of the denominators over Q,
+    g = f over F_p) as den^deg * g(num/den), by an int Horner loop, mod p
+    over F_p.  It is divided out as often as it is a root before the scan
+    moves on.  So one pass finds every root: each later polynomial divides
+    the one a candidate was last tested on, and a candidate that is not a
+    root of it is not a root of any later one.
     """
     f = field
-    roots: dict = {}
     cur = tuple(poly)
+    ints = _int_poly(f, cur)
     if isinstance(f, PrimeField):
-        candidates = list(range(f.p))
+        p, candidates = f.p, range(f.p)
     else:
-        candidates = _rational_root_candidates(cur)
-    progress = True
-    while progress and len(cur) > 1:
-        progress = False
-        for cand in candidates:
-            x = f(cand)
-            while len(cur) > 1 and poly_eval(f, cur, x) == f.zero:
-                roots[x] = roots.get(x, 0) + 1
-                cur = poly_divide_root(f, cur, x)
-                progress = True
+        p, candidates = None, _rational_root_candidates(ints)
+    roots: dict = {}
+    for cand in candidates:
+        if len(cur) == 1:
+            break
+        num, den = cand.numerator, cand.denominator
+        while len(cur) > 1 and _scaled_value(ints, num, den, p) == 0:
+            roots[cand] = roots.get(cand, 0) + 1
+            cur = poly_divide_root(f, cur, cand)
+            ints = _int_poly(f, cur)
     remainder = cur if len(cur) > 1 else None
     ordered = sorted(roots.items(), key=lambda r: r[0])
     return ordered, remainder
 
 
-def _rational_root_candidates(poly):
-    """Possible rational roots of a rational polynomial (root theorem)."""
-    from math import gcd
+def _int_poly(field, poly):
+    """The int coefficients of a field polynomial: the elements themselves
+    over F_p, the polynomial times the lcm of its denominators over Q."""
+    if isinstance(field, PrimeField):
+        return [field(c) for c in poly]
+    coeffs = [Fraction(c) for c in poly]
+    return _clear(lcm(*(c.denominator for c in coeffs)), coeffs)
 
-    lcm = 1
-    for c in poly:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in poly]
+
+def _clear(d: int, values) -> list:
+    """The ints d*x for Fractions x whose denominators divide d."""
+    return [x.numerator * (d // x.denominator) for x in values]
+
+
+def _scaled_value(ints, num: int, den: int, p: int | None) -> int:
+    """den^deg * g(num/den) for the int polynomial g (low degree first);
+    mod p when p is given."""
+    acc = 0
+    scale = 1
+    for c in reversed(ints):
+        acc = acc * num + c * scale
+        scale *= den
+    return acc % p if p else acc
+
+
+def _rational_root_candidates(ints):
+    """Possible rational roots of an int polynomial, low degree first
+    (rational root theorem)."""
     while ints and ints[0] == 0:
         ints = ints[1:]
     if not ints:

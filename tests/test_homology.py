@@ -7,6 +7,7 @@ import pytest
 from sharbly import intlinalg as la
 from sharbly.errors import InternalCheckError, PreconditionError
 from sharbly.fields import PrimeField, QQ
+from sharbly.hecke import hecke_on_h0
 from sharbly.homology import (
     betti_numbers,
     build_complex,
@@ -14,6 +15,19 @@ from sharbly.homology import (
     express_cycle,
     homology,
 )
+
+
+@pytest.fixture(scope="module")
+def cx53(table3):
+    """n = 3, N = 53 over F_32003, built once for the checks at this level."""
+    return build_complex(3, 53, PrimeField(32003), table=table3)
+
+
+@pytest.fixture(scope="module")
+def hecke53(cx53):
+    """T(2,1), T(3,1) and T(2,2) on H_0 of cx53, keyed by (l, k)."""
+    return {(ell, k): hecke_on_h0(3, 53, cx53.field, ell, k, cx=cx53)
+            for ell, k in ((2, 1), (3, 1), (2, 2))}
 
 
 class TestBuild:
@@ -90,10 +104,10 @@ class TestHomology:
         with pytest.raises(InternalCheckError):
             betti_numbers(cx)
 
-    def test_n3_level53_first_cuspidal_prime(self, table3):
+    def test_n3_level53_first_cuspidal_prime(self, cx53):
         # N = 53 is the least prime level with cuspidal SL(3) cohomology
         # (Ash-Grayson-Green 1984); it shows up in H_1 and H_0
-        cx = build_complex(3, 53, PrimeField(32003), table=table3)
+        cx = cx53
         betti = betti_numbers(cx)
         assert betti == {0: 10, 1: 2, 2: 0, 3: 1}
         chi_ranks = sum((-1) ** k * cx.rank(k) for k in range(cx.max_degree + 1))
@@ -161,6 +175,28 @@ class TestHomology:
             for n_mod in levels:
                 cx = build_complex(n, n_mod, QQ, table=table)
                 assert betti_numbers(cx)[cx.max_degree] == 1
+
+
+class TestHeckeAtTheFirstCuspidalLevel:
+    """Invariants of the Hecke action on H_0 at n = 3, N = 53 over F_32003
+    that share no code with it: commutativity, and the char poly and
+    eigenvalues seen at this level."""
+
+    def test_t21_and_t31_commute(self, hecke53):
+        p = 32003
+        a, b = hecke53[2, 1].matrix, hecke53[3, 1].matrix
+
+        def mat_mul(x, y):
+            return [[sum(u * v for u, v in zip(row, col)) % p for col in zip(*y)] for row in x]
+
+        assert mat_mul(a, b) == mat_mul(b, a)
+
+    def test_t21_and_t22_share_a_charpoly(self, hecke53):
+        assert hecke53[2, 1].charpoly == hecke53[2, 2].charpoly
+
+    def test_t21_has_eigenvalues_3_and_minus_1(self, hecke53):
+        roots = dict(hecke53[2, 1].eigen)
+        assert 3 in roots and 32003 - 1 in roots
 
 
 from fractions import Fraction  # noqa: E402

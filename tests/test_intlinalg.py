@@ -58,6 +58,58 @@ def _gauss_jordan(f, rows):
     return out
 
 
+def _reference_eigenvalues(f, poly):
+    """The earlier `fields.eigenvalues`, kept as a reference: field
+    arithmetic throughout, and the whole scan repeated after any root."""
+    from math import lcm
+
+    from sharbly.fields import PrimeField, poly_divide_root
+
+    def value(p, x):
+        acc = f.zero
+        for c in reversed(p):
+            acc = f.add(f.mul(acc, x), c)
+        return acc
+
+    roots: dict = {}
+    cur = tuple(poly)
+    if isinstance(f, PrimeField):
+        candidates = list(range(f.p))
+    else:
+        # rational root theorem: p/q with p | a0 and q | an, by trial
+        d = lcm(*(Fraction(c).denominator for c in cur))
+        ints = [int(c * d) for c in cur]
+        ints = ints[next(i for i, c in enumerate(ints) if c):]
+        a0, an = abs(ints[0]), abs(ints[-1])
+        candidates = sorted(
+            {Fraction(0)}
+            | {Fraction(s * a, b) for a in range(1, a0 + 1) if a0 % a == 0
+               for b in range(1, an + 1) if an % b == 0 for s in (1, -1)}
+        )
+    progress = True
+    while progress and len(cur) > 1:
+        progress = False
+        for cand in candidates:
+            x = f(cand)
+            while len(cur) > 1 and value(cur, x) == f.zero:
+                roots[x] = roots.get(x, 0) + 1
+                cur = poly_divide_root(f, cur, x)
+                progress = True
+    remainder = cur if len(cur) > 1 else None
+    return sorted(roots.items(), key=lambda r: r[0]), remainder
+
+
+def _random_square(rng, n, entry, triangular):
+    """An n x n matrix of entry() draws; upper triangular with diagonal
+    entries from a short list when asked, so that roots repeat."""
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    if triangular:
+        for i in range(n):
+            rows[i][:i] = [0] * i
+            rows[i][i] = rng.choice((-1, 2, 3))
+    return rows
+
+
 class TestHnf:
     def test_identity(self):
         h, u = la.hnf(la.identity(2))
@@ -216,6 +268,77 @@ class TestFields:
         det = f(la.det(la.freeze(rows)))
         assert p[0] == f.mul(f(-1), det)
         assert p[2] == f(-(1 + 3 + 2))
+
+    def test_charpoly_over_q_matches_the_oracle(self):
+        """The int recursion against manin's own Fraction Berkowitz, with
+        and without denominators (which the d^(n-k) rescale undoes)."""
+        import random
+
+        from sharbly.fields import QQ, charpoly
+        from sharbly.manin import _charpoly
+
+        rng = random.Random(11)
+        for n in range(13):
+            for dens in ((1,), (1, 2, 3, 4, 6)):
+                rows = _random_square(
+                    rng, n, lambda: Fraction(rng.randrange(-5, 6), rng.choice(dens)), False
+                )
+                cp = charpoly(QQ, rows)
+                assert cp == _charpoly(QQ, rows)
+                assert all(type(c) is Fraction for c in cp)
+
+    def test_charpoly_over_fp_matches_the_oracle_mod_p(self):
+        """det(xI - A) of an int matrix reduces mod p coefficientwise, so the
+        oracle's char poly over Q, mapped into F_p, is a reference that
+        shares no F_p code."""
+        import random
+
+        from sharbly.fields import QQ, PrimeField, charpoly
+        from sharbly.manin import _charpoly
+
+        rng = random.Random(12)
+        for p in (3, 7, 32003):
+            f = PrimeField(p)
+            cases = [[[p - 1]], [[(p + 1) // 2 + 1]], [[-1]]]
+            cases += [
+                _random_square(rng, n, lambda: rng.randrange(-2 * p, 2 * p), n % 3 == 0)
+                for n in range(11)
+            ]
+            for rows in cases:
+                cp = charpoly(f, rows)
+                assert cp == tuple(f(c) for c in _charpoly(QQ, rows))
+                assert all(type(c) is int and 0 <= c < p for c in cp)
+
+    def test_eigenvalues_match_the_reference(self):
+        """One scan, on int polynomials, finds what the field-arithmetic
+        scan repeated to a fixed point finds, multiplicities included."""
+        import random
+
+        from sharbly.fields import QQ, PrimeField, charpoly, eigenvalues
+
+        rng = random.Random(13)
+        cases = []
+        for n in range(7):
+            for tri in (False, True):
+                cases.append((QQ, _random_square(rng, n, lambda: rng.randrange(-3, 4), tri)))
+                cases.append((PrimeField(7), _random_square(rng, n, lambda: rng.randrange(7), tri)))
+        for n in range(4):
+            entry = lambda: Fraction(rng.randrange(-3, 4), rng.choice((1, 2, 3)))  # noqa: E731
+            cases.append((QQ, _random_square(rng, n, entry, True)))
+        for n in (2, 5):
+            entry = lambda: rng.randrange(-9, 10)  # noqa: E731
+            cases.append((PrimeField(32003), _random_square(rng, n, entry, True)))
+        multiple = 0
+        for f, rows in cases:
+            cp = charpoly(f, rows)
+            got = eigenvalues(f, cp)
+            assert got == _reference_eigenvalues(f, cp)
+            roots, rem = got
+            kind = int if isinstance(f, PrimeField) else Fraction
+            assert all(type(x) is kind for x, _ in roots)
+            assert rem is None or all(type(c) is kind for c in rem)
+            multiple += any(m > 1 for _, m in roots)
+        assert multiple >= 5
 
     def test_rank_kernel(self):
         from sharbly.fields import QQ, PrimeField, SparseFieldMatrix, rank_kernel
