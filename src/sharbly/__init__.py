@@ -26,7 +26,6 @@ from .reduction import (  # noqa: F401
     Undetermined,
     Witness,
     hecke_on_h1_n2,
-    one_sharbly_reduce,
     one_sharbly_reduce_n2,
     verify_eigen_chain,
 )

@@ -402,7 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 on --help
+        if exc.code != 2:
+            raise
+        return EXIT_BAD_CONFIG
     cfg = RunConfig(
         command=args.command,
         n=getattr(args, "n", 2),

@@ -242,6 +242,7 @@ def express_cycle(result: HomologyResult, vec, want_witness: bool = False):
     cx = result._complex
     k = result.degree
     f = cx.field
+    _check_length(cx, k, vec)
     vec = [f(x) for x in vec]
     if not is_cycle(cx, k, vec):
         bad = cx.boundaries[k].matvec(vec)
@@ -274,8 +275,14 @@ def express_cycle(result: HomologyResult, vec, want_witness: bool = False):
 # Lifts between W_k coordinates and plain sharbly chains
 # ---------------------------------------------------------------------------
 
+def _check_length(cx: GammaComplex, k: int, vec):
+    if len(vec) != cx.rank(k):
+        raise ValueError(f"a W_{k} coordinate vector has {cx.rank(k)} entries, got {len(vec)}")
+
+
 def theta_lift(cx: GammaComplex, k: int, vec) -> sh.SharblyChain:
     """Plain sharbly chain lifting a W_k coordinate vector."""
+    _check_length(cx, k, vec)
     out = sh.SharblyChain(cx.n, k)
     orbits = cx.table.orbits[k + cx.n - 1]
     for (o_idx, point), coeff in zip(cx.bases[k], vec):

@@ -81,22 +81,23 @@ class _SupportSystem:
     the Gamma_0(N)-orbit of a key is labelled by (rep, least point in the
     stabilizer orbit of q_key), as `homology._canonical_label` labels W_k
     generators, and only keys with equal labels are paired.
+
+    The system's columns are {key: field coeff}, each built once, in the
+    order [lifts | taus | bars]; dicts keep that order as they grow.  The
+    order matters: `solve` returns the solution that is zero on the free
+    columns, so it decides which certificate comes back.
     """
 
-    def __init__(self, cx: GammaComplex, with_w1: bool):
+    def __init__(self, cx: GammaComplex, chains, with_w1: bool):
         self.n = cx.n
         self.f = cx.field
         self.s1: set = set()
-        self.taus: list = []
-        self._tau_seen: set = set()
+        for chain in chains:
+            self.s1.update(chain.coeffs)
         self._coned: set = set()
-        self.bars: list = []  # (gamma, key)
-        # the system's columns as {key: field coeff}, each built once
-        self.lift_cols: list = []  # theta-lifts of the W_1 generators
-        self.tau_cols: list = []  # boundaries of self.taus
-        self.bar_cols: list = []  # key * gamma - key for (gamma, key) in self.bars
-        self.shape = (0, 0)  # rows, cols of the last (and largest) system solved
-        self.closed = False  # a grow() round added nothing
+        self.lifts: list = []  # theta-lifts of the W_1 generators
+        self.taus: dict = {}  # 2-sharbly key -> its boundary
+        self.bars: dict = {}  # (gamma, key) -> key * gamma - key
         self._level = cx.level
         self._space = cg.projective_space(self.n, cx.level)
         self._reps: dict = {}  # cell signature -> representative cells
@@ -111,14 +112,11 @@ class _SupportSystem:
                 back = chain_to_w(cx, 1, lift)
                 if tuple(back) != tuple(unit):
                     raise InternalCheckError("theta lift does not invert chain_to_w")
-                self.lift_cols.append(self._column(lift))
+                self.lifts.append(self._column(lift))
                 self.s1.update(lift.coeffs)
 
     def _column(self, chain: sh.SharblyChain) -> dict:
         return {k: self.f(c) for k, c in chain.coeffs.items()}
-
-    def add_chain_keys(self, chain: sh.SharblyChain):
-        self.s1.update(chain.coeffs)
 
     def _place(self, key):
         """Standardize a key and file it under its Gamma_0(N)-orbit label."""
@@ -166,18 +164,15 @@ class _SupportSystem:
         Returns whether the round added a 2-sharbly or a bar; if not, the
         support is closed and every later round would add nothing either.
         """
-        n_taus, n_bars = len(self.taus), len(self.bars)
+        n_cols = len(self.taus) + len(self.bars)
         fresh = sorted(self.s1 - self._coned)
         self._coned.update(fresh)
         for key in fresh:
             for tau_key in _cone_candidates(self.n, key):
-                if tau_key in self._tau_seen:
-                    continue
-                self._tau_seen.add(tau_key)
-                self.taus.append(tau_key)
-                bd = sh.boundary(sh.SharblyChain(self.n, 2, {tau_key: 1}))
-                self.tau_cols.append(self._column(bd))
-                self.s1.update(bd.coeffs)
+                if tau_key not in self.taus:
+                    bd = sh.boundary(sh.SharblyChain(self.n, 2, {tau_key: 1}))
+                    self.taus[tau_key] = self._column(bd)
+                    self.s1.update(bd.coeffs)
         pairs = set()
         for key in sorted(self.s1 - self._placed.keys()):
             label = self._place(key)
@@ -187,91 +182,71 @@ class _SupportSystem:
         for src, dst in sorted(pairs):
             base = sh.SharblyChain(self.n, 1, {src: 1})
             for gamma in self._bars_between(src, dst):
-                self.bars.append((gamma, src))
-                self.bar_cols.append(self._column(base.act(gamma).add_chain(base, -1)))
-        return len(self.taus) > n_taus or len(self.bars) > n_bars
+                self.bars[gamma, src] = self._column(base.act(gamma).add_chain(base, -1))
+        return len(self.taus) + len(self.bars) > n_cols
 
-    def solve(self, rhs_chain: sh.SharblyChain):
-        """Solve  w1-part + d(tau-part) + bar-part = rhs  exactly.
+    def search(self, rhs_chain: sh.SharblyChain, budget: int, what: str):
+        """Solve  w1-part + d(tau-part) + bar-part = rhs  exactly; while that
+        fails, grow one round and solve again.
 
-        Returns (w1_vec, homotopy, bar_terms) or None; the w1 block is
-        ordered first so already-supported inputs come back unchanged.
+        Returns (w1_vec, homotopy, bar_terms), the w1 block first so that
+        already-supported inputs come back unchanged.  Otherwise returns
+        Undetermined once `budget` rounds have run, the support is closed
+        (then `closed` is set) or growth is unavailable (cone subdivision
+        is n = 2 only); its reason says which, with the sizes reached.
         """
+        if budget < 0:
+            raise PreconditionError(f"budget must be >= 0, got {budget}")
         f = self.f
-        columns = self.lift_cols + self.tau_cols + self.bar_cols
-        tau_start = len(self.lift_cols)
-        bar_start = tau_start + len(self.tau_cols)
-        row_keys = set(rhs_chain.coeffs)
-        for col in columns:
-            row_keys.update(col)
-        row_index = {k: i for i, k in enumerate(sorted(row_keys))}
-        triplets = []
-        for j, col in enumerate(columns):
-            for k, v in col.items():
-                triplets.append((row_index[k], j, v))
-        mat = SparseFieldMatrix.from_triplets(
-            f, len(row_index), len(columns), triplets
-        )
-        self.shape = (mat.nrows, mat.ncols)
-        rhs = [f.zero] * len(row_index)
-        for k, v in rhs_chain.coeffs.items():
-            rhs[row_index[k]] = f(v)
-        sol = solve(mat, rhs)
-        if sol is None:
-            return None
-        w1_vec = tuple(sol[:tau_start])
-        homotopy = sh.SharblyChain(self.n, 2)
-        for tau_key, coeff in zip(self.taus, sol[tau_start:bar_start]):
-            if coeff != f.zero:
-                homotopy.add_chain(sh.SharblyChain(self.n, 2, {tau_key: coeff}))
-        bar_terms = []
-        for (gamma, src), coeff in zip(self.bars, sol[bar_start:]):
-            if coeff != f.zero:
-                bar_terms.append((gamma, sh.SharblyChain(self.n, 1, {src: coeff})))
-        return w1_vec, homotopy, tuple(bar_terms)
-
-    def search(self, rhs_chain: sh.SharblyChain, budget: int):
-        """Solve; while that fails, grow one round and solve again.
-
-        Returns (solution, None), or (None, note) once `budget` rounds have
-        run, the support is closed (then `self.closed` is set), or growth is
-        unavailable (cone subdivision is n = 2 only).  The note says which,
-        with the sizes reached.
-        """
         rounds = 0
         while True:
-            sol = self.solve(rhs_chain)
+            columns = [*self.lifts, *self.taus.values(), *self.bars.values()]
+            row_keys = set(rhs_chain.coeffs).union(*columns)
+            row_index = {k: i for i, k in enumerate(sorted(row_keys))}
+            triplets = [(row_index[k], j, v) for j, col in enumerate(columns) for k, v in col.items()]
+            mat = SparseFieldMatrix.from_triplets(f, len(row_index), len(columns), triplets)
+            rhs = [f.zero] * len(row_index)
+            for k, v in rhs_chain.coeffs.items():
+                rhs[row_index[k]] = f(v)
+            sol = solve(mat, rhs)
             if sol is not None:
-                return sol, None
+                break
             if rounds == budget:
                 stop = "budget spent"
-                break
-            if self.n != 2:
+            elif self.n != 2:
                 stop = "support growth is implemented for n = 2 only"
-                break
-            if not self.grow():
-                self.closed = True
+            elif not self.grow():
                 stop = "support closed"
-                break
-            rounds += 1
-        rows, cols = self.shape
-        return None, (
-            f"{stop}; rounds run {rounds}, supports {len(self.s1)}, "
-            f"2-sharblies {len(self.taus)}, bars {len(self.bars)}, "
-            f"largest system {rows} x {cols}"
+            else:
+                rounds += 1
+                continue
+            return Undetermined(
+                f"no {what} within {budget} rounds ({stop}; rounds run {rounds}, "
+                f"supports {len(self.s1)}, 2-sharblies {len(self.taus)}, bars {len(self.bars)}, "
+                f"largest system {mat.nrows} x {mat.ncols})",
+                stop == "support closed",
+            )
+        tau_start = len(self.lifts)
+        bar_start = tau_start + len(self.taus)
+        homotopy = sh.SharblyChain(self.n, 2, {
+            key: c for key, c in zip(self.taus, sol[tau_start:bar_start]) if c != f.zero
+        })
+        bar_terms = tuple(
+            (gamma, sh.SharblyChain(self.n, 1, {src: c}))
+            for (gamma, src), c in zip(self.bars, sol[bar_start:]) if c != f.zero
         )
+        return tuple(sol[:tau_start]), homotopy, bar_terms
 
 
-def _bars_in_gamma0(level: int, bar_terms) -> bool:
-    return all(cg.is_gamma0(gamma, level) for gamma, _chain in bar_terms)
-
-
-def _bar_sum(n: int, bar_terms) -> sh.SharblyChain:
-    out = sh.SharblyChain(n, 1)
+def _holds(field, level, target: sh.SharblyChain, homotopy: sh.SharblyChain, bar_terms) -> bool:
+    """target = d(homotopy) + sum(c gamma - c) over the bar terms (gamma, c),
+    exactly over `field`, with every gamma in Gamma_0(level)."""
+    if not all(cg.is_gamma0(gamma, level) for gamma, _chain in bar_terms):
+        return False
+    total = sh.boundary(homotopy)
     for gamma, chain in bar_terms:
-        out.add_chain(chain.act(gamma))
-        out.add_chain(chain, -1)
-    return out
+        total.add_chain(chain.act(gamma)).add_chain(chain, -1)
+    return total.add_chain(target, -1).reduced(field).is_zero()
 
 
 @dataclass(frozen=True)
@@ -289,15 +264,8 @@ class ReductionResult:
     bar_terms: tuple
 
     def verify(self, original: sh.SharblyChain) -> bool:
-        if not _bars_in_gamma0(self.level, self.bar_terms):
-            return False
-        n = original.n
-        total = self.reduced.copy()
-        if not self.homotopy.is_zero():
-            total.add_chain(sh.boundary(self.homotopy))
-        total.add_chain(_bar_sum(n, self.bar_terms))
-        total.add_chain(original, -1)
-        return total.reduced(self.field).is_zero()
+        target = original.copy().add_chain(self.reduced, -1)
+        return _holds(self.field, self.level, target, self.homotopy, self.bar_terms)
 
 
 def one_sharbly_reduce_n2(cx: GammaComplex, chain: sh.SharblyChain,
@@ -316,26 +284,16 @@ def one_sharbly_reduce_n2(cx: GammaComplex, chain: sh.SharblyChain,
         return ReductionResult(
             f, cx.level, fchain, tuple(coords), sh.SharblyChain(2, 2), ()
         )
-    system = _SupportSystem(cx, with_w1=True)
-    system.add_chain_keys(fchain)
-    sol, note = system.search(fchain, budget)
-    if sol is None:
-        return Undetermined(
-            f"no reduction certificate within {budget} rounds ({note})", system.closed
-        )
+    system = _SupportSystem(cx, [fchain], with_w1=True)
+    sol = system.search(fchain, budget, "reduction certificate")
+    if isinstance(sol, Undetermined):
+        return sol
     w1_vec, homotopy, bar_terms = sol
     reduced = theta_lift(cx, 1, w1_vec)
     result = ReductionResult(f, cx.level, reduced, w1_vec, homotopy, bar_terms)
     if not result.verify(fchain):
         raise InternalCheckError("reduction certificate failed to verify")
     return result
-
-
-def one_sharbly_reduce(cx: GammaComplex, chain: sh.SharblyChain, budget: int = 4):
-    """Dispatch by rank; n = 3 reduction is not implemented (by design)."""
-    if cx.n == 2:
-        return one_sharbly_reduce_n2(cx, chain, budget)
-    return Undetermined("1-sharbly reduction is only implemented for n = 2")
 
 
 @dataclass(frozen=True)
@@ -354,17 +312,9 @@ class Witness:
     u: tuple  # bar terms (gamma, 1-sharbly chain)
 
     def verify(self) -> bool:
-        if not _bars_in_gamma0(self.level, self.u):
-            return False
-        f = self.field
-        n = self.x_chain.n
-        total = sh.SharblyChain(n, 1)
-        if not self.y.is_zero():
-            total.add_chain(sh.boundary(self.y))
-        total.add_chain(self.s_chain)
-        total.add_chain(_bar_sum(n, self.u), -1)
-        total.add_chain(self.x_chain, f.neg(self.a))
-        return total.reduced(f).is_zero()
+        # theta(x) s - a theta(x) = d(-y) + d2 u
+        target = self.s_chain.copy().add_chain(self.x_chain, self.field.neg(self.a))
+        return _holds(self.field, self.level, target, self.y.scaled(-1), self.u)
 
 
 def verify_eigen_chain(cx: GammaComplex, x_vec, op: HeckeOperator, a,
@@ -383,14 +333,10 @@ def verify_eigen_chain(cx: GammaComplex, x_vec, op: HeckeOperator, a,
     if x_chain.is_zero() and s_chain.is_zero():
         return Witness(f, cx.level, a, x_chain, s_chain, sh.SharblyChain(cx.n, 2), ())
     rhs = s_chain.copy().add_chain(x_chain, f.neg(a)).reduced(f)
-    system = _SupportSystem(cx, with_w1=False)
-    system.add_chain_keys(x_chain)
-    system.add_chain_keys(s_chain)
-    sol, note = system.search(rhs, budget)
-    if sol is None:
-        return Undetermined(
-            f"no witness for eigenvalue {a} within {budget} rounds ({note})", system.closed
-        )
+    system = _SupportSystem(cx, [x_chain, s_chain], with_w1=False)
+    sol = system.search(rhs, budget, f"witness for eigenvalue {a}")
+    if isinstance(sol, Undetermined):
+        return sol
     # rhs = d(T) + B  ==>  d(-T) + theta(x) s - B = a theta(x)
     _, homotopy, bar_terms = sol
     y = homotopy.scaled(f(-1))

@@ -247,13 +247,6 @@ def cell_stabilizer(cell: VoronoiCell):
     return gl, sl
 
 
-def vertex_permutation_sign(cell: VoronoiCell, gamma: Mat) -> int:
-    """Sign of the permutation gamma induces on the sorted +-vertex list."""
-    order = {v: i for i, v in enumerate(cell.vertices)}
-    perm = [order[la.sign_normalize(la.vec_mat(v, gamma))] for v in cell.vertices]
-    return _perm_sign(perm)
-
-
 @lru_cache(maxsize=None)
 def orientation_basis(cell: VoronoiCell) -> tuple:
     """First dim+1 sorted vertices whose rank-1 forms are independent."""
@@ -271,14 +264,7 @@ def orientation_basis(cell: VoronoiCell) -> tuple:
 
 def orientation_char(cell: VoronoiCell, gamma: Mat) -> int:
     """Sign of the action of a vertex-set-preserving gamma on orientation."""
-    if is_simplex(cell):
-        return vertex_permutation_sign(cell, gamma)
-    basis = [sym_coords(v) for v in orientation_basis(cell)]
-    images = [sym_coords(la.vec_mat(v, gamma)) for v in orientation_basis(cell)]
-    coords = _solve_in_basis(basis, images)
-    if coords is None:
-        raise InternalCheckError("gamma does not preserve the cell span")
-    return _det_sign(coords)
+    return _orientation_transport_sign(cell, gamma, cell)
 
 
 def _orientation_transport_sign(rep: VoronoiCell, gamma: Mat, facet: VoronoiCell) -> int:

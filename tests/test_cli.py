@@ -101,6 +101,25 @@ class TestExitCodes:
         assert code == 4
         assert "singular matrix" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        (["homology", "--level", "abc"], "invalid int value: 'abc'"),
+        (["homology", "--bogus"], "unrecognized arguments: --bogus"),
+    ])
+    def test_usage_error_exit_1(self, run_cli, args, message):
+        out = run_cli(args)
+        assert out.returncode == 1, out.stderr
+        assert message in out.stderr and "Traceback" not in out.stderr
+
+    def test_help_exit_0(self, run_cli):
+        out = run_cli(["--help"])
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("usage: sharbly")
+
+    def test_negative_budget_exit_2(self, run_cli):
+        out = run_cli(["nofake", "--level", "11", "--ell", "2", "--a", "0", "--budget", "-1"])
+        assert out.returncode == 2, out.stderr
+        assert "budget must be >= 0" in out.stderr
+
     def test_undetermined_exit_3(self, run_cli):
         out = run_cli(
             ["nofake", "--n", "2", "--level", "11", "--ell", "2", "--a", "5",

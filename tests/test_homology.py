@@ -276,6 +276,14 @@ class TestExpressCycle:
         with pytest.raises(ValueError):
             express_cycle(h1, vec)
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_wrong_length_rejected(self, cx11, k):
+        # at k = 0 no cycle check runs, so only the length check sees the slip
+        h = homology(cx11, k)
+        for size in (cx11.rank(k) + 3, cx11.rank(k) - 1):
+            with pytest.raises(ValueError, match=f"has {cx11.rank(k)} entries, got {size}"):
+                express_cycle(h, [QQ.one] * size)
+
 
 class TestCacheJson:
     def test_document_shape(self, cx11):

@@ -8,6 +8,7 @@ from sharbly import intlinalg as la
 from sharbly import reduction as rd
 from sharbly import sharbly as sh
 from sharbly.congruence import is_gamma0
+from sharbly.errors import PreconditionError
 from sharbly.fields import PrimeField, QQ, solve
 from sharbly.hecke import hecke_cosets, theta_s
 from sharbly.homology import (
@@ -91,12 +92,6 @@ class TestOneSharblyReduce:
         assert not isinstance(res, rd.Undetermined)
         assert res.verify(moved.reduced(QQ))
         assert list(res.w1_coords) == list(unit)
-
-    def test_n3_stub_returns_undetermined(self, table3):
-        cx3 = build_complex(3, 2, QQ, table=table3)
-        chain = sh.SharblyChain(3, 1)
-        out = rd.one_sharbly_reduce(cx3, chain)
-        assert isinstance(out, rd.Undetermined)
 
     def test_n3_eigen_chain_best_effort(self, table3):
         # the zero chain needs no search, so it closes at any rank
@@ -211,6 +206,23 @@ class TestVerifyEigenChain:
         spent = rd.verify_eigen_chain(cx11, x, op, 5, budget=0)
         assert isinstance(spent, rd.Undetermined) and not spent.closed
 
+    def test_negative_budget_rejected(self, cx11):
+        x = homology(cx11, 1).homology_reps[0]
+        op = hecke_cosets(2, 2, 1)
+        with pytest.raises(PreconditionError, match="budget must be >= 0"):
+            rd.verify_eigen_chain(cx11, x, op, 0, budget=-1)
+        s_chain = theta_s(cx11, 1, op, x)[1]
+        with pytest.raises(PreconditionError, match="budget must be >= 0"):
+            rd.one_sharbly_reduce_n2(cx11, s_chain, budget=-1)
+
+    def test_wrong_length_x_rejected(self, cx11):
+        # a W_1 vector with extra entries used to be cut to rank W_1
+        x = tuple(homology(cx11, 1).homology_reps[0])
+        op = hecke_cosets(2, 2, 1)
+        for bad in (x + (5, 5), x[:-1]):
+            with pytest.raises(ValueError, match=f"has {cx11.rank(1)} entries"):
+                rd.verify_eigen_chain(cx11, bad, op, 3, budget=3)
+
     def test_prime_field_witness(self, table2):
         cx = build_complex(2, 11, PrimeField(5), table=table2)
         h1 = homology(cx, 1)
@@ -218,6 +230,36 @@ class TestVerifyEigenChain:
         op = hecke_cosets(2, 3, 1)
         wit = rd.verify_eigen_chain(cx, x, op, 4, budget=3)
         assert isinstance(wit, rd.Witness) and wit.verify()
+
+
+class TestTamperedCertificates:
+    """Both certificate kinds check target = d(homotopy) + sum(c gamma - c);
+    a changed chain in either must fail `verify`."""
+
+    @pytest.fixture(scope="class")
+    def certs(self, cx11):
+        x = homology(cx11, 1).homology_reps[0]
+        op = hecke_cosets(2, 2, 1)
+        wit = rd.verify_eigen_chain(cx11, x, op, 3, budget=3)
+        s_chain = theta_s(cx11, 1, op, x)[1].reduced(QQ)
+        res = rd.one_sharbly_reduce_n2(cx11, s_chain, 3)
+        return wit, res, s_chain
+
+    def test_witness(self, certs):
+        wit, _res, _s_chain = certs
+        assert wit.verify() and wit.u and not sh.boundary(wit.y).is_zero()
+        for i in range(len(wit.u)):
+            assert not dataclasses.replace(wit, u=wit.u[:i] + wit.u[i + 1:]).verify()
+        assert not dataclasses.replace(wit, y=wit.y.scaled(2)).verify()
+        assert not dataclasses.replace(wit, a=wit.a + 1).verify()
+
+    def test_reduction(self, certs):
+        _wit, res, s_chain = certs
+        assert res.verify(s_chain) and res.bar_terms and not sh.boundary(res.homotopy).is_zero()
+        for i in range(len(res.bar_terms)):
+            dropped = res.bar_terms[:i] + res.bar_terms[i + 1:]
+            assert not dataclasses.replace(res, bar_terms=dropped).verify(s_chain)
+        assert not dataclasses.replace(res, homotopy=res.homotopy.scaled(2)).verify(s_chain)
 
 
 class TestSupportGrowth:
@@ -243,9 +285,7 @@ class TestSupportGrowth:
         cx = build_complex(2, level, QQ, table=table2)
         x = homology(cx, 1).homology_reps[0]
         x_chain, s_chain = theta_s(cx, 1, hecke_cosets(2, 2, 1), x)
-        system = rd._SupportSystem(cx, with_w1=False)
-        system.add_chain_keys(x_chain)
-        system.add_chain_keys(s_chain)
+        system = rd._SupportSystem(cx, [x_chain, s_chain], with_w1=False)
         memo = {}
         for _round in range(2):
             system.grow()
