@@ -34,7 +34,7 @@ from .homology import (
     express_cycle,
     homology,
 )
-from .reduction import Undetermined, hecke_on_h1_n2, verify_eigen_chain
+from .reduction import Undetermined, check_budget, hecke_on_h1_n2, verify_eigen_chain
 from .voronoi import cell_dim, cells_from_json, cells_to_json, enumerate_cells, is_simplex
 
 EXIT_OK = 0
@@ -179,6 +179,7 @@ def _eigen_csv(report) -> str:
 
 
 def cmd_hecke(cfg: RunConfig) -> int:
+    check_budget(cfg.budget)  # degree 0 runs no certificate search
     field = cfg.field()
     table = _load_or_build_cells(cfg.n, cfg.cache_path())
     cx = build_complex(cfg.n, cfg.level, field, table=table)
@@ -378,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--cache-dir", default=None)
         sp.add_argument("--out", default=None)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--budget", type=int, default=4)
 
     sp = sub.add_parser("cells", help="enumerate the cell complex, write cells-n{n}.json")
     common(sp, field=False, level=False)
@@ -389,6 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ell", type=int, required=True)
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--degree", type=int, default=0)
+    sp.add_argument("--budget", type=int, default=4)
     sp = sub.add_parser("oracle", help="classical Manin-symbol results (n = 2)")
     common(sp, field=False, n=False)
     sp.add_argument("--ell", type=int, default=0)
@@ -398,6 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--ell", type=int, required=True)
     sp.add_argument("--a", required=True, help="candidate eigenvalue")
+    sp.add_argument("--budget", type=int, default=4)
     return p
 
 
@@ -419,7 +421,7 @@ def main(argv=None) -> int:
         a=getattr(args, "a", None),
         out=args.out,
         cache_dir=args.cache_dir,
-        budget=args.budget,
+        budget=getattr(args, "budget", 4),
         seed=args.seed,
     )
     handlers = {

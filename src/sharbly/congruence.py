@@ -153,6 +153,28 @@ def coset_matrix(pt: Vec, n_mod: int) -> Mat:
     return la.inverse_unimodular(a)
 
 
+def orbit_label(space: ProjectiveSpace, perms, chars, i: int):
+    """(least index, character) of the stabilizer orbit of point i, or None.
+
+    `perms` are the permutations of P^{n-1}(Z/N) by the elements of a
+    cell's SL(n,Z) stabilizer, `chars` their orientation characters.  The
+    Gamma_0(N)-orbit of the cell whose coset point is i is labelled by the
+    least point its stabilizer orbit reaches, with the character of the
+    elements that reach it.  Those elements form one coset of the least
+    point's fixer, so their characters agree unless the fixer reverses
+    orientation, that is, unless the orbit is killed; then this is None.
+    """
+    best = len(space)
+    char = 0
+    for perm, ch in zip(perms, chars):
+        j = perm[i]
+        if j < best:
+            best, char = j, ch
+        elif j == best and ch != char:
+            char = 0
+    return (best, char) if char else None
+
+
 @dataclass(frozen=True)
 class SplitOrbit:
     """One Gamma_0(N)-orbit inside an SL(n,Z) cell orbit."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .errors import ConfigError, InternalCheckError, PreconditionError
@@ -442,26 +442,52 @@ def _scaled_value(ints, num: int, den: int, p: int | None) -> int:
 
 
 def _rational_root_candidates(ints):
-    """Possible rational roots of an int polynomial, low degree first
-    (rational root theorem)."""
+    """Possible rational roots of an int polynomial g, low degree first.
+
+    With x = y/D, h(y) = D^n g(y/D) / an is monic with int coefficients
+    for the D built below (a divisor of an; D = 1 when g is monic).  A
+    rational root x of g gives the int root y = D x of h, so y = 0 or y
+    divides the lowest nonzero coefficient of h, and |y| is at most
+    Fujiwara's bound B = 2 max_k |h_(n-k)|^(1/k), each term rounded up to
+    an int (and h_0 not halved) so that no root is lost.  The divisors are
+    trial-divided only up to B.
+    """
     while ints and ints[0] == 0:
         ints = ints[1:]
     if not ints:
         return [Fraction(0)]
-    a0, an = abs(ints[0]), abs(ints[-1])
-
-    def divisors(m):
-        out = []
-        d = 1
-        while d * d <= m:
-            if m % d == 0:
-                out.extend([d, m // d])
-            d += 1
-        return sorted(set(out))
-
+    n, an = len(ints) - 1, ints[-1]
+    d = 1
+    for i in reversed(range(n)):  # make an divide ints[i] * d^(n-i)
+        d *= abs(an) // gcd(ints[i] * d ** (n - i), an)
+    h = [c * d ** (n - i) // an for i, c in enumerate(ints)]
+    bound = 2 * max((_root_ceil(abs(h[n - k]), k) for k in range(1, n + 1)), default=0)
     cands = {Fraction(0)}
-    for p in divisors(a0):
-        for q in divisors(an):
-            cands.add(Fraction(p, q))
-            cands.add(Fraction(-p, q))
+    for y in _divisors(abs(h[0]), bound):
+        cands.add(Fraction(y, d))
+        cands.add(Fraction(-y, d))
     return sorted(cands)
+
+
+def _root_ceil(a: int, k: int) -> int:
+    """The least int t >= 0 with t^k >= a."""
+    lo, hi = 0, 1 << -(-a.bit_length() // k)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid ** k >= a:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _divisors(m: int, limit: int) -> set:
+    """The divisors d <= limit of m >= 1, by trial division up to
+    min(limit, sqrt(m))."""
+    out = set()
+    for d in range(1, min(limit, isqrt(m)) + 1):
+        if m % d == 0:
+            out.add(d)
+            if m // d <= limit:
+                out.add(m // d)
+    return out

@@ -31,7 +31,8 @@ class GammaComplex:
     table: CellComplexTable
     bases: dict  # degree k -> tuple of (orbit_index, point)
     boundaries: dict  # degree k (>= 1) -> SparseFieldMatrix, degree k -> k-1
-    splits: dict  # (dim, orbit_index) -> {point: SplitOrbit}
+    # (dim, orbit_index) -> permutations of P^{n-1}(Z/N) by the orbit's SL stabilizer
+    stab_perms: dict
     # degree k -> HomologyResult, filled by `homology`
     homology_memo: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
@@ -46,34 +47,6 @@ class GammaComplex:
         return len(self.bases[k])
 
 
-def _canonical_label(space, orbit, point, recs):
-    """(canonical point, transport character) of `point`, or None if killed.
-
-    The canonical point of a split orbit is its least point, which has the
-    least index; the character is that of a stabilizer element taking
-    `point` there.  `recs` maps points to the orbit's split records; a
-    split orbit killed by orientation gives None.  On a surviving orbit
-    every stabilizer element reaching the canonical point has the same
-    character, and that is checked.
-    """
-    i = space.index(point)
-    best = None
-    chars = set()
-    for s, ch in zip(orbit.sl_stabilizer, orbit.sl_orientation_chars):
-        j = space.perm(s)[i]
-        if best is None or j < best:
-            best = j
-            chars = {ch}
-        elif j == best:
-            chars.add(ch)
-    p_canon = space.points[best]
-    if not recs[p_canon].orientation_ok:
-        return None
-    if len(chars) != 1:
-        raise InternalCheckError("ambiguous transport character on a surviving orbit")
-    return p_canon, chars.pop()
-
-
 def build_complex(n: int, level: int, field: Field, table=None) -> GammaComplex:
     """Assemble W_* tensored down to Gamma_0(N)-coinvariants over `field`."""
     if n not in (2, 3):
@@ -85,21 +58,29 @@ def build_complex(n: int, level: int, field: Field, table=None) -> GammaComplex:
     if table.n != n:
         raise ValueError("cell table has the wrong rank")
 
-    # split every orbit and enforce the coefficient hypotheses
-    splits = {}
+    # split every orbit and enforce the coefficient hypotheses; the orbit
+    # labeller must kill exactly the split orbits that split_orbits does
+    space = cg.projective_space(n, level)
+    splits, stab_perms = {}, {}
     for d in sorted(table.orbits):
         for orb in table.orbits[d]:
             recs = cg.split_orbits(orb, level)
-            splits[d, orb.index] = {r.point: r for r in recs}
-            if isinstance(field, PrimeField):
-                for r in recs:
-                    if r.stabilizer_order % field.p == 0:
-                        raise PreconditionError(
-                            f"p = {field.p} divides a split-orbit stabilizer "
-                            f"order {r.stabilizer_order} (dim {d}, orbit "
-                            f"{orb.index}, point {r.point}); the coinvariant "
-                            "complex would not compute Voronoi homology"
-                        )
+            splits[d, orb.index] = recs
+            perms = stab_perms[d, orb.index] = tuple(space.perm(s) for s in orb.sl_stabilizer)
+            for r in recs:
+                i = space.index(r.point)
+                label = cg.orbit_label(space, perms, orb.sl_orientation_chars, i)
+                if label != ((i, 1) if r.orientation_ok else None):
+                    raise InternalCheckError(
+                        f"orbit label {label} disagrees with split orbit {r} (dim {d}, orbit {orb.index})"
+                    )
+                if isinstance(field, PrimeField) and r.stabilizer_order % field.p == 0:
+                    raise PreconditionError(
+                        f"p = {field.p} divides a split-orbit stabilizer "
+                        f"order {r.stabilizer_order} (dim {d}, orbit "
+                        f"{orb.index}, point {r.point}); the coinvariant "
+                        "complex would not compute Voronoi homology"
+                    )
 
     max_k = n * (n - 1) // 2
     bases = {}
@@ -107,12 +88,11 @@ def build_complex(n: int, level: int, field: Field, table=None) -> GammaComplex:
         d = k + n - 1
         basis = []
         for orb in table.orbits[d]:
-            for r in splits[d, orb.index].values():
+            for r in splits[d, orb.index]:
                 if r.orientation_ok:
                     basis.append((orb.index, r.point))
         bases[k] = tuple(sorted(basis))
 
-    space = cg.projective_space(n, level)
     boundaries = {}
     for k in range(1, max_k + 1):
         d = k + n - 1
@@ -127,20 +107,22 @@ def build_complex(n: int, level: int, field: Field, table=None) -> GammaComplex:
             orb = table.orbits[d][o_idx]
             for fr, gamma_inv in zip(orb.facets, facet_inverses[o_idx]):
                 target = table.orbits[d - 1][fr.orbit]
-                q = cg.proj_act(p, gamma_inv, level)
-                label = _canonical_label(space, target, q, splits[d - 1, fr.orbit])
+                i = space.index(cg.proj_act(p, gamma_inv, level))
+                label = cg.orbit_label(
+                    space, stab_perms[d - 1, fr.orbit], target.sl_orientation_chars, i
+                )
                 if label is None:
                     continue
-                p_canon, char = label
+                best, char = label
                 coeff = fr.sign * char
-                key = (row_index[fr.orbit, p_canon], col)
+                key = (row_index[fr.orbit, space.points[best]], col)
                 entries[key] = entries.get(key, 0) + coeff
         triplets = [(r, c, v) for (r, c), v in entries.items() if v]
         boundaries[k] = SparseFieldMatrix.from_triplets(
             field, len(bases[k - 1]), len(bases[k]), triplets
         )
 
-    complex_ = GammaComplex(n, level, field, table, bases, boundaries, splits)
+    complex_ = GammaComplex(n, level, field, table, bases, boundaries, stab_perms)
     _check_dd_zero(complex_)
     return complex_
 
@@ -333,13 +315,13 @@ def _cell_coordinate(cx: GammaComplex, orb, gamma, cell: VoronoiCell):
     """(W_k generator, sign) of the cell orb.representative * gamma = cell,
     or None when its split orbit is killed by orientation."""
     space = cg.projective_space(cx.n, cx.level)
-    q = la.inverse_unimodular(gamma)[0]
-    label = _canonical_label(space, orb, q, cx.splits[orb.dim, orb.index])
+    i = space.index(la.inverse_unimodular(gamma)[0])
+    label = cg.orbit_label(space, cx.stab_perms[orb.dim, orb.index], orb.sl_orientation_chars, i)
     if label is None:
         return None
-    p_canon, char = label
+    best, char = label
     eta = _orientation_transport_sign(orb.representative, gamma, cell)
-    return (orb.index, p_canon), char * eta
+    return (orb.index, space.points[best]), char * eta
 
 
 def chain_to_w(cx: GammaComplex, k: int, chain: sh.SharblyChain):

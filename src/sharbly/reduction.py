@@ -9,8 +9,10 @@ a chain c is then an exact identity
 
 between normalized chains, checkable term by term.  Witnesses for the
 chain-level Hecke identity  d1 y + theta(x) s - d2 u = a theta(x)  are
-found the same way: grow a support set of cone subdivisions and bar pairs
-in rounds, then solve one exact linear system over the coefficient field.
+found the same way: grow a support set of cone subdivisions in rounds, and
+solve one exact linear system over the coefficient field in the
+Gamma_0(N)-coinvariants of the sharbly complex, on orbit labels.  The bar
+terms are rebuilt only for the residual of the final solution.
 """
 
 from __future__ import annotations
@@ -42,6 +44,12 @@ class Undetermined:
     closed: bool = False
 
 
+def check_budget(budget: int):
+    """Reject a negative certificate search budget."""
+    if budget < 0:
+        raise PreconditionError(f"budget must be >= 0, got {budget}")
+
+
 # ---------------------------------------------------------------------------
 # Certificate search
 # ---------------------------------------------------------------------------
@@ -71,39 +79,43 @@ def _cone_candidates(n, key):
 
 
 class _SupportSystem:
-    """Grown support set and the exact linear system over it.
+    """Grown support set and the exact linear system over it, solved in the
+    Gamma_0(N)-coinvariants of the sharbly complex.
 
-    Bar pairs come from orbit labels.  Every support key gets an SL(n,Z)
-    class representative `rep` and a standardizing map h with rep * h = key.
-    The maps src -> dst are then exactly h_src^-1 s h_dst for s in the
-    stabilizer of rep, and such a map lies in Gamma_0(N) iff s moves q_src
-    to q_dst, where q_key is the point of the first row of h_key^-1.  So
-    the Gamma_0(N)-orbit of a key is labelled by (rep, least point in the
-    stabilizer orbit of q_key), as `homology._canonical_label` labels W_k
-    generators, and only keys with equal labels are paired.
+    Every support key k gets an SL(n,Z) class representative R, a
+    standardizing map h with R * h = +-k, and the coset point q of the
+    first row of h^-1.  `congruence.orbit_label` of q under the stabilizer
+    of R, with the characters s -> sign of R * s, labels the Gamma_0(N)-orbit
+    of k (as `homology` labels W_k generators); eps_k is that character
+    times the sign of R * h.  The projection k -> eps_k [label] is the
+    quotient map to the coinvariants, and keys on a label killed by
+    orientation map to 0.  On the support, the bars c * gamma - c between
+    keys of one label span exactly its kernel (2 is invertible, and a
+    killed key c has c * s = -c for some s in Gamma_0(N)), so the system
+    is solved on labels and the bar terms are rebuilt only for the final
+    residual, by `_bar_terms`.
 
-    The system's columns are {key: field coeff}, each built once, in the
-    order [lifts | taus | bars]; dicts keep that order as they grow.  The
-    order matters: `solve` returns the solution that is zero on the free
-    columns, so it decides which certificate comes back.
+    The system's columns are the projected lifts and 2-sharbly boundaries,
+    each built once, in the order [lifts | taus], and its rows are the live
+    labels.  The order matters: `solve` returns the solution that is zero
+    on the free columns, so it decides which certificate comes back.
     """
 
     def __init__(self, cx: GammaComplex, chains, with_w1: bool):
         self.n = cx.n
         self.f = cx.field
-        self.s1: set = set()
-        for chain in chains:
-            self.s1.update(chain.coeffs)
-        self._coned: set = set()
-        self.lifts: list = []  # theta-lifts of the W_1 generators
-        self.taus: dict = {}  # 2-sharbly key -> its boundary
-        self.bars: dict = {}  # (gamma, key) -> key * gamma - key
         self._level = cx.level
         self._space = cg.projective_space(self.n, cx.level)
         self._reps: dict = {}  # cell signature -> representative cells
-        self._stabs: dict = {}  # representative -> ((s, perm(s)), ...)
-        self._placed: dict = {}  # key -> (rep, h^-1, h, q)
-        self._orbits: dict = {}  # orbit label -> keys carrying it
+        self._stabs: dict = {}  # representative -> (stabilizer, perms, chars)
+        self._placed: dict = {}  # key -> (label, q, h, eps), eps = 0 on a killed label
+        self._first: dict = {}  # label -> its first key
+        self._rows: dict = {}  # live label -> row
+        self._coned: set = set()
+        self.lifts: list = []  # (theta-lift of a W_1 generator, its projection)
+        self.taus: dict = {}  # 2-sharbly key -> its projected boundary
+        for chain in chains:
+            self._project(chain)
         if with_w1:
             for i in range(cx.rank(1)):
                 unit = [cx.field.zero] * cx.rank(1)
@@ -112,11 +124,28 @@ class _SupportSystem:
                 back = chain_to_w(cx, 1, lift)
                 if tuple(back) != tuple(unit):
                     raise InternalCheckError("theta lift does not invert chain_to_w")
-                self.lifts.append(self._column(lift))
-                self.s1.update(lift.coeffs)
+                self.lifts.append((lift, self._project(lift)))
 
-    def _column(self, chain: sh.SharblyChain) -> dict:
-        return {k: self.f(c) for k, c in chain.coeffs.items()}
+    def _project(self, chain: sh.SharblyChain) -> dict:
+        """{row: coeff}, the image of a chain in the coinvariants; its keys
+        are placed first."""
+        f = self.f
+        out: dict = {}
+        for key, c in chain.coeffs.items():
+            if key not in self._placed:
+                self._place(key)
+            label, _q, _h, eps = self._placed[key]
+            if eps:
+                row = self._rows[label]
+                out[row] = f.add(out.get(row, f.zero), f(c * eps))
+        return {row: c for row, c in out.items() if c != f.zero}
+
+    def _sign(self, src, gamma, dst) -> int:
+        """sigma with src * gamma = sigma * dst as sharblies."""
+        elem = sh.normalize(self.n, [la.vec_mat(v, gamma) for v in src])
+        if elem is None or elem.vectors != dst:
+            raise InternalCheckError(f"{src} * {gamma} is not +-{dst}")
+        return elem.sign
 
     def _place(self, key):
         """Standardize a key and file it under its Gamma_0(N)-orbit label."""
@@ -129,86 +158,113 @@ class _SupportSystem:
         else:
             rep, h = cell, la.identity(self.n)
             same_sig.append(rep)
-            self._stabs[rep] = tuple((s, self._space.perm(s)) for s in cell_stabilizer(rep)[1])
-        h_inv = la.inverse_unimodular(h)
-        q = self._space.index(h_inv[0])
-        self._placed[key] = (rep, h_inv, h, q)
-        label = (rep, min(perm[q] for _s, perm in self._stabs[rep]))
-        self._orbits.setdefault(label, []).append(key)
-        return label
+            stab = cell_stabilizer(rep)[1]
+            self._stabs[rep] = (
+                stab,
+                tuple(self._space.perm(s) for s in stab),
+                tuple(self._sign(key, s, key) for s in stab),
+            )
+        _stab, perms, chars = self._stabs[rep]
+        q = self._space.index(la.inverse_unimodular(h)[0])
+        found = cg.orbit_label(self._space, perms, chars, q)
+        if found is None:
+            label, eps = (rep, min(perm[q] for perm in perms)), 0
+        else:
+            label, eps = (rep, found[0]), found[1] * self._sign(rep.vertices, h, key)
+            self._rows.setdefault(label, len(self._rows))
+        self._first.setdefault(label, key)
+        self._placed[key] = (label, q, h, eps)
 
-    def _bars_between(self, src, dst):
-        """Sorted gamma != 1 in Gamma_0(N) with src * gamma = +-dst.
+    def _map(self, src, dst, sign=None):
+        """(gamma, sigma) with gamma in Gamma_0(N) and src * gamma = sigma * dst
+        for keys of one label, with sigma = `sign` when that is given.
 
-        Membership is re-checked on every bar: certificates apply their bar
+        Membership is re-checked on every map: certificates apply their bar
         matrices without testing them, so a slip in the labels would
         otherwise verify.
         """
-        rep, h_inv, _h, q_src = self._placed[src]
-        _rep, _h_inv, h_dst, q_dst = self._placed[dst]
-        one = la.identity(self.n)
-        out = []
-        for s, perm in self._stabs[rep]:
+        label, q_src, h_src, _eps = self._placed[src]
+        _label, q_dst, h_dst, _eps = self._placed[dst]
+        stab, perms, _chars = self._stabs[label[0]]
+        h_inv = la.inverse_unimodular(h_src)
+        for s, perm in zip(stab, perms):
             if perm[q_src] == q_dst:
                 gamma = la.mat_mul(la.mat_mul(h_inv, s), h_dst)
-                if gamma != one:
+                sigma = self._sign(src, gamma, dst)
+                if sign in (None, sigma):
                     if not cg.is_gamma0(gamma, self._level):
                         raise InternalCheckError("orbit label admitted a bar outside Gamma_0(N)")
-                    out.append(gamma)
-        return sorted(out)
+                    return gamma, sigma
+        raise InternalCheckError(f"no Gamma_0(N) map from {src} to {dst} with sign {sign}")
+
+    def _bar_terms(self, residual: sh.SharblyChain) -> tuple:
+        """Bar terms (gamma, chain), sum(chain * gamma - chain) = residual,
+        for a residual on keys that projects to 0.
+
+        A key k = sigma * (c * gamma_k), c the first key of its label, with
+        coefficient a gives (gamma_k, a sigma c) and leaves a sigma c.  What
+        a label leaves is 0 when it is live, and otherwise a multiple of
+        c = -1/2 (c * s - c), with s in Gamma_0(N) and c * s = -c.
+        """
+        f = self.f
+        left: dict = {}  # label -> coefficient left on its first key
+        terms = []
+        for key, a in residual.coeffs.items():
+            label = self._placed[key][0]
+            c = self._first[label]
+            if key != c:
+                gamma, sigma = self._map(c, key)
+                a = a if sigma == 1 else f.neg(a)
+                terms.append((gamma, sh.SharblyChain(self.n, 1, {c: a})))
+            left[label] = f.add(left.get(label, f.zero), a)
+        for label, a in left.items():
+            if a == f.zero:
+                continue
+            if label in self._rows:
+                raise InternalCheckError("the residual survives in the coinvariants")
+            c = self._first[label]
+            gamma, _sigma = self._map(c, c, sign=-1)
+            terms.append((gamma, sh.SharblyChain(self.n, 1, {c: f.div(f.neg(a), f(2))})))
+        return tuple(terms)
 
     def grow(self) -> bool:
-        """One round: cone the bad edges of the keys not coned yet, then pair
-        the new keys with every key in their Gamma_0(N)-orbit.
+        """One round: cone the bad edges of the keys not coned yet, and file
+        the new keys under their labels.
 
-        Returns whether the round added a 2-sharbly or a bar; if not, the
-        support is closed and every later round would add nothing either.
+        Returns whether the round added a 2-sharbly; if not, the support is
+        closed and every later round would add nothing either.
         """
-        n_cols = len(self.taus) + len(self.bars)
-        fresh = sorted(self.s1 - self._coned)
+        n_taus = len(self.taus)
+        fresh = sorted(self._placed.keys() - self._coned)
         self._coned.update(fresh)
         for key in fresh:
             for tau_key in _cone_candidates(self.n, key):
                 if tau_key not in self.taus:
                     bd = sh.boundary(sh.SharblyChain(self.n, 2, {tau_key: 1}))
-                    self.taus[tau_key] = self._column(bd)
-                    self.s1.update(bd.coeffs)
-        pairs = set()
-        for key in sorted(self.s1 - self._placed.keys()):
-            label = self._place(key)
-            for other in self._orbits[label]:
-                pairs.add((key, other))
-                pairs.add((other, key))
-        for src, dst in sorted(pairs):
-            base = sh.SharblyChain(self.n, 1, {src: 1})
-            for gamma in self._bars_between(src, dst):
-                self.bars[gamma, src] = self._column(base.act(gamma).add_chain(base, -1))
-        return len(self.taus) + len(self.bars) > n_cols
+                    self.taus[tau_key] = self._project(bd)
+        return len(self.taus) > n_taus
 
     def search(self, rhs_chain: sh.SharblyChain, budget: int, what: str):
-        """Solve  w1-part + d(tau-part) + bar-part = rhs  exactly; while that
-        fails, grow one round and solve again.
+        """Solve  w1-part + d(tau-part) = rhs  in the coinvariants exactly;
+        while that fails, grow one round and solve again.
 
         Returns (w1_vec, homotopy, bar_terms), the w1 block first so that
-        already-supported inputs come back unchanged.  Otherwise returns
-        Undetermined once `budget` rounds have run, the support is closed
-        (then `closed` is set) or growth is unavailable (cone subdivision
-        is n = 2 only); its reason says which, with the sizes reached.
+        already-supported inputs come back unchanged; the bar terms carry
+        the residual rhs - w1-part - d(tau-part) on plain keys.  Otherwise
+        returns Undetermined once `budget` rounds have run, the support is
+        closed (then `closed` is set) or growth is unavailable (cone
+        subdivision is n = 2 only); its reason says which, with the sizes
+        reached.
         """
-        if budget < 0:
-            raise PreconditionError(f"budget must be >= 0, got {budget}")
         f = self.f
+        rhs = self._project(rhs_chain)
         rounds = 0
         while True:
-            columns = [*self.lifts, *self.taus.values(), *self.bars.values()]
-            row_keys = set(rhs_chain.coeffs).union(*columns)
-            row_index = {k: i for i, k in enumerate(sorted(row_keys))}
-            triplets = [(row_index[k], j, v) for j, col in enumerate(columns) for k, v in col.items()]
-            mat = SparseFieldMatrix.from_triplets(f, len(row_index), len(columns), triplets)
-            rhs = [f.zero] * len(row_index)
-            for k, v in rhs_chain.coeffs.items():
-                rhs[row_index[k]] = f(v)
-            sol = solve(mat, rhs)
+            target = [rhs.get(row, f.zero) for row in range(len(self._rows))]
+            columns = [*(col for _lift, col in self.lifts), *self.taus.values()]
+            triplets = [(row, j, c) for j, col in enumerate(columns) for row, c in col.items()]
+            mat = SparseFieldMatrix.from_triplets(f, len(self._rows), len(columns), triplets)
+            sol = solve(mat, target)
             if sol is not None:
                 break
             if rounds == budget:
@@ -222,20 +278,18 @@ class _SupportSystem:
                 continue
             return Undetermined(
                 f"no {what} within {budget} rounds ({stop}; rounds run {rounds}, "
-                f"supports {len(self.s1)}, 2-sharblies {len(self.taus)}, bars {len(self.bars)}, "
-                f"largest system {mat.nrows} x {mat.ncols})",
+                f"supports {len(self._placed)}, 2-sharblies {len(self.taus)}, "
+                f"orbits {len(self._first)}, largest system {mat.nrows} x {mat.ncols})",
                 stop == "support closed",
             )
-        tau_start = len(self.lifts)
-        bar_start = tau_start + len(self.taus)
+        w1_vec, tau_part = sol[:len(self.lifts)], sol[len(self.lifts):]
         homotopy = sh.SharblyChain(self.n, 2, {
-            key: c for key, c in zip(self.taus, sol[tau_start:bar_start]) if c != f.zero
+            key: c for key, c in zip(self.taus, tau_part) if c != f.zero
         })
-        bar_terms = tuple(
-            (gamma, sh.SharblyChain(self.n, 1, {src: c}))
-            for (gamma, src), c in zip(self.bars, sol[bar_start:]) if c != f.zero
-        )
-        return tuple(sol[:tau_start]), homotopy, bar_terms
+        residual = rhs_chain.copy().add_chain(sh.boundary(homotopy), -1)
+        for x, (lift, _col) in zip(w1_vec, self.lifts):
+            residual.add_chain(lift, f.neg(x))
+        return w1_vec, homotopy, self._bar_terms(residual.reduced(f))
 
 
 def _holds(field, level, target: sh.SharblyChain, homotopy: sh.SharblyChain, bar_terms) -> bool:
@@ -275,6 +329,7 @@ def one_sharbly_reduce_n2(cx: GammaComplex, chain: sh.SharblyChain,
     Returns a ReductionResult whose identity is exact, or Undetermined when
     the certificate search exhausts its budget or its support closes.
     """
+    check_budget(budget)
     if cx.n != 2 or chain.n != 2 or chain.k != 1:
         raise ValueError("this reduction is implemented for n = 2, k = 1")
     f = cx.field
@@ -325,6 +380,7 @@ def verify_eigen_chain(cx: GammaComplex, x_vec, op: HeckeOperator, a,
     Undetermined, never a witness.  Support growth is n = 2 only, so for
     n != 2 only the unsubdivided support is tried.
     """
+    check_budget(budget)
     if cx.level % op.ell == 0:
         raise PreconditionError(f"l = {op.ell} divides N = {cx.level}")
     f = cx.field
@@ -349,6 +405,7 @@ def verify_eigen_chain(cx: GammaComplex, x_vec, op: HeckeOperator, a,
 def hecke_on_h1_n2(level: int, field, ell: int, budget: int = 4,
                    cx: GammaComplex | None = None):
     """T(l, 1) on H_1 for n = 2, via one-sharbly reduction of theta-images."""
+    check_budget(budget)
     if cx is None:
         cx = build_complex(2, level, field)
     if cx.level % ell == 0:

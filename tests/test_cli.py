@@ -104,6 +104,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("args, message", [
         (["homology", "--level", "abc"], "invalid int value: 'abc'"),
         (["homology", "--bogus"], "unrecognized arguments: --bogus"),
+        (["homology", "--level", "11", "--budget", "3"], "unrecognized arguments: --budget 3"),
     ])
     def test_usage_error_exit_1(self, run_cli, args, message):
         out = run_cli(args)
@@ -117,6 +118,12 @@ class TestExitCodes:
 
     def test_negative_budget_exit_2(self, run_cli):
         out = run_cli(["nofake", "--level", "11", "--ell", "2", "--a", "0", "--budget", "-1"])
+        assert out.returncode == 2, out.stderr
+        assert "budget must be >= 0" in out.stderr
+
+    def test_negative_budget_exit_2_without_a_search(self, run_cli):
+        # degree 0 runs no certificate search and is rejected all the same
+        out = run_cli(["hecke", "--level", "11", "--ell", "2", "--degree", "0", "--budget", "-1"])
         assert out.returncode == 2, out.stderr
         assert "budget must be >= 0" in out.stderr
 

@@ -340,6 +340,38 @@ class TestFields:
             multiple += any(m > 1 for _, m in roots)
         assert multiple >= 5
 
+    def test_root_candidates_keep_every_rational_root(self):
+        """The candidates bounded by Fujiwara's bound after the rescaling
+        x = y/D keep every rational root, with denominators up to 12, a
+        leading coefficient of either sign and a factor without roots."""
+        import random
+        from collections import Counter
+
+        from sharbly.fields import QQ, _int_poly, _rational_root_candidates, eigenvalues
+
+        def times(a, b):
+            out = [Fraction(0)] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            return out
+
+        rng = random.Random(14)
+        for _ in range(60):
+            roots = [
+                Fraction(rng.randrange(-40, 41), rng.choice((1, 2, 3, 4, 6, 9, 12)))
+                for _ in range(rng.randrange(1, 8))
+            ]
+            sign = rng.choice((1, -1))
+            poly = [sign * Fraction(rng.randrange(1, 30), rng.choice((1, 5))), 0, sign * rng.randrange(1, 8)]
+            for r in roots:
+                poly = times(poly, [-r, 1])
+            cands = _rational_root_candidates(_int_poly(QQ, poly))
+            assert set(roots) <= set(cands) and cands == sorted(cands)
+            got, remainder = eigenvalues(QQ, poly)
+            assert got == sorted(Counter(roots).items())
+            assert remainder is not None and len(remainder) == 3
+
     def test_rank_kernel(self):
         from sharbly.fields import QQ, PrimeField, SparseFieldMatrix, rank_kernel
 

@@ -8,7 +8,7 @@ from sharbly import intlinalg as la
 from sharbly import reduction as rd
 from sharbly import sharbly as sh
 from sharbly.congruence import is_gamma0
-from sharbly.errors import PreconditionError
+from sharbly.errors import InternalCheckError, PreconditionError
 from sharbly.fields import PrimeField, QQ, solve
 from sharbly.hecke import hecke_cosets, theta_s
 from sharbly.homology import (
@@ -68,6 +68,12 @@ class TestOneSharblyReduce:
         assert res.reduced == c.reduced(QQ)
         assert res.homotopy.is_zero() and res.bar_terms == ()
         assert res.verify(c.reduced(QQ))
+
+    def test_negative_budget_rejected_on_a_supported_chain(self, cx1):
+        # the already-supported shortcut checks the budget too
+        c = sh.chain_of(2, [(1, 0), (0, 1), (1, 1)])
+        with pytest.raises(PreconditionError, match="budget must be >= 0"):
+            rd.one_sharbly_reduce_n2(cx1, c, budget=-1)
 
     def test_spec_triangle_at_level_1(self, cx1):
         # [e1, e2, (1,2)] has one non-unimodular edge, subdivided at (1,1)
@@ -130,10 +136,12 @@ class TestHeckeH1:
         assert rep.eigen == ((Fraction(3), 1),)
 
     def test_bad_prime_rejected(self, cx11):
-        from sharbly.errors import PreconditionError
-
         with pytest.raises(PreconditionError):
             rd.hecke_on_h1_n2(11, QQ, 11, cx=cx11)
+
+    def test_negative_budget_rejected(self, cx11):
+        with pytest.raises(PreconditionError, match="budget must be >= 0"):
+            rd.hecke_on_h1_n2(11, QQ, 2, budget=-1, cx=cx11)
 
 
 class TestVerifyEigenChain:
@@ -199,7 +207,7 @@ class TestVerifyEigenChain:
             calls.clear()
             out = rd.verify_eigen_chain(cx11, x, op, 5, budget=budget)
             assert isinstance(out, rd.Undetermined)
-            assert out.closed and "bars" in out.reason
+            assert out.closed and "orbits 16" in out.reason
             counts.append(len(calls))
         assert 1 <= counts[0] == counts[1] <= 4
         # a search cut by its budget is not marked closed
@@ -214,6 +222,12 @@ class TestVerifyEigenChain:
         s_chain = theta_s(cx11, 1, op, x)[1]
         with pytest.raises(PreconditionError, match="budget must be >= 0"):
             rd.one_sharbly_reduce_n2(cx11, s_chain, budget=-1)
+
+    def test_negative_budget_rejected_on_the_zero_chain(self, cx11):
+        # the zero chain needs no search and is rejected all the same
+        zero = tuple(QQ.zero for _ in range(cx11.rank(1)))
+        with pytest.raises(PreconditionError, match="budget must be >= 0"):
+            rd.verify_eigen_chain(cx11, zero, hecke_cosets(2, 2, 1), 3, budget=-5)
 
     def test_wrong_length_x_rejected(self, cx11):
         # a W_1 vector with extra entries used to be cut to rank W_1
@@ -263,25 +277,22 @@ class TestTamperedCertificates:
 
 
 class TestSupportGrowth:
-    """The orbit-label bar pairing against an all-pairs vertex-map search."""
+    """The Gamma_0(N)-orbit labels against an all-pairs vertex-map search."""
 
     @staticmethod
-    def _all_pairs_bars(level, keys, memo):
-        one = la.identity(2)
-        out = set()
-        for src in keys:
-            for dst in keys:
-                if (src, dst) not in memo:
-                    memo[src, dst] = [
-                        gamma
-                        for gamma in _vertex_maps(VoronoiCell(2, src), VoronoiCell(2, dst), dets=(1,))
-                        if gamma != one and all(x % level == 0 for x in gamma[0][1:])
-                    ]
-                out.update((gamma, src) for gamma in memo[src, dst])
-        return out
+    def _gamma0_maps(level, src, dst, memo):
+        if (src, dst) not in memo:
+            memo[src, dst] = [
+                gamma
+                for gamma in _vertex_maps(VoronoiCell(2, src), VoronoiCell(2, dst), dets=(1,))
+                if all(x % level == 0 for x in gamma[0][1:])
+            ]
+        return memo[src, dst]
 
     @pytest.mark.parametrize("level", [1, 11, 13, 15])
     def test_bars_equal_all_pairs_reference(self, table2, level):
+        # two keys share a label iff a Gamma_0(N) map carries one to the
+        # other, and the bar map rebuilt for a key is one of those maps
         cx = build_complex(2, level, QQ, table=table2)
         x = homology(cx, 1).homology_reps[0]
         x_chain, s_chain = theta_s(cx, 1, hecke_cosets(2, 2, 1), x)
@@ -289,5 +300,61 @@ class TestSupportGrowth:
         memo = {}
         for _round in range(2):
             system.grow()
-            assert len(set(system.bars)) == len(system.bars)
-            assert set(system.bars) == self._all_pairs_bars(level, sorted(system.s1), memo)
+            keys = sorted(system._placed)
+            labels = {key: system._placed[key][0] for key in keys}
+            shared = 0
+            for src in keys:
+                for dst in keys:
+                    maps = self._gamma0_maps(level, src, dst, memo)
+                    assert (labels[src] == labels[dst]) == bool(maps)
+                    shared += src != dst and labels[src] == labels[dst]
+            assert shared  # some labels carry several keys
+            for key in keys:
+                c = system._first[labels[key]]
+                gamma, sigma = system._map(c, key)
+                assert is_gamma0(gamma, level)
+                assert gamma in self._gamma0_maps(level, c, key, memo)
+                assert sh.SharblyChain(2, 1, {c: 1}).act(gamma) == sh.SharblyChain(2, 1, {key: sigma})
+
+    def test_a_slipped_label_is_caught(self, cx11):
+        # file a key under a wrong coset point of its stabilizer orbit: the
+        # rebuilt map still carries c to +-key, and only the Gamma_0(N)
+        # re-check stops it
+        x = homology(cx11, 1).homology_reps[0]
+        x_chain, s_chain = theta_s(cx11, 1, hecke_cosets(2, 2, 1), x)
+        system = rd._SupportSystem(cx11, [x_chain, s_chain], with_w1=False)
+        system.grow()
+        for key, (label, q, h, eps) in sorted(system._placed.items()):
+            wrong = {perm[q] for perm in system._stabs[label[0]][1]} - {q}
+            if key != system._first[label] and wrong:
+                break
+        else:
+            pytest.fail("no key with a second point in its stabilizer orbit")
+        system._map(system._first[label], key)
+        system._placed[key] = (label, min(wrong), h, eps)
+        with pytest.raises(InternalCheckError, match="outside Gamma_0"):
+            system._map(system._first[label], key)
+
+    def test_killed_label_residual(self, table3):
+        # At n = 2 no 1-sharbly orbit is killed: an element of SL(2,Z)
+        # swapping two of three lines has determinant -1.  At n = 3,
+        # c = [e1, e2, e3, e1+e2+e3] has c * s = -c for s = -(e2 <-> e3) in
+        # Gamma_0(N), so c is 0 in the coinvariants and the search rebuilds
+        # the bar term -1/2 (c * s - c) for it.
+        cx = build_complex(3, 2, QQ, table=table3)
+        c = sh.chain_of(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+        gamma = la.freeze([[1, 0, 0], [1, 1, 0], [0, 0, 1]])
+        rhs = c.scaled(2).add_chain(c.act(gamma)).reduced(QQ)
+        system = rd._SupportSystem(cx, [rhs], with_w1=False)
+        assert all(eps == 0 for _label, _q, _h, eps in system._placed.values())
+        w1, homotopy, bars = system.search(rhs, 0, "test certificate")
+        res = rd.ReductionResult(QQ, 2, sh.SharblyChain(3, 1), w1, homotopy, bars)
+        assert res.verify(rhs) and homotopy.is_zero()
+        (key,) = c.coeffs
+        flips = [
+            i for i, (g, chain) in enumerate(bars)
+            if chain.act(g) == chain.scaled(-1) and set(chain.coeffs) == {key}
+        ]
+        assert len(flips) == 1 and len(bars) == 2
+        dropped = bars[:flips[0]] + bars[flips[0] + 1:]
+        assert not dataclasses.replace(res, bar_terms=dropped).verify(rhs)
