@@ -16,7 +16,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from . import intlinalg as la
 from . import manin
 from . import sharbly as sh
 from .errors import ConfigError, InternalCheckError, PreconditionError, UnsupportedError
-from .fields import Field, QQ, eigenvalues, parse_field
+from .fields import Field, QQ, coeff_str, eigenvalues, parse_field
 from .hecke import hecke_cosets, hecke_on_h0, symbol_chain_to_w0
 from .homology import (
     betti_numbers,
@@ -44,32 +43,13 @@ EXIT_UNDETERMINED = 3
 EXIT_INTERNAL = 4
 
 
-@dataclass
-class RunConfig:
-    command: str
-    n: int = 2
-    level: int = 1
-    field_spec: str = "Q"
-    ell: int = 2
-    k: int = 1
-    degree: int = 0
-    a: str | None = None
-    out: str | None = None
-    cache_dir: str | None = None
-    budget: int = 4
-    seed: int = 0
-
-    def field(self) -> Field:
-        return parse_field(self.field_spec)
-
-    def cache_path(self) -> Path:
-        base = self.cache_dir or os.environ.get("SHARBLY_CACHE_DIR") or "."
-        return Path(base)
+def _field(args) -> Field:
+    return parse_field(args.field)
 
 
-def _coeff_str(x) -> str:
-    fr = Fraction(x)
-    return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
+def _cache_dir(args) -> Path:
+    """--cache-dir, else $SHARBLY_CACHE_DIR, else the working directory."""
+    return Path(args.cache_dir or os.environ.get("SHARBLY_CACHE_DIR") or ".")
 
 
 def format_poly(coeffs) -> str:
@@ -80,7 +60,7 @@ def format_poly(coeffs) -> str:
         if c == 0:
             continue
         mon = "" if d == 0 else ("x" if d == 1 else f"x^{d}")
-        cs = _coeff_str(c)
+        cs = coeff_str(c)
         if mon and cs == "1":
             cs = ""
         elif mon and cs == "-1":
@@ -97,7 +77,7 @@ def format_poly(coeffs) -> str:
 def format_factored(eigen, remainder) -> str:
     terms = []
     for root, mult in eigen:
-        r = _coeff_str(root)
+        r = coeff_str(root)
         base = f"(x - {r})" if not r.startswith("-") else f"(x + {r[1:]})"
         terms.append(base + (f"^{mult}" if mult > 1 else ""))
     if remainder is not None:
@@ -123,37 +103,37 @@ def _load_or_build_cells(n: int, cache: Path):
     return table
 
 
-def cmd_cells(cfg: RunConfig) -> int:
-    table = enumerate_cells(cfg.n)
+def cmd_cells(args: argparse.Namespace) -> int:
+    table = enumerate_cells(args.n)
     text = cells_to_json(table)
-    out = Path(cfg.out) if cfg.out else cfg.cache_path() / f"cells-n{cfg.n}.json"
+    out = Path(args.out) if args.out else _cache_dir(args) / f"cells-n{args.n}.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(text)
     counts = {d: len(table.orbits[d]) for d in sorted(table.orbits)}
-    print(f"cells n={cfg.n}: orbits by dimension {counts}")
+    print(f"cells n={args.n}: orbits by dimension {counts}")
     print(f"wrote {out}")
     return EXIT_OK
 
 
-def cmd_homology(cfg: RunConfig) -> int:
-    field = cfg.field()
-    table = _load_or_build_cells(cfg.n, cfg.cache_path())
-    cx = build_complex(cfg.n, cfg.level, field, table=table)
+def cmd_homology(args: argparse.Namespace) -> int:
+    field = _field(args)
+    table = _load_or_build_cells(args.n, _cache_dir(args))
+    cx = build_complex(args.n, args.level, field, table=table)
     betti = betti_numbers(cx)
     line = ", ".join(f"H{k}={betti[k]}" for k in sorted(betti))
     print(line)
-    cache_file = cfg.cache_path() / complex_cache_name(cfg.n, cfg.level, field)
+    cache_file = _cache_dir(args) / complex_cache_name(args.n, args.level, field)
     cache_file.write_text(complex_to_json(cx))
     doc = {
-        "n": cfg.n,
-        "level": cfg.level,
+        "n": args.n,
+        "level": args.level,
         "field": field.name,
         "ranks": {str(k): cx.rank(k) for k in range(cx.max_degree + 1)},
         "betti": {str(k): betti[k] for k in sorted(betti)},
     }
-    if cfg.out:
-        Path(cfg.out).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-        print(f"wrote {cfg.out}")
+    if args.out:
+        Path(args.out).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -163,7 +143,7 @@ def _eigen_csv(report) -> str:
     writer.writerow(
         ["operator", "degree", "dimension", "charpoly", "eigenvalues"]
     )
-    eig = ";".join(f"{_coeff_str(r)}:{m}" for r, m in report.eigen)
+    eig = ";".join(f"{coeff_str(r)}:{m}" for r, m in report.eigen)
     if report.remainder is not None:
         eig += ";unfactored=" + format_poly(report.remainder)
     writer.writerow(
@@ -178,64 +158,64 @@ def _eigen_csv(report) -> str:
     return buf.getvalue()
 
 
-def cmd_hecke(cfg: RunConfig) -> int:
-    check_budget(cfg.budget)  # degree 0 runs no certificate search
-    field = cfg.field()
-    table = _load_or_build_cells(cfg.n, cfg.cache_path())
-    cx = build_complex(cfg.n, cfg.level, field, table=table)
-    if cfg.degree == 0:
-        report = hecke_on_h0(cfg.n, cfg.level, field, cfg.ell, cfg.k, cx=cx)
-    elif cfg.degree == 1 and cfg.n == 2:
-        if cfg.k != 1:
+def cmd_hecke(args: argparse.Namespace) -> int:
+    check_budget(args.budget)  # degree 0 runs no certificate search
+    field = _field(args)
+    table = _load_or_build_cells(args.n, _cache_dir(args))
+    cx = build_complex(args.n, args.level, field, table=table)
+    if args.degree == 0:
+        report = hecke_on_h0(args.n, args.level, field, args.ell, args.k, cx=cx)
+    elif args.degree == 1 and args.n == 2:
+        if args.k != 1:
             raise PreconditionError("degree-1 action is implemented for T(l, 1)")
-        report = hecke_on_h1_n2(cfg.level, field, cfg.ell, budget=cfg.budget, cx=cx)
+        report = hecke_on_h1_n2(args.level, field, args.ell, budget=args.budget, cx=cx)
         if isinstance(report, Undetermined):
             print(f"undetermined: {report.reason}")
             return EXIT_UNDETERMINED
     else:
         raise UnsupportedError(
-            f"Hecke action on degree {cfg.degree} for n = {cfg.n} is not supported"
+            f"Hecke action on degree {args.degree} for n = {args.n} is not supported"
         )
     text = _eigen_csv(report)
     print(f"char poly: {format_factored(report.eigen, report.remainder)}")
     sys.stdout.write(text)
-    if cfg.out:
-        Path(cfg.out).write_text(text)
-        print(f"wrote {cfg.out}")
+    if args.out:
+        Path(args.out).write_text(text)
+        print(f"wrote {args.out}")
     return EXIT_OK
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    dim = manin.manin_dim(cfg.level)
-    print(f"manin_dim({cfg.level}) = {dim}")
-    if cfg.ell:
-        _, cp = manin.manin_hecke(cfg.level, cfg.ell)
+def cmd_oracle(args: argparse.Namespace) -> int:
+    dim = manin.manin_dim(args.level)
+    print(f"manin_dim({args.level}) = {dim}")
+    if args.ell:
+        _, cp = manin.manin_hecke(args.level, args.ell)
         roots, rem = eigenvalues(QQ, cp)
-        print(f"T_{cfg.ell}: charpoly {format_poly(cp)}")
-        print(f"T_{cfg.ell}: eigenvalues {';'.join(f'{_coeff_str(r)}:{m}' for r, m in roots)}"
+        print(f"T_{args.ell}: charpoly {format_poly(cp)}")
+        print(f"T_{args.ell}: eigenvalues {';'.join(f'{coeff_str(r)}:{m}' for r, m in roots)}"
               + (f" unfactored {format_poly(rem)}" if rem else ""))
     return EXIT_OK
 
 
-def cmd_nofake(cfg: RunConfig) -> int:
-    field = cfg.field()
-    if cfg.n != 2:
+def cmd_nofake(args: argparse.Namespace) -> int:
+    field = _field(args)
+    if args.n != 2:
         raise UnsupportedError("the chain-level verification runs for n = 2")
-    table = _load_or_build_cells(2, cfg.cache_path())
-    cx = build_complex(2, cfg.level, field, table=table)
+    table = _load_or_build_cells(2, _cache_dir(args))
+    cx = build_complex(2, args.level, field, table=table)
     h1 = homology(cx, 1)
     if h1.dimension == 0:
         print("H1 is zero; nothing to verify")
         return EXIT_OK
     x = h1.homology_reps[0]
-    op = hecke_cosets(2, cfg.ell, 1)
-    if cfg.a is None:
+    op = hecke_cosets(2, args.ell, 1)
+    if args.a is None:
         raise PreconditionError("--a <eigenvalue> is required for nofake")
     try:
-        a = field(Fraction(cfg.a))
+        a = field(Fraction(args.a))
     except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"--a {cfg.a!r} is not a number of {field.name}") from None
-    wit = verify_eigen_chain(cx, x, op, a, budget=cfg.budget)
+        raise ConfigError(f"--a {args.a!r} is not a number of {field.name}") from None
+    wit = verify_eigen_chain(cx, x, op, a, budget=args.budget)
     if isinstance(wit, Undetermined):
         print(f"undetermined: {wit.reason}")
         return EXIT_UNDETERMINED
@@ -243,14 +223,14 @@ def cmd_nofake(cfg: RunConfig) -> int:
     if not ok:
         raise InternalCheckError("witness failed re-verification")
     print(
-        f"witness: a={cfg.a}, |y|={len(wit.y.coeffs)} two-sharblies, "
+        f"witness: a={args.a}, |y|={len(wit.y.coeffs)} two-sharblies, "
         f"|u|={len(wit.u)} bar terms; identity d1 y + theta(x)s - d2 u = a theta(x) holds exactly"
     )
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    rng = random.Random(cfg.seed)
+def cmd_verify(args: argparse.Namespace) -> int:
+    rng = random.Random(args.seed)
     failures = []
 
     def check(name, fn):
@@ -410,20 +390,6 @@ def main(argv=None) -> int:
         if exc.code != 2:
             raise
         return EXIT_BAD_CONFIG
-    cfg = RunConfig(
-        command=args.command,
-        n=getattr(args, "n", 2),
-        level=getattr(args, "level", 1),
-        field_spec=getattr(args, "field", "Q"),
-        ell=getattr(args, "ell", 0),
-        k=getattr(args, "k", 1),
-        degree=getattr(args, "degree", 0),
-        a=getattr(args, "a", None),
-        out=args.out,
-        cache_dir=args.cache_dir,
-        budget=getattr(args, "budget", 4),
-        seed=args.seed,
-    )
     handlers = {
         "cells": cmd_cells,
         "homology": cmd_homology,
@@ -433,7 +399,7 @@ def main(argv=None) -> int:
         "nofake": cmd_nofake,
     }
     try:
-        return handlers[cfg.command](cfg)
+        return handlers[args.command](args)
     except (PreconditionError, UnsupportedError) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -130,6 +130,13 @@ def parse_field(spec: str) -> Field:
     return PrimeField(int(digits))
 
 
+def coeff_str(x) -> str:
+    """An exact field element as text: "a" or "a/b" over Q, and over F_p
+    the int in [0, p) that represents it."""
+    fr = Fraction(x)
+    return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
+
+
 @dataclass(frozen=True)
 class SparseFieldMatrix:
     """Triplet-style sparse matrix over Q or F_p; no stored zeros."""

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from functools import lru_cache
 
 from . import congruence as cg
 from . import intlinalg as la
 from . import sharbly as sh
 from .errors import InternalCheckError, PreconditionError
-from .fields import Field, LinearSpan, PrimeField, SparseFieldMatrix, rank_kernel, solve
+from .fields import Field, LinearSpan, PrimeField, SparseFieldMatrix, coeff_str, rank_kernel, solve
 from .voronoi import (
     CellComplexTable, VoronoiCell, _orientation_transport_sign, enumerate_cells, equivalent_cells,
 )
@@ -30,6 +29,7 @@ class GammaComplex:
     field: Field
     table: CellComplexTable
     bases: dict  # degree k -> tuple of (orbit_index, point)
+    positions: dict  # degree k -> {generator: its position in bases[k]}
     boundaries: dict  # degree k (>= 1) -> SparseFieldMatrix, degree k -> k-1
     # (dim, orbit_index) -> permutations of P^{n-1}(Z/N) by the orbit's SL stabilizer
     stab_perms: dict
@@ -39,9 +39,6 @@ class GammaComplex:
     @property
     def max_degree(self) -> int:
         return self.n * (self.n - 1) // 2
-
-    def basis_index(self, k: int):
-        return {gen: i for i, gen in enumerate(self.bases[k])}
 
     def rank(self, k: int) -> int:
         return len(self.bases[k])
@@ -92,11 +89,11 @@ def build_complex(n: int, level: int, field: Field, table=None) -> GammaComplex:
                 if r.orientation_ok:
                     basis.append((orb.index, r.point))
         bases[k] = tuple(sorted(basis))
+    positions = {k: {gen: i for i, gen in enumerate(basis)} for k, basis in bases.items()}
 
     boundaries = {}
     for k in range(1, max_k + 1):
         d = k + n - 1
-        row_index = {gen: i for i, gen in enumerate(bases[k - 1])}
         entries = {}
         # each facet transports the coset label p to p * gamma^{-1}
         facet_inverses = {
@@ -115,14 +112,14 @@ def build_complex(n: int, level: int, field: Field, table=None) -> GammaComplex:
                     continue
                 best, char = label
                 coeff = fr.sign * char
-                key = (row_index[fr.orbit, space.points[best]], col)
+                key = (positions[k - 1][fr.orbit, space.points[best]], col)
                 entries[key] = entries.get(key, 0) + coeff
         triplets = [(r, c, v) for (r, c), v in entries.items() if v]
         boundaries[k] = SparseFieldMatrix.from_triplets(
             field, len(bases[k - 1]), len(bases[k]), triplets
         )
 
-    complex_ = GammaComplex(n, level, field, table, bases, boundaries, stab_perms)
+    complex_ = GammaComplex(n, level, field, table, bases, positions, boundaries, stab_perms)
     _check_dd_zero(complex_)
     return complex_
 
@@ -138,12 +135,24 @@ def _check_dd_zero(cx: GammaComplex):
 
 @dataclass(frozen=True)
 class HomologyResult:
+    """H_k in the basis of the reps `_compute_homology` picks.
+
+    Each rep is kept with its position, at which its class modulo
+    im d_{k+1} is the unit vector; `express_cycle` reads a cycle's
+    coordinates there.  `homology_reps` is derived from those pairs, so
+    no other basis can be swapped in.
+    """
+
     degree: int
     dimension: int
-    homology_reps: tuple  # cycles over bases[k] whose classes are a basis of H_k
     _complex: GammaComplex
+    _reps: tuple  # (position, cycle over bases[k]) per basis class of H_k
     _position: dict = dc_field(compare=False, repr=False)  # free column -> position
     _image: LinearSpan = dc_field(compare=False, repr=False)  # im d_{k+1} in positions
+
+    @property
+    def homology_reps(self) -> tuple:
+        return tuple(rep for _, rep in self._reps)
 
 
 def homology(cx: GammaComplex, k: int) -> HomologyResult:
@@ -161,7 +170,8 @@ def homology(cx: GammaComplex, k: int) -> HomologyResult:
 
 def _compute_homology(cx: GammaComplex, k: int) -> HomologyResult:
     """The basis vectors of ker d_k whose classes are independent modulo
-    im d_{k+1}, in basis order, and the span of im d_{k+1} in positions.
+    im d_{k+1}, in basis order and each with its position, and the span
+    of im d_{k+1} in positions.
 
     The elimination runs in coordinates on ker d_k: each vector of the
     `rank_kernel` basis is 1 at its own free column, which is its last
@@ -171,7 +181,9 @@ def _compute_homology(cx: GammaComplex, k: int) -> HomologyResult:
     c_0 < ... < c_{f-1} sit at positions f-1, ..., 0, reversed, so that a
     `LinearSpan` pivot (a row's least position) is the last free column of
     an image vector: the kernel vector at c is independent of im d_{k+1}
-    and of the vectors before it iff c is no such last column.
+    and of the vectors before it iff c is no such last column.  Its
+    position is then no pivot, so its class, reduced against the image,
+    is the unit vector at its position.
     """
     f = cx.field
     if k == 0:
@@ -192,8 +204,8 @@ def _compute_homology(cx: GammaComplex, k: int) -> HomologyResult:
     image = LinearSpan(f)
     for c in sorted(cols):
         image.add(cols[c])
-    reps = tuple(vec for j, vec in enumerate(kernel) if top - j not in image.rows)
-    return HomologyResult(k, len(reps), reps, cx, position, image)
+    reps = tuple((top - j, vec) for j, vec in enumerate(kernel) if top - j not in image.rows)
+    return HomologyResult(k, len(reps), cx, reps, position, image)
 
 
 def betti_numbers(cx: GammaComplex) -> dict:
@@ -212,14 +224,15 @@ def is_cycle(cx: GammaComplex, k: int, vec) -> bool:
 
 
 def express_cycle(result: HomologyResult, vec, want_witness: bool = False):
-    """Coordinates of a cycle in the homology basis of `result`.
+    """Coordinates of a cycle in the basis `result.homology_reps`.
 
     A cycle's class is its entries at the free columns, in positions,
-    reduced against im d_{k+1} (see `_compute_homology`); one solve against
-    the classes of the reps gives the coordinates.  The input must be an
-    exact cycle; it differs from the reconstruction by a boundary, and with
-    want_witness its preimage on the first column basis of d_{k+1} is
-    returned too.
+    reduced against im d_{k+1}.  That leaves entries only at the rep
+    positions, where each rep's class is the unit vector (see
+    `_compute_homology`), so the coordinates are read there.  The input
+    must be an exact cycle; it differs from the combination of reps by a
+    boundary, and with want_witness its preimage on the first column
+    basis of d_{k+1} is returned too.
     """
     cx = result._complex
     k = result.degree
@@ -229,17 +242,9 @@ def express_cycle(result: HomologyResult, vec, want_witness: bool = False):
     if not is_cycle(cx, k, vec):
         bad = cx.boundaries[k].matvec(vec)
         raise ValueError(f"input is not a cycle; boundary = {bad}")
-    position, image = result._position, result._image
-
-    def class_of(cycle):
-        return image.reduce({position[i]: x for i, x in enumerate(cycle) if i in position})
-
-    classes = [class_of(rep) for rep in result.homology_reps]
-    rows = [p for p in range(len(position)) if p not in image.rows]
-    mat = SparseFieldMatrix.from_dense(f, [[c.get(p, f.zero) for c in classes] for p in rows])
-    target = class_of(vec)
-    coords = solve(mat, [target.get(p, f.zero) for p in rows])
-    if coords is None:
+    rest = result._image.reduce({p: vec[i] for i, p in result._position.items()})
+    coords = tuple(rest.pop(p, f.zero) for p, _ in result._reps)
+    if rest:
         raise InternalCheckError("cycle not in image + homology span")
     if not want_witness:
         return coords
@@ -312,8 +317,9 @@ def _vertex_inverse(cell: VoronoiCell):
 
 
 def _cell_coordinate(cx: GammaComplex, orb, gamma, cell: VoronoiCell):
-    """(W_k generator, sign) of the cell orb.representative * gamma = cell,
-    or None when its split orbit is killed by orientation."""
+    """(position in bases[k], sign) of the W_k generator of the cell
+    orb.representative * gamma = cell, or None when its split orbit is
+    killed by orientation."""
     space = cg.projective_space(cx.n, cx.level)
     i = space.index(la.inverse_unimodular(gamma)[0])
     label = cg.orbit_label(space, cx.stab_perms[orb.dim, orb.index], orb.sl_orientation_chars, i)
@@ -321,7 +327,8 @@ def _cell_coordinate(cx: GammaComplex, orb, gamma, cell: VoronoiCell):
         return None
     best, char = label
     eta = _orientation_transport_sign(orb.representative, gamma, cell)
-    return (orb.index, space.points[best]), char * eta
+    k = orb.dim - cx.n + 1
+    return cx.positions[k][orb.index, space.points[best]], char * eta
 
 
 def chain_to_w(cx: GammaComplex, k: int, chain: sh.SharblyChain):
@@ -332,7 +339,6 @@ def chain_to_w(cx: GammaComplex, k: int, chain: sh.SharblyChain):
     """
     f = cx.field
     d = k + cx.n - 1
-    index = cx.basis_index(k)
     out = [f.zero] * cx.rank(k)
     for key, c in chain.coeffs.items():
         cell = VoronoiCell(cx.n, key)
@@ -341,8 +347,7 @@ def chain_to_w(cx: GammaComplex, k: int, chain: sh.SharblyChain):
             raise ValueError(f"chain term {key} is not a Voronoi cell sharbly")
         term = _cell_coordinate(cx, *hit, cell)
         if term is not None:
-            gen, sign = term
-            pos = index[gen]
+            pos, sign = term
             out[pos] = f.add(out[pos], f(c * sign))
     return out
 
@@ -355,13 +360,6 @@ def is_voronoi_supported(cx: GammaComplex, chain: sh.SharblyChain) -> bool:
 # ---------------------------------------------------------------------------
 # JSON cache (complex-n{n}-N{N}-{field}.json)
 # ---------------------------------------------------------------------------
-
-def _coeff_to_str(field: Field, x) -> str:
-    if isinstance(field, PrimeField):
-        return str(int(x))
-    fr = Fraction(x)
-    return f"{fr.numerator}/{fr.denominator}" if fr.denominator != 1 else str(fr.numerator)
-
 
 def complex_cache_name(n: int, level: int, field: Field) -> str:
     return f"complex-n{n}-N{level}-{field.name}.json"
@@ -378,7 +376,7 @@ def complex_to_json(cx: GammaComplex) -> str:
         },
         "boundaries": {
             str(k): [
-                [r, c, _coeff_to_str(cx.field, v)]
+                [r, c, coeff_str(v)]
                 for (r, c), v in sorted(cx.boundaries[k].entries.items())
             ]
             for k in sorted(cx.boundaries)

@@ -19,7 +19,7 @@ from math import gcd, lcm
 
 from . import intlinalg as la
 from .errors import InternalCheckError, UnsupportedError
-from .fields import QQ, SparseFieldMatrix, rank, rank_kernel, solve
+from .fields import QQ, LinearSpan, SparseFieldMatrix, rank, rank_kernel, solve
 from .intlinalg import Mat, Vec
 
 
@@ -36,6 +36,20 @@ def sym_coords(v: Vec) -> tuple:
 def _rank_of_rows(rows) -> int:
     """Rank over Q of a list of integer row vectors."""
     return rank(SparseFieldMatrix.from_dense(QQ, rows))
+
+
+def _first_independent(rows, count: int):
+    """Indices of the first `count` rows independent over Q, taken greedily:
+    a row is kept when it grows the span of the rows kept before it.  None
+    when the rows span less than `count` dimensions."""
+    span = LinearSpan(QQ)
+    picked = []
+    for i, row in enumerate(rows):
+        if span.add(dict(enumerate(row))):
+            picked.append(i)
+            if len(picked) == count:
+                return tuple(picked)
+    return None
 
 
 def _solve_in_basis(basis_rows, targets):
@@ -163,15 +177,10 @@ def cell_signature(cell: VoronoiCell):
 @lru_cache(maxsize=None)
 def _pivot_indices(cell: VoronoiCell) -> tuple:
     """Indices of the first n vertices forming a basis of Q^n."""
-    idx: list[int] = []
-    rows: list = []
-    for i, v in enumerate(cell.vertices):
-        if _rank_of_rows(rows + [list(v)]) > len(rows):
-            rows.append(list(v))
-            idx.append(i)
-        if len(idx) == cell.n:
-            return tuple(idx)
-    raise ValueError("degenerate cell has no vertex basis")
+    idx = _first_independent(cell.vertices, cell.n)
+    if idx is None:
+        raise ValueError("degenerate cell has no vertex basis")
+    return idx
 
 
 def _vertex_maps(src: VoronoiCell, dst: VoronoiCell, dets, limit=None):
@@ -250,16 +259,10 @@ def cell_stabilizer(cell: VoronoiCell):
 @lru_cache(maxsize=None)
 def orientation_basis(cell: VoronoiCell) -> tuple:
     """First dim+1 sorted vertices whose rank-1 forms are independent."""
-    target = cell_dim(cell) + 1
-    rows: list = []
-    basis = []
-    for v in cell.vertices:
-        if _rank_of_rows(rows + [list(sym_coords(v))]) > len(rows):
-            rows.append(list(sym_coords(v)))
-            basis.append(v)
-        if len(basis) == target:
-            return tuple(basis)
-    raise InternalCheckError("cell rank dropped while extracting a basis")
+    idx = _first_independent([sym_coords(v) for v in cell.vertices], cell_dim(cell) + 1)
+    if idx is None:
+        raise InternalCheckError("cell rank dropped while extracting a basis")
+    return tuple(cell.vertices[i] for i in idx)
 
 
 def orientation_char(cell: VoronoiCell, gamma: Mat) -> int:

@@ -106,28 +106,35 @@ class TestHeckeH0:
                 assert _mul(a, b) == _mul(b, a)
 
     def test_basis_independence(self, cx11):
-        # re-expressing H_0 in a mixed basis leaves the char poly alone
+        # T(2,1) on a mixed basis of H_0 is M conjugated by the change of
+        # basis P, so the char poly does not depend on the basis
+        import sharbly.sharbly as sh
+        from sharbly.fields import charpoly
+        from sharbly.homology import express_cycle
+        from test_intlinalg import _gauss_jordan
+
         h0 = homology(cx11, 0)
         mixed = list(h0.homology_reps)
         mixed[0] = tuple(a + b for a, b in zip(mixed[0], mixed[1]))
         mixed[2] = tuple(3 * c for c in mixed[2])
-        twisted = replace(h0, homology_reps=tuple(mixed))
         op = hk.hecke_cosets(2, 2, 1)
-        columns = []
-        import sharbly.sharbly as sh
-        from sharbly.homology import express_cycle
-
-        for rep_vec in twisted.homology_reps:
-            _, s_chain = hk.theta_s(cx11, 0, op, rep_vec)
+        images = []
+        for x in mixed:
+            _, s_chain = hk.theta_s(cx11, 0, op, x)
             image = hk.symbol_chain_to_w0(cx11, sh.ar_reduce_chain(s_chain))
-            columns.append(express_cycle(twisted, image))
-        mat = tuple(
-            tuple(columns[j][i] for j in range(len(columns)))
-            for i in range(len(columns))
-        )
-        from sharbly.fields import charpoly
-
-        assert charpoly(QQ, mat) == hk.hecke_on_h0(2, 11, QQ, 2, 1, cx=cx11).charpoly
+            images.append(express_cycle(h0, image))
+        report = hk.hecke_on_h0(2, 11, QQ, 2, 1, cx=cx11)
+        p_mat = tuple(zip(*(express_cycle(h0, x) for x in mixed)))
+        assert tuple(zip(*images)) == _mul(report.matrix, p_mat)
+        d = len(p_mat)
+        aug = [list(row) + [QQ.one if i == j else QQ.zero for j in range(d)]
+               for i, row in enumerate(p_mat)]
+        p_inv = tuple(tuple(row[d:]) for row in _gauss_jordan(QQ, aug))
+        conjugated = _mul(_mul(p_inv, report.matrix), p_mat)
+        assert conjugated != report.matrix
+        assert charpoly(QQ, conjugated) == report.charpoly
+        with pytest.raises(TypeError):
+            replace(h0, homology_reps=tuple(mixed))
 
 
 class TestHeckeN3:
