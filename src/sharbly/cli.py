@@ -1,8 +1,9 @@
 """Command-line front end: cells, homology, hecke, oracle, verify, nofake.
 
 Exit codes: 0 success, 1 invalid configuration (an argument, field spec or
-cache file that cannot be parsed, or a file error), 2 precondition
-rejection, 3 undetermined result, 4 internal failure (always a bug).
+cache file that cannot be parsed, a cell cache that disagrees with
+recomputation, or a file error), 2 precondition rejection, 3 undetermined
+result, 4 internal failure (always a bug).
 Reports are deterministic given the configuration; the seed only feeds
 redundant randomized self-checks inside `verify`.
 """
@@ -349,15 +350,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, field=True, level=True, n=True):
+    def common(sp, *, field=True, level=True, n=True, files=("--cache-dir", "--out")):
+        # `files` names the file options the subcommand reads
         if n:
             sp.add_argument("--n", type=int, default=2, choices=(2, 3, 4))
         if level:
             sp.add_argument("--level", "-N", type=int, default=1)
         if field:
             sp.add_argument("--field", default="Q", help="Q or Fp:<p> (p odd prime)")
-        sp.add_argument("--cache-dir", default=None)
-        sp.add_argument("--out", default=None)
+        for option in files:
+            sp.add_argument(option, default=None)
         sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("cells", help="enumerate the cell complex, write cells-n{n}.json")
@@ -371,12 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--degree", type=int, default=0)
     sp.add_argument("--budget", type=int, default=4)
     sp = sub.add_parser("oracle", help="classical Manin-symbol results (n = 2)")
-    common(sp, field=False, n=False)
+    common(sp, field=False, n=False, files=())
     sp.add_argument("--ell", type=int, default=0)
     sp = sub.add_parser("verify", help="run the self-check battery")
-    common(sp, field=False, level=False, n=False)
+    common(sp, field=False, level=False, n=False, files=())
     sp = sub.add_parser("nofake", help="chain-level Hecke eigenvalue witness")
-    common(sp)
+    common(sp, files=("--cache-dir",))
     sp.add_argument("--ell", type=int, required=True)
     sp.add_argument("--a", required=True, help="candidate eigenvalue")
     sp.add_argument("--budget", type=int, default=4)

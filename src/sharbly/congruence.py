@@ -154,7 +154,7 @@ def coset_matrix(pt: Vec, n_mod: int) -> Mat:
 
 
 def orbit_label(space: ProjectiveSpace, perms, chars, i: int):
-    """(least index, character) of the stabilizer orbit of point i, or None.
+    """(least index, character) of the stabilizer orbit of point i.
 
     `perms` are the permutations of P^{n-1}(Z/N) by the elements of a
     cell's SL(n,Z) stabilizer, `chars` their orientation characters.  The
@@ -162,7 +162,8 @@ def orbit_label(space: ProjectiveSpace, perms, chars, i: int):
     least point its stabilizer orbit reaches, with the character of the
     elements that reach it.  Those elements form one coset of the least
     point's fixer, so their characters agree unless the fixer reverses
-    orientation, that is, unless the orbit is killed; then this is None.
+    orientation, that is, unless the orbit is killed; then the character
+    is 0.
     """
     best = len(space)
     char = 0
@@ -172,7 +173,7 @@ def orbit_label(space: ProjectiveSpace, perms, chars, i: int):
             best, char = j, ch
         elif j == best and ch != char:
             char = 0
-    return (best, char) if char else None
+    return best, char
 
 
 @dataclass(frozen=True)

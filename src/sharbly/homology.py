@@ -67,7 +67,7 @@ def build_complex(n: int, level: int, field: Field, table=None) -> GammaComplex:
             for r in recs:
                 i = space.index(r.point)
                 label = cg.orbit_label(space, perms, orb.sl_orientation_chars, i)
-                if label != ((i, 1) if r.orientation_ok else None):
+                if label != (i, 1 if r.orientation_ok else 0):
                     raise InternalCheckError(
                         f"orbit label {label} disagrees with split orbit {r} (dim {d}, orbit {orb.index})"
                     )
@@ -105,12 +105,11 @@ def build_complex(n: int, level: int, field: Field, table=None) -> GammaComplex:
             for fr, gamma_inv in zip(orb.facets, facet_inverses[o_idx]):
                 target = table.orbits[d - 1][fr.orbit]
                 i = space.index(cg.proj_act(p, gamma_inv, level))
-                label = cg.orbit_label(
+                best, char = cg.orbit_label(
                     space, stab_perms[d - 1, fr.orbit], target.sl_orientation_chars, i
                 )
-                if label is None:
+                if not char:
                     continue
-                best, char = label
                 coeff = fr.sign * char
                 key = (positions[k - 1][fr.orbit, space.points[best]], col)
                 entries[key] = entries.get(key, 0) + coeff
@@ -322,10 +321,11 @@ def _cell_coordinate(cx: GammaComplex, orb, gamma, cell: VoronoiCell):
     killed by orientation."""
     space = cg.projective_space(cx.n, cx.level)
     i = space.index(la.inverse_unimodular(gamma)[0])
-    label = cg.orbit_label(space, cx.stab_perms[orb.dim, orb.index], orb.sl_orientation_chars, i)
-    if label is None:
+    best, char = cg.orbit_label(
+        space, cx.stab_perms[orb.dim, orb.index], orb.sl_orientation_chars, i
+    )
+    if not char:
         return None
-    best, char = label
     eta = _orientation_transport_sign(orb.representative, gamma, cell)
     k = orb.dim - cx.n + 1
     return cx.positions[k][orb.index, space.points[best]], char * eta

@@ -184,6 +184,8 @@ def manin_dim(n_mod: int) -> int:
 
 def manin_hecke(n_mod: int, ell: int):
     """(matrix, characteristic polynomial) of T_ell on the Manin quotient."""
+    if ell < 1:
+        raise PreconditionError(f"T_{ell}: ell must be >= 1")
     if n_mod % ell == 0:
         raise PreconditionError(f"T_{ell} at level {n_mod}: ell divides the level")
     space = ManinSpace(n_mod)

@@ -166,11 +166,10 @@ class _SupportSystem:
             )
         _stab, perms, chars = self._stabs[rep]
         q = self._space.index(la.inverse_unimodular(h)[0])
-        found = cg.orbit_label(self._space, perms, chars, q)
-        if found is None:
-            label, eps = (rep, min(perm[q] for perm in perms)), 0
-        else:
-            label, eps = (rep, found[0]), found[1] * self._sign(rep.vertices, h, key)
+        best, char = cg.orbit_label(self._space, perms, chars, q)
+        label, eps = (rep, best), 0
+        if char:
+            eps = char * self._sign(rep.vertices, h, key)
             self._rows.setdefault(label, len(self._rows))
         self._first.setdefault(label, key)
         self._placed[key] = (label, q, h, eps)

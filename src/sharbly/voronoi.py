@@ -19,7 +19,7 @@ from math import gcd, lcm
 
 from . import intlinalg as la
 from .errors import InternalCheckError, UnsupportedError
-from .fields import QQ, LinearSpan, SparseFieldMatrix, rank, rank_kernel, solve
+from .fields import QQ, LinearSpan, SparseFieldMatrix, rank, rank_kernel
 from .intlinalg import Mat, Vec
 
 
@@ -52,39 +52,44 @@ def _first_independent(rows, count: int):
     return None
 
 
-def _solve_in_basis(basis_rows, targets):
-    """Coordinates of each target row in the Q-span of the independent
-    basis_rows, or None if some target lies outside it."""
-    mat = SparseFieldMatrix.from_dense(QQ, list(zip(*basis_rows)))
-    coords = [solve(mat, t) for t in targets]
-    return None if None in coords else coords
-
-
 def _kernel_of_rows(rows):
     """Basis of the right kernel of a rational row matrix."""
     return rank_kernel(SparseFieldMatrix.from_dense(QQ, rows))[1]
 
 
-def _det_sign(rows) -> int:
-    """Sign of the determinant of a square rational matrix.
+def _cone_facets(gens):
+    """Facets of the cone spanned by the rows `gens`, of full rank D: a dict
+    from the indices of the generators on each facet to an inward normal.
 
-    Scaling a row by the positive lcm of its denominators keeps the sign.
+    A normal spans the kernel of D - 1 generators; a kernel of dimension one
+    already means they have rank D - 1, so no separate rank test is needed.
     """
-    ints = []
-    for row in rows:
-        row = [Fraction(x) for x in row]
-        den = lcm(*(x.denominator for x in row))
-        ints.append([int(x * den) for x in row])
-    d = la.det(la.freeze(ints))
+    facets = {}
+    for subset in combinations(range(len(gens)), len(gens[0]) - 1):
+        kernel = _kernel_of_rows([gens[i] for i in subset])
+        if len(kernel) != 1:
+            continue
+        normal = kernel[0]
+        values = [sum(a * b for a, b in zip(g, normal)) for g in gens]
+        if all(x <= 0 for x in values):
+            normal = tuple(-x for x in normal)
+        elif not all(x >= 0 for x in values):
+            continue
+        facets.setdefault(tuple(i for i, x in enumerate(values) if x == 0), normal)
+    return facets
+
+
+def _cleared(rows):
+    """(den, integer rows): rational rows times den, the positive lcm of
+    their denominators."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return den, la.freeze([[int(x * den) for x in row] for row in rows])
+
+
+def _det_sign(rows) -> int:
+    """Sign of the determinant of a square rational matrix."""
+    d = la.det(_cleared(rows)[1])
     return (d > 0) - (d < 0)
-
-
-def _is_posdef_fraction(g_rows) -> bool:
-    n = len(g_rows)
-    return all(
-        _det_sign([row[: k + 1] for row in g_rows[: k + 1]]) > 0
-        for k in range(n)
-    )
 
 
 def _perm_sign(perm) -> int:
@@ -276,12 +281,8 @@ def _orientation_transport_sign(rep: VoronoiCell, gamma: Mat, facet: VoronoiCell
         order = {v: i for i, v in enumerate(facet.vertices)}
         perm = [order[la.sign_normalize(la.vec_mat(v, gamma))] for v in rep.vertices]
         return _perm_sign(perm)
-    basis_imgs = [sym_coords(la.vec_mat(v, gamma)) for v in orientation_basis(rep)]
-    facet_basis = [sym_coords(v) for v in orientation_basis(facet)]
-    coords = _solve_in_basis(facet_basis, basis_imgs)
-    if coords is None:
-        raise InternalCheckError("transported orientation left the facet span")
-    return _det_sign(coords)
+    images = [sym_coords(la.vec_mat(v, gamma)) for v in orientation_basis(rep)]
+    return _sign_in_basis(facet, images, "transported orientation left the facet span")
 
 
 def _geometric_incidence_sign(cell: VoronoiCell, facet: VoronoiCell) -> int:
@@ -291,16 +292,38 @@ def _geometric_incidence_sign(cell: VoronoiCell, facet: VoronoiCell) -> int:
     rank-1 forms of the cell vertices off the facet.  For a simplex this is
     the usual alternating sign of the vertex deletion.
     """
-    cell_basis = [sym_coords(v) for v in orientation_basis(cell)]
-    facet_basis = [sym_coords(v) for v in orientation_basis(facet)]
     off = [v for v in cell.vertices if v not in set(facet.vertices)]
     if not off:
         raise InternalCheckError("facet equals the cell")
     w = [sum(col) for col in zip(*(sym_coords(v) for v in off))]
-    coords = _solve_in_basis(cell_basis, [w] + facet_basis)
+    rows = [w] + [sym_coords(v) for v in orientation_basis(facet)]
+    return _sign_in_basis(cell, rows, "facet does not lie in the cell span")
+
+
+def _sign_in_basis(cell: VoronoiCell, rows, failure: str) -> int:
+    """Sign of the determinant of the coordinates of `rows` in the rank-1
+    forms of cell's orientation basis."""
+    coords = _solve_in_basis(cell, rows)
     if coords is None:
-        raise InternalCheckError("facet does not lie in the cell span")
+        raise InternalCheckError(failure)
     return _det_sign(coords)
+
+
+def _solve_in_basis(cell, targets):
+    """Coordinates of each target row in the rank-1 forms of cell's
+    orientation basis, or None if some target lies outside their span.
+
+    One elimination of the columns [basis | targets]: the basis columns are
+    the pivots, and each target column of the RREF holds its coordinates.
+    """
+    basis_rows = [sym_coords(v) for v in orientation_basis(cell)]
+    r = len(basis_rows)
+    span = LinearSpan(QQ)
+    for row in zip(*basis_rows, *targets):
+        span.add(dict(enumerate(row)))
+    if any(p >= r for p in span.rows):
+        return None
+    return [[span.rows[i].get(r + k, QQ.zero) for i in range(r)] for k in range(len(targets))]
 
 
 # ---------------------------------------------------------------------------
@@ -316,100 +339,44 @@ class PerfectForm:
 
 def minimal_vectors(q: Mat):
     """(minimum, minimizers up to sign) of a positive definite form."""
-    if not la.is_positive_definite(q):
-        raise ValueError("form is not positive definite")
     bound = min(q[i][i] for i in range(len(q)))
     vs = la.short_vectors(q, bound)
     minimum = min(la.quadratic_value(q, v) for v in vs)
     return minimum, tuple(v for v in vs if la.quadratic_value(q, v) == minimum)
 
 
-def _perfect_form_from_gram(g: Mat) -> PerfectForm:
-    minimum, vecs = minimal_vectors(g)
-    return PerfectForm(g, minimum, vecs)
-
-
 def perfection_rank(p: PerfectForm) -> int:
     return _rank_of_rows([sym_coords(v) for v in p.min_vectors])
 
 
-def _a_n_gram(n: int) -> Mat:
-    return tuple(tuple(2 if i == j else 1 for j in range(n)) for i in range(n))
-
-
-def _primitive_integer_sym(rows_fr) -> Mat:
+def _primitive_integer_sym(rows) -> Mat:
     """Scale a rational symmetric matrix to a primitive integer one."""
-    den = 1
-    for row in rows_fr:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-    ints = [[int(x * den) for x in row] for row in rows_fr]
-    g = 0
-    for row in ints:
-        for x in row:
-            g = gcd(g, x)
+    ints = _cleared(rows)[1]
+    g = gcd(*(x for row in ints for x in row))
     return la.freeze([[x // g for x in row] for row in ints])
 
 
 def _facet_normals(p: PerfectForm):
     """Primitive symmetric R vanishing on a facet of Dom(p), >= 0 on Min(p).
 
-    Facets are found as rank-(D-1) subsets of the minimal vectors, D being
-    the dimension of the space of symmetric matrices; this also handles the
-    non-simplicial domain of D4.
+    This also handles the non-simplicial domain of D4.
     """
     n = len(p.gram)
-    sym_dim = n * (n + 1) // 2
-    gens = [sym_coords(v) for v in p.min_vectors]
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    normals = {}
-    for subset in combinations(range(len(gens)), sym_dim - 1):
-        rows = [gens[i] for i in subset]
-        if _rank_of_rows(rows) != sym_dim - 1:
-            continue
+    normals = set()
+    for u in _cone_facets([sym_coords(v) for v in p.min_vectors]).values():
         # v R v^T = sym_coords(v) . u with u_ii = R_ii and u_ij = 2 R_ij
-        kernel = _kernel_of_rows(rows)
-        if len(kernel) != 1:
-            continue
-        u = kernel[0]
-        values = [sum(a * b for a, b in zip(g_, u)) for g_ in gens]
-        if all(x <= 0 for x in values):
-            u = [-x for x in u]
-            values = [-x for x in values]
-        elif not all(x >= 0 for x in values):
-            continue
         r_rows = [[Fraction(0)] * n for _ in range(n)]
         for (i, j), coeff in zip(pairs, u):
-            if i == j:
-                r_rows[i][i] = Fraction(coeff)
-            else:
-                r_rows[i][j] = r_rows[j][i] = Fraction(coeff, 2)
-        normals[_primitive_integer_sym(r_rows)] = True
+            r_rows[i][j] = r_rows[j][i] = coeff if i == j else coeff / 2
+        normals.add(_primitive_integer_sym(r_rows))
     return sorted(normals)
-
-
-def _rational_short_vectors(g_rows, bound: Fraction):
-    """Vectors v != 0 (up to sign) with v*G*v^T <= bound, G rational."""
-    den = 1
-    for row in g_rows:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-    bden = bound.denominator
-    scale = den * bden // gcd(den, bden)
-    g_int = la.freeze([[int(x * scale) for x in row] for row in g_rows])
-    return la.short_vectors(g_int, int(bound * scale))
 
 
 def _neighbor_form(p: PerfectForm, direction: Mat) -> PerfectForm:
     """Walk P + t * R across a facet to the contiguous perfect form."""
     n = len(p.gram)
     m = p.minimum
-
-    def at(t: Fraction):
-        return [
-            [Fraction(p.gram[i][j]) + t * direction[i][j] for j in range(n)]
-            for i in range(n)
-        ]
 
     def rval(v):
         return la.quadratic_value(direction, v)
@@ -420,22 +387,20 @@ def _neighbor_form(p: PerfectForm, direction: Mat) -> PerfectForm:
     t_bad = None  # some t where P + t*R stopped being positive definite
     t = Fraction(1)
     while True:
-        q_rows = at(t)
-        if not _is_posdef_fraction(q_rows):
+        q_rows = [[p.gram[i][j] + t * direction[i][j] for j in range(n)] for i in range(n)]
+        den, q_int = _cleared(q_rows)
+        if not la.is_positive_definite(q_int):
             t_bad = t
             t = t / 2
             continue
-        shorts = _rational_short_vectors(q_rows, Fraction(m))
+        shorts = la.short_vectors(q_int, m * den)
         below = [v for v in shorts if Fraction(pval(v)) + t * rval(v) < m]
         if below:
             t = min(Fraction(m - pval(v), rval(v)) for v in below)
             continue
-        new_vecs = [
-            v for v in shorts
-            if Fraction(pval(v)) + t * rval(v) == m and pval(v) != m
-        ]
-        if new_vecs:
-            return _perfect_form_from_gram(_primitive_integer_sym(q_rows))
+        if any(pval(v) + t * rval(v) == m and pval(v) != m for v in shorts):
+            g = _primitive_integer_sym(q_rows)
+            return PerfectForm(g, *minimal_vectors(g))
         t = 2 * t if t_bad is None else (t + t_bad) / 2
 
 
@@ -455,7 +420,8 @@ def perfect_forms(n: int) -> list[PerfectForm]:
             f"perfect form enumeration supports 2 <= n <= 4, got {n}"
         )
     sym_dim = n * (n + 1) // 2
-    start = _perfect_form_from_gram(_a_n_gram(n))
+    a_n = tuple(tuple(2 if i == j else 1 for j in range(n)) for i in range(n))
+    start = PerfectForm(a_n, *minimal_vectors(a_n))
     if perfection_rank(start) != sym_dim:
         raise InternalCheckError("starting form is not perfect")
     known = [start]
@@ -513,56 +479,31 @@ def _facet_cells(cell: VoronoiCell):
             if not is_degenerate(f):
                 out.append((f, (-1) ** i))
         return out
-    # non-simplex: exact facet enumeration of the cone within its span
-    gens = [sym_coords(v) for v in cell.vertices]
-    basis = [sym_coords(v) for v in orientation_basis(cell)]
-    coords_all = _solve_in_basis(basis, gens)
-    d_rank = cell_dim(cell) + 1
-    facet_vertex_sets = set()
-    for subset in combinations(range(len(gens)), d_rank - 1):
-        sub_rows = [coords_all[i] for i in subset]
-        kern = _kernel_of_rows(sub_rows)
-        if len(kern) != 1:
-            continue
-        phi = kern[0]
-        values = [sum(a * b for a, b in zip(row, phi)) for row in coords_all]
-        if all(x <= 0 for x in values):
-            values = [-x for x in values]
-        elif not all(x >= 0 for x in values):
-            continue
-        facet_vertex_sets.add(
-            tuple(v for v, x in zip(cell.vertices, values) if x == 0)
-        )
-    for verts in sorted(facet_vertex_sets):
-        f = VoronoiCell(cell.n, verts)
+    # non-simplex: the facets of the cone in coordinates of its span
+    coords = _solve_in_basis(cell, [sym_coords(v) for v in cell.vertices])
+    for on_facet in sorted(_cone_facets(coords)):
+        f = VoronoiCell(cell.n, tuple(cell.vertices[i] for i in on_facet))
         if not is_degenerate(f):
             out.append((f, _geometric_incidence_sign(cell, f)))
     return out
 
 
-class _OrbitBuilder:
-    def __init__(self, dim, index, representative):
-        self.dim = dim
-        self.index = index
-        self.representative = representative
-        gl, sl = cell_stabilizer(representative)
-        self.gl_stabilizer = gl
-        self.sl_stabilizer = sl
-        self.sl_orientation_chars = tuple(
-            orientation_char(representative, g) for g in sl
-        )
-        self.facets = []
+def _facet_record(facet, incidence, orbit, gamma, reps) -> FacetRecord:
+    """The record of `facet` = reps[orbit] * gamma, where `incidence` is the
+    facet's sign in its cell and `reps` the orbit representatives below."""
+    eta = _orientation_transport_sign(reps[orbit], gamma, facet)
+    return FacetRecord(orbit, gamma, incidence * eta)
 
-    def freeze(self) -> CellOrbit:
-        return CellOrbit(
-            dim=self.dim,
-            index=self.index,
-            representative=self.representative,
-            gl_stabilizer=self.gl_stabilizer,
-            sl_stabilizer=self.sl_stabilizer,
-            sl_orientation_chars=self.sl_orientation_chars,
-            facets=tuple(self.facets),
-        )
+
+def _cell_orbit(dim, index, rep, facets) -> CellOrbit:
+    """The orbit of rep, with its stabilizers and their orientation characters."""
+    gl, sl = cell_stabilizer(rep)
+    return CellOrbit(dim, index, rep, gl, sl, _sl_orientation_chars(rep), tuple(facets))
+
+
+@lru_cache(maxsize=None)
+def _sl_orientation_chars(rep: VoronoiCell) -> tuple:
+    return tuple(orientation_char(rep, g) for g in cell_stabilizer(rep)[1])
 
 
 def enumerate_cells(n: int, nonsimplex_backend: bool = False) -> CellComplexTable:
@@ -576,16 +517,15 @@ def enumerate_cells(n: int, nonsimplex_backend: bool = False) -> CellComplexTabl
         raise UnsupportedError(f"cell enumeration supports n in {{2, 3}} (4 gated), got {n}")
 
     top_dim = n * (n + 1) // 2 - 1
-    builders: dict[int, list[_OrbitBuilder]] = {d: [] for d in range(n - 1, top_dim + 1)}
+    reps: dict[int, list[VoronoiCell]] = {d: [] for d in range(n - 1, top_dim + 1)}
 
     def classify(d, cell):
-        for orb in builders[d]:
-            gamma = equivalent_cells(orb.representative, cell)
+        for index, rep in enumerate(reps[d]):
+            gamma = equivalent_cells(rep, cell)
             if gamma is not None:
-                return orb.index, gamma
-        orb = _OrbitBuilder(d, len(builders[d]), cell)
-        builders[d].append(orb)
-        return orb.index, la.identity(n)
+                return index, gamma
+        reps[d].append(cell)
+        return len(reps[d]) - 1, la.identity(n)
 
     for form in perfect_forms(n):
         cell = VoronoiCell.from_vectors(n, form.min_vectors)
@@ -593,19 +533,19 @@ def enumerate_cells(n: int, nonsimplex_backend: bool = False) -> CellComplexTabl
             raise InternalCheckError("perfect cone has the wrong dimension")
         classify(top_dim, cell)
 
-    for d in range(top_dim, n - 1, -1):
-        for orb in list(builders[d]):
-            if n <= 3 and not is_simplex(orb.representative):
+    # every facet of an (n-1)-cell is degenerate, so classify never looks below it
+    orbits = {}
+    for d in range(top_dim, n - 2, -1):
+        orbits[d] = []
+        for index, rep in enumerate(reps[d]):
+            if n <= 3 and not is_simplex(rep):
                 raise InternalCheckError(f"non-simplex cell for n = {n}")
-            for f, geom_sign in _facet_cells(orb.representative):
-                target_idx, gamma = classify(d - 1, f)
-                target = builders[d - 1][target_idx]
-                eta = _orientation_transport_sign(target.representative, gamma, f)
-                orb.facets.append(FacetRecord(target_idx, gamma, geom_sign * eta))
-
-    return CellComplexTable(
-        n, {d: tuple(b.freeze() for b in builders[d]) for d in builders}
-    )
+            facets = [
+                _facet_record(f, incidence, *classify(d - 1, f), reps[d - 1])
+                for f, incidence in _facet_cells(rep)
+            ]
+            orbits[d].append(_cell_orbit(d, index, rep, facets))
+    return CellComplexTable(n, {d: tuple(orbits[d]) for d in sorted(orbits)})
 
 
 # ---------------------------------------------------------------------------
@@ -639,34 +579,53 @@ def cells_to_json(table: CellComplexTable) -> str:
 
 
 def cells_from_json(text: str) -> CellComplexTable:
+    """Read a cell table back, checking each record against recomputation.
+
+    Stabilizer orders are recomputed, and the facets of every representative
+    are rebuilt; the first record that disagrees raises ValueError.
+    """
     doc = json.loads(text)
     n = doc["n"]
+    dims = {int(d): recs for d, recs in doc["dimensions"].items()}
+    reps = {
+        d: [VoronoiCell(n, tuple(tuple(v) for v in rec["vertices"])) for rec in recs]
+        for d, recs in dims.items()
+    }
     orbits = {}
-    for d_str, orbs in doc["dimensions"].items():
-        d = int(d_str)
-        rebuilt = []
-        for idx, rec in enumerate(orbs):
-            cell = VoronoiCell(n, tuple(tuple(v) for v in rec["vertices"]))
-            gl, sl = cell_stabilizer(cell)
-            if len(gl) != rec["stabilizer_order"] or len(sl) != rec["sl_stabilizer_order"]:
-                raise InternalCheckError(
-                    "cached stabilizer orders disagree with recomputation"
-                )
-            rebuilt.append(
-                CellOrbit(
-                    dim=d,
-                    index=idx,
-                    representative=cell,
-                    gl_stabilizer=gl,
-                    sl_stabilizer=sl,
-                    sl_orientation_chars=tuple(
-                        orientation_char(cell, g) for g in sl
-                    ),
-                    facets=tuple(
-                        FacetRecord(f["orbit"], la.freeze(f["gamma"]), f["sign"])
-                        for f in rec["facets"]
-                    ),
-                )
-            )
-        orbits[d] = tuple(rebuilt)
-    return CellComplexTable(n, orbits)
+    for d, recs in dims.items():
+        orbits[d] = []
+        for index, (rep, rec) in enumerate(zip(reps[d], recs)):
+            facets = _checked_facets(rep, rec["facets"], reps.get(d - 1, []))
+            orb = _cell_orbit(d, index, rep, facets)
+            orders = (rec["stabilizer_order"], rec["sl_stabilizer_order"])
+            if orders != (len(orb.gl_stabilizer), len(orb.sl_stabilizer)):
+                raise ValueError(f"cached stabilizer orders {orders} disagree with recomputation")
+            orbits[d].append(orb)
+    return CellComplexTable(n, {d: tuple(orbs) for d, orbs in orbits.items()})
+
+
+def _checked_facets(cell: VoronoiCell, records, targets) -> list:
+    """FacetRecords of cell from its cached records, one per facet.
+
+    A record is kept only if its orbit indexes `targets`, its gamma is in
+    SL(n,Z) and carries that orbit's representative onto a facet, and its
+    sign is the incidence sign times the transport sign.
+    """
+    n = cell.n
+    facets = {f.vertices: (f, incidence) for f, incidence in _facet_cells(cell)}
+    out = []
+    for rec in records:
+        orbit, gamma = rec["orbit"], la.freeze(rec["gamma"])
+        if not 0 <= orbit < len(targets):
+            raise ValueError(f"facet record names orbit {orbit} of {len(targets)}")
+        if [len(row) for row in gamma] != [n] * n or la.det(gamma) != 1:
+            raise ValueError(f"facet record gamma {gamma} is not in SL({n}, Z)")
+        image = VoronoiCell.from_vectors(n, [la.vec_mat(v, gamma) for v in targets[orbit].vertices])
+        if image.vertices not in facets:
+            raise ValueError(f"facet record gamma {gamma} carries orbit {orbit} onto no facet")
+        out.append(_facet_record(*facets.pop(image.vertices), orbit, gamma, targets))
+        if out[-1].sign != rec["sign"]:
+            raise ValueError(f"facet record sign {rec['sign']} is not {out[-1].sign}")
+    if facets:
+        raise ValueError(f"{len(facets)} facets of {cell} have no record")
+    return out

@@ -84,6 +84,30 @@ class TestExitCodes:
         assert "invalid configuration" in out.stderr and "not n = 2" in out.stderr
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("edit", [
+        ("sign", 5),
+        ("gamma", [[1, 1], [0, 1]]),
+        ("orbit", 7),
+        ("gamma", [[2, 0], [0, 1]]),
+        ("stabilizer_order", 5),
+    ], ids=["sign", "gamma-off-facet", "orbit-out-of-range", "gamma-det-2", "stabilizer-order"])
+    def test_corrupted_cell_cache_exit_1(self, run_cli, tmp_path, table2, edit):
+        # one field of the top orbit or of its first facet record; read
+        # unchecked, the first two give H0=2, H1=0 with exit 0
+        key, value = edit
+        doc = json.loads(cells_to_json(table2))
+        orbit = doc["dimensions"]["2"][0]
+        (orbit if key in orbit else orbit["facets"][0])[key] = value
+        (tmp_path / "cells-n2.json").write_text(json.dumps(doc))
+        out = run_cli(["homology", "--n", "2", "--level", "11"])
+        assert out.returncode == 1, out.stderr
+        assert "invalid configuration" in out.stderr and "Traceback" not in out.stderr
+
+    def test_oracle_negative_ell_exit_2(self, run_cli):
+        out = run_cli(["oracle", "--level", "11", "--ell", "-2"])
+        assert out.returncode == 2, out.stderr
+        assert "ell must be >= 1" in out.stderr
+
     @pytest.mark.parametrize("flags", [(), ("-O",)])
     def test_oracle_level_0_exit_2(self, run_cli, flags):
         out = run_cli(["oracle", "--level", "0"], python_flags=flags)
@@ -105,6 +129,13 @@ class TestExitCodes:
         (["homology", "--level", "abc"], "invalid int value: 'abc'"),
         (["homology", "--bogus"], "unrecognized arguments: --bogus"),
         (["homology", "--level", "11", "--budget", "3"], "unrecognized arguments: --budget 3"),
+        # only the subcommands that read a file option take it
+        (["oracle", "--level", "11", "--out", "r.json"], "unrecognized arguments: --out r.json"),
+        (["oracle", "--level", "11", "--cache-dir", "c"], "unrecognized arguments: --cache-dir c"),
+        (["verify", "--out", "r.json"], "unrecognized arguments: --out r.json"),
+        (["verify", "--cache-dir", "c"], "unrecognized arguments: --cache-dir c"),
+        (["nofake", "--level", "11", "--ell", "2", "--a", "3", "--out", "r.json"],
+         "unrecognized arguments: --out r.json"),
     ])
     def test_usage_error_exit_1(self, run_cli, args, message):
         out = run_cli(args)

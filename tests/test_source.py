@@ -3,15 +3,55 @@ from pathlib import Path
 
 import sharbly
 
+SOURCES = sorted(Path(sharbly.__file__).resolve().parent.glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+
 
 def test_no_bare_assert_in_the_package():
     # `python -O` strips assert statements: invariants raise InternalCheckError
-    sources = sorted(Path(sharbly.__file__).resolve().parent.glob("*.py"))
-    assert any(path.name == "homology.py" for path in sources)
+    assert "homology.py" in TREES
     offenders = [
-        f"{path.name}:{node.lineno}"
-        for path in sources
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
     assert not offenders, f"bare assert in {offenders}"
+
+
+def test_no_unused_import():
+    # __init__.py imports to re-export
+    offenders = []
+    for name, tree in TREES.items():
+        if name == "__init__.py":
+            continue
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        offenders += [f"{name}:{line} {imp}" for imp, line in imported.items() if imp not in used]
+    assert not offenders, f"unused import in {offenders}"
+
+
+def test_every_private_function_is_referenced():
+    referenced = set()
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    offenders = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in referenced
+    ]
+    assert not offenders, f"private function referenced nowhere in the package: {offenders}"

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -57,7 +58,29 @@ class TestPerfectForms:
                     assert la.quadratic_value(f.gram, v) == f.minimum
 
 
+def _table_digest(table) -> str:
+    return hashlib.sha256(vo.cells_to_json(table).encode()).hexdigest()
+
+
+class TestFacetNormals:
+    @pytest.mark.parametrize("n, count", [(2, 3), (3, 6)])
+    def test_inward_and_vanishing_on_a_facet(self, n, count):
+        # A_n has n(n+1)/2 minimal vectors up to sign, so its domain is a
+        # simplicial cone: one facet per minimal vector left out
+        gram = la.freeze([[2 if i == j else 1 for j in range(n)] for i in range(n)])
+        p = vo.PerfectForm(gram, *vo.minimal_vectors(gram))
+        normals = vo._facet_normals(p)
+        assert len(normals) == count
+        for r in normals:
+            values = [la.quadratic_value(r, v) for v in p.min_vectors]
+            assert min(values) == 0 and values.count(0) == count - 1
+
+
 class TestCellTable:
+    def test_tables_are_pinned(self, table2, table3):
+        assert _table_digest(table2).startswith("c5f317acf2d0ab68")
+        assert _table_digest(table3).startswith("fb0c9d6a1b23aa60")
+
     def test_n2_counts(self, table2):
         assert {d: len(v) for d, v in table2.orbits.items()} == {1: 1, 2: 1}
 
@@ -288,5 +311,6 @@ class TestN4:
         top = non_simplex[0]
         assert top.dim == tab.top_dim()
         assert len(top.gl_stabilizer) == 1152  # automorphisms of the D4 lattice
+        assert _table_digest(tab).startswith("298cfc16906df95d")
         # the geometric incidence signs around the non-simplex cell cancel
         _dd_zero_on_representatives(tab)
