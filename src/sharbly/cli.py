@@ -187,10 +187,11 @@ def cmd_hecke(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    # everything that can reject the arguments runs before the first print
     dim = manin.manin_dim(args.level)
+    cp = manin.manin_hecke(args.level, args.ell)[1] if args.ell else None
     print(f"manin_dim({args.level}) = {dim}")
-    if args.ell:
-        _, cp = manin.manin_hecke(args.level, args.ell)
+    if cp is not None:
         roots, rem = eigenvalues(QQ, cp)
         print(f"T_{args.ell}: charpoly {format_poly(cp)}")
         print(f"T_{args.ell}: eigenvalues {';'.join(f'{coeff_str(r)}:{m}' for r, m in roots)}"

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 
 from . import congruence as cg
 from . import intlinalg as la
@@ -35,6 +34,8 @@ class GammaComplex:
     stab_perms: dict
     # degree k -> HomologyResult, filled by `homology`
     homology_memo: dict = dc_field(default_factory=dict, compare=False, repr=False)
+    # P^{n-1}(Z/N) point -> (W_0 position, orientation character), filled by `_w0_labels`
+    w0_labels: list = dc_field(default_factory=list, compare=False, repr=False)
 
     @property
     def max_degree(self) -> int:
@@ -284,35 +285,14 @@ def _locate(cx: GammaComplex, d: int, cell: VoronoiCell):
     """(orbit, gamma) with orbit.representative * gamma = cell, or None when
     `cell` is no Voronoi cell of dimension d.
 
-    A cell on n vertices is a unimodular simplex, of the single orbit in
-    dimension n - 1, and its gamma is read off the vertex matrices.
+    Each representative of dimension d is tried with `equivalent_cells`.
+    `chain_to_w` reads degree-0 symbols from `_w0_labels` instead.
     """
-    orbits = cx.table.orbits[d]
-    if len(cell.vertices) != cx.n:
-        for orb in orbits:
-            gamma = equivalent_cells(orb.representative, cell)
-            if gamma is not None:
-                return orb, gamma
-        return None
-    if len(orbits) != 1:
-        raise InternalCheckError("expected a single unimodular cell orbit")
-    rows = [list(v) for v in cell.vertices]
-    if abs(la.det(la.freeze(rows))) != 1:
-        return None
-    rep_inv = _vertex_inverse(orbits[0].representative)
-    gamma = la.mat_mul(rep_inv, la.freeze(rows))
-    if la.det(gamma) == -1:  # a vertex is a line: flip the last one's sign
-        rows[-1] = [-x for x in rows[-1]]
-        gamma = la.mat_mul(rep_inv, la.freeze(rows))
-    if la.det(gamma) != 1:
-        raise InternalCheckError("no SL(n,Z) witness between unimodular cells")
-    return orbits[0], gamma
-
-
-@lru_cache(maxsize=None)
-def _vertex_inverse(cell: VoronoiCell):
-    """The inverse of the vertex matrix of a unimodular cell."""
-    return la.inverse_unimodular(la.freeze(cell.vertices))
+    for orb in cx.table.orbits[d]:
+        gamma = equivalent_cells(orb.representative, cell)
+        if gamma is not None:
+            return orb, gamma
+    return None
 
 
 def _cell_coordinate(cx: GammaComplex, orb, gamma, cell: VoronoiCell):
@@ -331,15 +311,64 @@ def _cell_coordinate(cx: GammaComplex, orb, gamma, cell: VoronoiCell):
     return cx.positions[k][orb.index, space.points[best]], char * eta
 
 
+def _w0_labels(cx: GammaComplex) -> list:
+    """For each point i of P^{n-1}(Z/N), (position in bases[0], orientation
+    character) of the unimodular cell whose coset point is i; the position
+    is None where the character is 0.  Built through `congruence.orbit_label`
+    on the first degree-0 read-back of a complex and kept on it.
+    """
+    labels = cx.w0_labels
+    if not labels:
+        orbits = cx.table.orbits[cx.n - 1]
+        if len(orbits) != 1:
+            raise InternalCheckError("expected a single unimodular cell orbit")
+        orb = orbits[0]
+        space = cg.projective_space(cx.n, cx.level)
+        perms = cx.stab_perms[orb.dim, orb.index]
+        for i in range(len(space)):
+            best, char = cg.orbit_label(space, perms, orb.sl_orientation_chars, i)
+            pos = cx.positions[0][orb.index, space.points[best]] if char else None
+            labels.append((pos, char))
+    return labels
+
+
 def chain_to_w(cx: GammaComplex, k: int, chain: sh.SharblyChain):
     """Coordinates in W_k of a Voronoi-supported plain chain.
 
     Every term must be the sharbly of an actual Voronoi cell; terms whose
     split orbit is killed by orientation contribute zero.
+
+    In degree 0 every term is a unimodular symbol R of the single orbit,
+    whose representative has vertex matrix V.  With R's last row negated
+    when det R != det V, R = V * gamma for gamma in SL(n,Z), so the
+    term's coordinate depends only on its coset point e_1 * gamma^{-1} =
+    adj(R)[0] * V * det V, looked up in `_w0_labels`.  Its transport sign
+    is +1, because V * gamma = R row for row.  In higher degrees each
+    cell's orbit and gamma come from `_locate`.
     """
+    if (chain.n, chain.k) != (cx.n, k):
+        raise ValueError(
+            f"expected a degree-{k} chain at n = {cx.n}, got degree {chain.k} at n = {chain.n}"
+        )
     f = cx.field
-    d = k + cx.n - 1
     out = [f.zero] * cx.rank(k)
+    if k == 0:
+        space = cg.projective_space(cx.n, cx.level)
+        labels = _w0_labels(cx)
+        rep = cx.table.orbits[cx.n - 1][0].representative.vertices
+        rep_det = la.det(rep)
+        for key, c in chain.coeffs.items():
+            cof = la.first_column_cofactors(key)
+            det = sum(row[0] * x for row, x in zip(key, cof))
+            if abs(det) != 1:
+                raise ValueError(f"chain term {key} is not a Voronoi cell sharbly")
+            if det != rep_det:  # negating the last row negates all cofactors but its own
+                cof = [-x for x in cof[:-1]] + [cof[-1]]
+            pos, char = labels[space.index(la.vec_mat(cof, rep))]  # the unit det V drops
+            if char:
+                out[pos] = f.add(out[pos], f(c * char))
+        return out
+    d = k + cx.n - 1
     for key, c in chain.coeffs.items():
         cell = VoronoiCell(cx.n, key)
         hit = _locate(cx, d, cell)

@@ -49,12 +49,17 @@ def mat_neg(a: Mat) -> Mat:
 
 
 def det(a: Mat) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
+    """Determinant: the closed form up to 2 x 2, else fraction-free
+    (Bareiss) elimination."""
     n = len(a)
     if n == 0:
         return 1
     if any(len(row) != n for row in a):
         raise InternalCheckError("det needs a square matrix")
+    if n == 1:
+        return a[0][0]
+    if n == 2:
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
     m = [list(row) for row in a]
     sign = 1
     prev = 1
@@ -81,6 +86,12 @@ def _minor(a: Mat, i: int, j: int) -> Mat:
         for ii, row in enumerate(a)
         if ii != i
     )
+
+
+def first_column_cofactors(a: Mat) -> Vec:
+    """Row 0 of adj(a): the cofactors of a's first column."""
+    rest = [row[1:] for row in a]
+    return tuple((-1) ** j * det(rest[:j] + rest[j + 1:]) for j in range(len(a)))
 
 
 def adjugate(a: Mat) -> Mat:

@@ -397,6 +397,8 @@ def _neighbor_form(p: PerfectForm, direction: Mat) -> PerfectForm:
         below = [v for v in shorts if Fraction(pval(v)) + t * rval(v) < m]
         if below:
             t = min(Fraction(m - pval(v), rval(v)) for v in below)
+            if t <= 0:  # a minimal vector of P loses value along the direction
+                raise InternalCheckError("direction is not an inward facet normal")
             continue
         if any(pval(v) + t * rval(v) == m and pval(v) != m for v in shorts):
             g = _primitive_integer_sym(q_rows)

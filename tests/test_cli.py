@@ -108,6 +108,13 @@ class TestExitCodes:
         assert out.returncode == 2, out.stderr
         assert "ell must be >= 1" in out.stderr
 
+    @pytest.mark.parametrize("ell", ["-2", "11"])
+    def test_oracle_rejected_ell_prints_nothing(self, run_cli, ell):
+        # the report is all or nothing: no manin_dim line before the exit
+        out = run_cli(["oracle", "--level", "11", "--ell", ell])
+        assert out.returncode == 2, out.stderr
+        assert out.stdout == ""
+
     @pytest.mark.parametrize("flags", [(), ("-O",)])
     def test_oracle_level_0_exit_2(self, run_cli, flags):
         out = run_cli(["oracle", "--level", "0"], python_flags=flags)

@@ -1,6 +1,9 @@
 import itertools
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +86,18 @@ class TestHeckeH0:
             rep = hk.hecke_on_h0(2, level, QQ, ell, 1, cx=cx)
             _, cp = manin.manin_hecke(level, ell)
             assert rep.charpoly == cp
+
+    def test_survey_script_matches_the_oracle(self):
+        # every H_0 char poly at N <= 16, killed-orbit levels 2, 5, 10 and 13
+        # included, against the independent Manin oracle
+        script = Path(__file__).resolve().parents[1] / "scripts" / "hecke_survey.py"
+        out = subprocess.run(
+            [sys.executable, str(script), "--max-level", "16", "--all-levels",
+             "--primes", "2,3,5"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stdout + out.stderr
+        assert "0 mismatches" in out.stdout
 
     def test_central_operator_is_identity(self, cx11):
         rep = hk.hecke_on_h0(2, 11, QQ, 3, 2, cx=cx11)

@@ -7,12 +7,12 @@ import pytest
 from sharbly import intlinalg as la
 from sharbly import reduction as rd
 from sharbly import sharbly as sh
-from sharbly.congruence import is_gamma0
+from sharbly.congruence import is_gamma0, projective_space
 from sharbly.errors import InternalCheckError, PreconditionError
 from sharbly.fields import PrimeField, QQ, solve
 from sharbly.hecke import hecke_cosets, theta_s
 from sharbly.homology import (
-    _cell_coordinate, _locate, build_complex, chain_to_w, homology, is_voronoi_supported,
+    _cell_coordinate, build_complex, chain_to_w, homology, is_voronoi_supported,
     theta_lift,
 )
 from sharbly.voronoi import VoronoiCell, _vertex_maps, equivalent_cells
@@ -35,29 +35,40 @@ class TestLifts:
         assert not is_voronoi_supported(cx11, bad)
         with pytest.raises(ValueError):
             chain_to_w(cx11, 1, bad)
+        triangle = sh.chain_of(2, [(1, 0), (0, 1), (1, 1)])  # a 1-chain read in degree 0
+        with pytest.raises(ValueError, match="expected a degree-0 chain"):
+            chain_to_w(cx11, 0, triangle)
 
-    @pytest.mark.parametrize("n, level", [(2, 11), (3, 7)])
-    def test_unimodular_shortcut_matches_equivalent_cells(self, table2, table3, n, level):
-        # an n-vertex cell's gamma is read off its vertex matrix; an
-        # equivalent_cells witness must give the same W_0 coordinate
+    @pytest.mark.parametrize("n, level, killed", [(2, 11, 0), (2, 13, 2), (3, 7, 37)])
+    def test_point_table_matches_equivalent_cells(self, table2, table3, n, level, killed):
+        # a unimodular symbol's W_0 coordinate is read from the complex's
+        # point table; the general path, through an equivalent_cells
+        # witness, must give the same coordinate
         cx = build_complex(n, level, QQ, table=table2 if n == 2 else table3)
         rng = random.Random(level)
-        rep = cx.table.orbits[n - 1][0].representative
-        checked = flipped = 0
+        orb = cx.table.orbits[n - 1][0]
+        rep = orb.representative
+        checked = flipped = dead = 0
         while checked < 40:
             m = la.freeze([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
             if la.det(m) == 0:
                 continue
             for key in sh.ar_reduce(m).coeffs:
                 cell = VoronoiCell(n, key)
-                orb, gamma = _locate(cx, n - 1, cell)
-                reference = equivalent_cells(rep, cell)
-                assert _cell_coordinate(cx, orb, gamma, cell) == _cell_coordinate(
-                    cx, orb, reference, cell
-                )
+                term = _cell_coordinate(cx, orb, equivalent_cells(rep, cell), cell)
+                expected = [QQ.zero] * cx.rank(0)
+                if term is None:
+                    dead += 1
+                else:
+                    expected[term[0]] = QQ(term[1])
+                assert chain_to_w(cx, 0, sh.chain_of(n, key)) == expected
                 checked += 1
                 flipped += la.det(la.freeze(key)) * la.det(la.freeze(rep.vertices)) < 0
         assert 0 < flipped < checked  # both signs of the vertex matrix occur
+        # the table covers P^{n-1}(Z/N), and killed points are met when there are any
+        assert len(cx.w0_labels) == len(projective_space(n, level))
+        assert sum(char == 0 for _, char in cx.w0_labels) == killed
+        assert (dead > 0) == (killed > 0)
 
 
 class TestOneSharblyReduce:

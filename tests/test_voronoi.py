@@ -1,6 +1,9 @@
 import hashlib
 import itertools
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +77,25 @@ class TestFacetNormals:
         for r in normals:
             values = [la.quadratic_value(r, v) for v in p.min_vectors]
             assert min(values) == 0 and values.count(0) == count - 1
+
+    def test_outward_direction_raises(self):
+        # an outward normal drives the step search of the neighbor walk to
+        # t = 0; a child process with a timeout turns a hang into a failure
+        code = (
+            "from sharbly import intlinalg as la, voronoi as vo\n"
+            "from sharbly.errors import InternalCheckError\n"
+            "p = vo.perfect_forms(2)[0]\n"
+            "try:\n"
+            "    vo._neighbor_form(p, la.mat_neg(vo._facet_normals(p)[0]))\n"
+            "except InternalCheckError as exc:\n"
+            "    print(exc)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(vo.__file__).parents[1])},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "direction is not an inward facet normal"
 
 
 class TestCellTable:
