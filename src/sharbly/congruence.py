@@ -5,10 +5,14 @@ subgroup whose *first row* is congruent to (*, 0, ..., 0) mod N, so the
 right cosets Gamma_0(N)\\SL(n,Z) are labeled by the projective point of
 the first row, and the cell orbit of c * gamma is labeled by the
 stabilizer orbit of [e_1 * gamma^{-1}].
+
+`orbit_label` is the one labeller of those orbits; `split_orbits` and the
+coinvariant complex of `homology` read it per point, from `orbit_labels`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -176,6 +180,14 @@ def orbit_label(space: ProjectiveSpace, perms, chars, i: int):
     return best, char
 
 
+def orbit_labels(space: ProjectiveSpace, orbit: CellOrbit) -> list:
+    """`orbit_label` of every point of P^{n-1}(Z/N) under the orbit's SL(n,Z)
+    stabilizer, indexed by point."""
+    perms = [space.perm(s) for s in orbit.sl_stabilizer]
+    chars = orbit.sl_orientation_chars
+    return [orbit_label(space, perms, chars, i) for i in range(len(space))]
+
+
 @dataclass(frozen=True)
 class SplitOrbit:
     """One Gamma_0(N)-orbit inside an SL(n,Z) cell orbit."""
@@ -189,36 +201,19 @@ class SplitOrbit:
 def split_orbits(orbit: CellOrbit, n_mod: int) -> list[SplitOrbit]:
     """Gamma_0(N)-orbits of the cells in an SL-orbit, with orientation data.
 
-    These are orbits of the cell's SL-stabilizer acting on P^{n-1}(Z/N);
-    an orbit is orientation_ok iff no stabilizer element fixing its point
-    reverses the cell's orientation.
+    These are the orbits of the cell's SL-stabilizer S on P^{n-1}(Z/N), read
+    off `orbit_labels`: each is named by its least point, its stabilizer
+    order is |S| / size, and it is orientation_ok iff its character is not 0.
     """
     space = projective_space(len(orbit.representative.vertices[0]), n_mod)
-    perms = [space.perm(s) for s in orbit.sl_stabilizer]
-    chars = orbit.sl_orientation_chars
-    seen = [False] * len(space)
-    out = []
-    for i, p in enumerate(space.points):  # sorted, so orbit reps come out canonically
-        if seen[i]:
-            continue
-        seen[i] = True
-        size = 1
-        queue = [i]
-        while queue:
-            j = queue.pop()
-            for perm in perms:
-                j2 = perm[j]
-                if not seen[j2]:
-                    seen[j2] = True
-                    size += 1
-                    queue.append(j2)
-        fixers = [ch for perm, ch in zip(perms, chars) if perm[i] == i]
-        out.append(
-            SplitOrbit(
-                point=p,
-                size=size,
-                stabilizer_order=len(fixers),
-                orientation_ok=all(ch == 1 for ch in fixers),
-            )
+    labels = orbit_labels(space, orbit)
+    sizes = Counter(best for best, _ in labels)
+    return [
+        SplitOrbit(
+            point=space.points[i],
+            size=size,
+            stabilizer_order=len(orbit.sl_stabilizer) // size,
+            orientation_ok=labels[i][1] != 0,
         )
-    return out
+        for i, size in sorted(sizes.items())
+    ]

@@ -10,14 +10,35 @@ from operator import mul
 from .errors import ConfigError, InternalCheckError, PreconditionError
 
 
+# Miller-Rabin with the first 13 primes as bases has no strong pseudoprime
+# below this bound (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin, exact for p below _MR_BOUND; larger p are
+    rejected rather than guessed."""
+    if p >= _MR_BOUND:
+        raise PreconditionError(f"{p} is too large: primality is decided only below {_MR_BOUND}")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

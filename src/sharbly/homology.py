@@ -9,6 +9,7 @@ facet records of the cell table transported through the coset labels.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 from . import congruence as cg
@@ -28,14 +29,11 @@ class GammaComplex:
     field: Field
     table: CellComplexTable
     bases: dict  # degree k -> tuple of (orbit_index, point)
-    positions: dict  # degree k -> {generator: its position in bases[k]}
+    # (dim, orbit_index) -> per point of P^{n-1}(Z/N), (position in bases[k] or None, char)
+    labels: dict
     boundaries: dict  # degree k (>= 1) -> SparseFieldMatrix, degree k -> k-1
-    # (dim, orbit_index) -> permutations of P^{n-1}(Z/N) by the orbit's SL stabilizer
-    stab_perms: dict
     # degree k -> HomologyResult, filled by `homology`
     homology_memo: dict = dc_field(default_factory=dict, compare=False, repr=False)
-    # P^{n-1}(Z/N) point -> (W_0 position, orientation character), filled by `_w0_labels`
-    w0_labels: list = dc_field(default_factory=list, compare=False, repr=False)
 
     @property
     def max_degree(self) -> int:
@@ -46,7 +44,12 @@ class GammaComplex:
 
 
 def build_complex(n: int, level: int, field: Field, table=None) -> GammaComplex:
-    """Assemble W_* tensored down to Gamma_0(N)-coinvariants over `field`."""
+    """Assemble W_* tensored down to Gamma_0(N)-coinvariants over `field`.
+
+    The generators, the F_p stabilizer check and the boundary entries are
+    read from one label table per cell orbit, `congruence.orbit_labels`
+    with each live least point replaced by its position in bases[k].
+    """
     if n not in (2, 3):
         raise PreconditionError(f"homology is supported for n in {{2, 3}}, got {n}")
     if level < 1:
@@ -56,41 +59,31 @@ def build_complex(n: int, level: int, field: Field, table=None) -> GammaComplex:
     if table.n != n:
         raise ValueError("cell table has the wrong rank")
 
-    # split every orbit and enforce the coefficient hypotheses; the orbit
-    # labeller must kill exactly the split orbits that split_orbits does
     space = cg.projective_space(n, level)
-    splits, stab_perms = {}, {}
-    for d in sorted(table.orbits):
-        for orb in table.orbits[d]:
-            recs = cg.split_orbits(orb, level)
-            splits[d, orb.index] = recs
-            perms = stab_perms[d, orb.index] = tuple(space.perm(s) for s in orb.sl_stabilizer)
-            for r in recs:
-                i = space.index(r.point)
-                label = cg.orbit_label(space, perms, orb.sl_orientation_chars, i)
-                if label != (i, 1 if r.orientation_ok else 0):
-                    raise InternalCheckError(
-                        f"orbit label {label} disagrees with split orbit {r} (dim {d}, orbit {orb.index})"
-                    )
-                if isinstance(field, PrimeField) and r.stabilizer_order % field.p == 0:
-                    raise PreconditionError(
-                        f"p = {field.p} divides a split-orbit stabilizer "
-                        f"order {r.stabilizer_order} (dim {d}, orbit "
-                        f"{orb.index}, point {r.point}); the coinvariant "
-                        "complex would not compute Voronoi homology"
-                    )
-
     max_k = n * (n - 1) // 2
-    bases = {}
+    bases, labels = {}, {}
     for k in range(max_k + 1):
         d = k + n - 1
         basis = []
         for orb in table.orbits[d]:
-            for r in splits[d, orb.index]:
-                if r.orientation_ok:
-                    basis.append((orb.index, r.point))
-        bases[k] = tuple(sorted(basis))
-    positions = {k: {gen: i for i, gen in enumerate(basis)} for k, basis in bases.items()}
+            raw = cg.orbit_labels(space, orb)
+            position = {}
+            for i, size in sorted(Counter(best for best, _ in raw).items()):
+                order = len(orb.sl_stabilizer) // size  # orbit-stabilizer
+                if isinstance(field, PrimeField) and order % field.p == 0:
+                    raise PreconditionError(
+                        f"p = {field.p} divides a split-orbit stabilizer "
+                        f"order {order} (dim {d}, orbit {orb.index}, point "
+                        f"{space.points[i]}); the coinvariant complex would "
+                        "not compute Voronoi homology"
+                    )
+                if raw[i][1]:
+                    position[i] = len(basis)
+                    basis.append((orb.index, space.points[i]))
+            labels[d, orb.index] = tuple(
+                (position[best], char) if char else (None, 0) for best, char in raw
+            )
+        bases[k] = tuple(basis)
 
     boundaries = {}
     for k in range(1, max_k + 1):
@@ -104,22 +97,16 @@ def build_complex(n: int, level: int, field: Field, table=None) -> GammaComplex:
         for col, (o_idx, p) in enumerate(bases[k]):
             orb = table.orbits[d][o_idx]
             for fr, gamma_inv in zip(orb.facets, facet_inverses[o_idx]):
-                target = table.orbits[d - 1][fr.orbit]
                 i = space.index(cg.proj_act(p, gamma_inv, level))
-                best, char = cg.orbit_label(
-                    space, stab_perms[d - 1, fr.orbit], target.sl_orientation_chars, i
-                )
-                if not char:
-                    continue
-                coeff = fr.sign * char
-                key = (positions[k - 1][fr.orbit, space.points[best]], col)
-                entries[key] = entries.get(key, 0) + coeff
+                row, char = labels[d - 1, fr.orbit][i]
+                if char:
+                    entries[row, col] = entries.get((row, col), 0) + fr.sign * char
         triplets = [(r, c, v) for (r, c), v in entries.items() if v]
         boundaries[k] = SparseFieldMatrix.from_triplets(
             field, len(bases[k - 1]), len(bases[k]), triplets
         )
 
-    complex_ = GammaComplex(n, level, field, table, bases, positions, boundaries, stab_perms)
+    complex_ = GammaComplex(n, level, field, table, bases, labels, boundaries)
     _check_dd_zero(complex_)
     return complex_
 
@@ -286,7 +273,7 @@ def _locate(cx: GammaComplex, d: int, cell: VoronoiCell):
     `cell` is no Voronoi cell of dimension d.
 
     Each representative of dimension d is tried with `equivalent_cells`.
-    `chain_to_w` reads degree-0 symbols from `_w0_labels` instead.
+    `chain_to_w` reads degree-0 symbols from their label table instead.
     """
     for orb in cx.table.orbits[d]:
         gamma = equivalent_cells(orb.representative, cell)
@@ -300,36 +287,10 @@ def _cell_coordinate(cx: GammaComplex, orb, gamma, cell: VoronoiCell):
     orb.representative * gamma = cell, or None when its split orbit is
     killed by orientation."""
     space = cg.projective_space(cx.n, cx.level)
-    i = space.index(la.inverse_unimodular(gamma)[0])
-    best, char = cg.orbit_label(
-        space, cx.stab_perms[orb.dim, orb.index], orb.sl_orientation_chars, i
-    )
+    pos, char = cx.labels[orb.dim, orb.index][space.index(la.inverse_unimodular(gamma)[0])]
     if not char:
         return None
-    eta = _orientation_transport_sign(orb.representative, gamma, cell)
-    k = orb.dim - cx.n + 1
-    return cx.positions[k][orb.index, space.points[best]], char * eta
-
-
-def _w0_labels(cx: GammaComplex) -> list:
-    """For each point i of P^{n-1}(Z/N), (position in bases[0], orientation
-    character) of the unimodular cell whose coset point is i; the position
-    is None where the character is 0.  Built through `congruence.orbit_label`
-    on the first degree-0 read-back of a complex and kept on it.
-    """
-    labels = cx.w0_labels
-    if not labels:
-        orbits = cx.table.orbits[cx.n - 1]
-        if len(orbits) != 1:
-            raise InternalCheckError("expected a single unimodular cell orbit")
-        orb = orbits[0]
-        space = cg.projective_space(cx.n, cx.level)
-        perms = cx.stab_perms[orb.dim, orb.index]
-        for i in range(len(space)):
-            best, char = cg.orbit_label(space, perms, orb.sl_orientation_chars, i)
-            pos = cx.positions[0][orb.index, space.points[best]] if char else None
-            labels.append((pos, char))
-    return labels
+    return pos, char * _orientation_transport_sign(orb.representative, gamma, cell)
 
 
 def chain_to_w(cx: GammaComplex, k: int, chain: sh.SharblyChain):
@@ -342,9 +303,9 @@ def chain_to_w(cx: GammaComplex, k: int, chain: sh.SharblyChain):
     whose representative has vertex matrix V.  With R's last row negated
     when det R != det V, R = V * gamma for gamma in SL(n,Z), so the
     term's coordinate depends only on its coset point e_1 * gamma^{-1} =
-    adj(R)[0] * V * det V, looked up in `_w0_labels`.  Its transport sign
-    is +1, because V * gamma = R row for row.  In higher degrees each
-    cell's orbit and gamma come from `_locate`.
+    adj(R)[0] * V * det V, looked up in the orbit's label table.  Its
+    transport sign is +1, because V * gamma = R row for row.  In higher
+    degrees each cell's orbit and gamma come from `_locate`.
     """
     if (chain.n, chain.k) != (cx.n, k):
         raise ValueError(
@@ -353,9 +314,12 @@ def chain_to_w(cx: GammaComplex, k: int, chain: sh.SharblyChain):
     f = cx.field
     out = [f.zero] * cx.rank(k)
     if k == 0:
+        orbits = cx.table.orbits[cx.n - 1]
+        if len(orbits) != 1:
+            raise InternalCheckError("expected a single unimodular cell orbit")
         space = cg.projective_space(cx.n, cx.level)
-        labels = _w0_labels(cx)
-        rep = cx.table.orbits[cx.n - 1][0].representative.vertices
+        labels = cx.labels[cx.n - 1, 0]
+        rep = orbits[0].representative.vertices
         rep_det = la.det(rep)
         for key, c in chain.coeffs.items():
             cof = la.first_column_cofactors(key)

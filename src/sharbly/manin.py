@@ -186,7 +186,7 @@ def manin_hecke(n_mod: int, ell: int):
     """(matrix, characteristic polynomial) of T_ell on the Manin quotient."""
     if ell < 1:
         raise PreconditionError(f"T_{ell}: ell must be >= 1")
-    if n_mod % ell == 0:
+    if ell > 1 and n_mod % ell == 0:  # T_1 is the identity at every level
         raise PreconditionError(f"T_{ell} at level {n_mod}: ell divides the level")
     space = ManinSpace(n_mod)
     d = space.dim()

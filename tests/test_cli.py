@@ -46,6 +46,11 @@ class TestExitCodes:
         out = run_cli(["homology", "--n", "2", "--level", "11", "--field", "Fp:2"])
         assert out.returncode == 2, out.stderr
 
+    def test_25_digit_field_exit_2(self, run_cli):
+        out = run_cli(["homology", "--level", "5", "--field", "Fp:9000000000000000000000007"])
+        assert out.returncode == 2, out.stderr
+        assert "too large" in out.stderr
+
     def test_p_dividing_stabilizer_exit_2(self, run_cli):
         out = run_cli(["homology", "--n", "2", "--level", "1", "--field", "Fp:3"])
         assert out.returncode == 2, out.stderr
@@ -107,6 +112,12 @@ class TestExitCodes:
         out = run_cli(["oracle", "--level", "11", "--ell", "-2"])
         assert out.returncode == 2, out.stderr
         assert "ell must be >= 1" in out.stderr
+
+    def test_oracle_ell_1_is_the_identity(self, run_cli):
+        # 1 divides every level, but T_1 is defined there
+        out = run_cli(["oracle", "--level", "11", "--ell", "1"])
+        assert out.returncode == 0, out.stderr
+        assert "T_1: charpoly x^3 - 3*x^2 + 3*x - 1" in out.stdout
 
     @pytest.mark.parametrize("ell", ["-2", "11"])
     def test_oracle_rejected_ell_prints_nothing(self, run_cli, ell):

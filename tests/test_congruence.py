@@ -36,6 +36,33 @@ def least_unit_multiple(v, n_mod):
     return min(tuple(u * x % n_mod for x in v) for u in units)
 
 
+def reference_split_orbits(orbit, n_mod):
+    """split_orbits by a breadth-first search of each stabilizer orbit and a
+    scan of its least point's fixers, without `orbit_label`."""
+    space = cg.projective_space(orbit.representative.n, n_mod)
+    perms = [space.perm(s) for s in orbit.sl_stabilizer]
+    chars = orbit.sl_orientation_chars
+    seen = [False] * len(space)
+    out = []
+    for i, p in enumerate(space.points):  # sorted, so orbit reps come out canonically
+        if seen[i]:
+            continue
+        seen[i] = True
+        size = 1
+        queue = [i]
+        while queue:
+            j = queue.pop()
+            for perm in perms:
+                j2 = perm[j]
+                if not seen[j2]:
+                    seen[j2] = True
+                    size += 1
+                    queue.append(j2)
+        fixers = [ch for perm, ch in zip(perms, chars) if perm[i] == i]
+        out.append(cg.SplitOrbit(p, size, len(fixers), all(ch == 1 for ch in fixers)))
+    return out
+
+
 def _random_sl(rng, n):
     g = la.identity(n)
     for _ in range(4 * n):
@@ -194,6 +221,20 @@ class TestSplitOrbits:
         assert len(recs) == 1
         assert not recs[0].orientation_ok
         assert recs[0].stabilizer_order == 4
+
+    @pytest.mark.parametrize("n_mod", [1, 2, 3, 4, 7, 12, 13, 17])
+    def test_matches_reference_search(self, table2, table3, n_mod):
+        # split_orbits is read off the labels of orbit_labels, which also
+        # build every W_k table; an independent orbit search must agree on
+        # every orbit, killed ones included
+        killed = 0
+        for table in (table2, table3):
+            for orbs in table.orbits.values():
+                for orb in orbs:
+                    recs = cg.split_orbits(orb, n_mod)
+                    assert recs == reference_split_orbits(orb, n_mod)
+                    killed += sum(not r.orientation_ok for r in recs)
+        assert killed > 0
 
     def test_sizes_partition_all_orbits(self, table2, table3):
         for table, n_mod in itertools.product((table2, table3), (2, 3, 4, 12, 17)):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from sharbly import intlinalg as la
+from sharbly.congruence import projective_space
 from sharbly.errors import InternalCheckError, PreconditionError
 from sharbly.fields import PrimeField, QQ
 from sharbly.hecke import hecke_on_h0
@@ -58,6 +59,27 @@ class TestBuild:
             build_complex(2, n_mod, QQ, table=table2)  # checked on build
         for n_mod in (3, 4, 5):
             build_complex(3, n_mod, QQ, table=table3)
+
+    @pytest.mark.parametrize("n, level", [(2, 1), (2, 11), (2, 13), (3, 1), (3, 7), (3, 12)])
+    def test_label_tables_match_the_bases(self, table2, table3, n, level):
+        # the generator at position j of bases[k] labels its own point
+        # (j, 1); every other point is killed, (None, 0), or labelled +-1
+        # to a generator of the same orbit
+        cx = build_complex(n, level, QQ, table=table2 if n == 2 else table3)
+        space = projective_space(n, level)
+        orbits = cx.table.orbits
+        assert set(cx.labels) == {(d, o.index) for d in orbits for o in orbits[d]}
+        for k in range(cx.max_degree + 1):
+            d = k + n - 1
+            for orb in orbits[d]:
+                labels = cx.labels[d, orb.index]
+                assert len(labels) == len(space)
+                own = {space.index(p): j for j, (o, p) in enumerate(cx.bases[k]) if o == orb.index}
+                for i, label in enumerate(labels):
+                    if i in own:
+                        assert label == (own[i], 1)
+                    else:
+                        assert label == (None, 0) or (label[0] in own.values() and label[1] in (1, -1))
 
     def test_bad_rank_rejected(self, table2):
         with pytest.raises(PreconditionError):

@@ -459,6 +459,35 @@ class TestFields:
         with pytest.raises(PreconditionError):
             PrimeField(9)
 
+    @pytest.mark.parametrize("p, prime", [
+        (2**61 - 1, True),
+        (1_000_000_000_000_000_003, True),
+        (561, False),  # a Carmichael number
+        (3_215_031_751, False),  # = 151 * 751 * 28351, strong pseudoprime to 2, 3, 5, 7
+        (318_665_857_834_031_151_167_461, False),  # strong pseudoprime to 2, ..., 37
+    ])
+    def test_primality_is_exact_and_fast(self, p, prime):
+        import time
+
+        from sharbly.fields import PreconditionError, PrimeField, _is_prime
+
+        start = time.perf_counter()
+        assert _is_prime(p) is prime
+        if prime:
+            assert PrimeField(p).p == p
+        else:
+            with pytest.raises(PreconditionError, match="not prime"):
+                PrimeField(p)
+        assert time.perf_counter() - start < 1.0
+
+    def test_primality_beyond_its_exact_range_rejected(self):
+        from sharbly.fields import _MR_BOUND, PreconditionError, PrimeField, _is_prime
+
+        assert _is_prime(_MR_BOUND - 168)  # the largest prime below the bound
+        assert not _is_prime(_MR_BOUND - 2)
+        with pytest.raises(PreconditionError, match="too large"):
+            PrimeField(_MR_BOUND)
+
     def test_eigenvalues(self):
         from sharbly.fields import QQ, eigenvalues
 

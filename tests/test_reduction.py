@@ -66,8 +66,9 @@ class TestLifts:
                 flipped += la.det(la.freeze(key)) * la.det(la.freeze(rep.vertices)) < 0
         assert 0 < flipped < checked  # both signs of the vertex matrix occur
         # the table covers P^{n-1}(Z/N), and killed points are met when there are any
-        assert len(cx.w0_labels) == len(projective_space(n, level))
-        assert sum(char == 0 for _, char in cx.w0_labels) == killed
+        labels = cx.labels[n - 1, 0]
+        assert len(labels) == len(projective_space(n, level))
+        assert sum(char == 0 for _, char in labels) == killed
         assert (dead > 0) == (killed > 0)
 
 
