@@ -189,7 +189,7 @@ def cmd_hecke(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     # everything that can reject the arguments runs before the first print
     dim = manin.manin_dim(args.level)
-    cp = manin.manin_hecke(args.level, args.ell)[1] if args.ell else None
+    cp = manin.manin_hecke(args.level, args.ell)[1] if args.ell is not None else None
     print(f"manin_dim({args.level}) = {dim}")
     if cp is not None:
         roots, rem = eigenvalues(QQ, cp)
@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budget", type=int, default=4)
     sp = sub.add_parser("oracle", help="classical Manin-symbol results (n = 2)")
     common(sp, field=False, n=False, files=())
-    sp.add_argument("--ell", type=int, default=0)
+    sp.add_argument("--ell", type=int)
     sp = sub.add_parser("verify", help="run the self-check battery")
     common(sp, field=False, level=False, n=False, files=())
     sp = sub.add_parser("nofake", help="chain-level Hecke eigenvalue witness")

@@ -150,11 +150,11 @@ def lift_point(pt: Vec, n_mod: int) -> Vec:
 def coset_matrix(pt: Vec, n_mod: int) -> Mat:
     """A gamma_p in SL(n,Z) with [e_1 * gamma_p^{-1}] = pt.
 
+    One column reduction of the primitive lift v of pt: v * gamma_p = e_1.
     The chosen cell representative translated by gamma_p is the canonical
     lift of the split orbit labeled by pt.
     """
-    a = la.complete_to_sl(lift_point(pt, n_mod))
-    return la.inverse_unimodular(a)
+    return la.reduce_to_e1(lift_point(pt, n_mod))
 
 
 def orbit_label(space: ProjectiveSpace, perms, chars, i: int):

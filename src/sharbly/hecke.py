@@ -1,24 +1,25 @@
 """Hecke operators T(l, k) on the Voronoi homology of Gamma_0(N).
 
-Coset representatives are the lower-triangular Hermite forms of
-determinant l^k whose elementary divisors are (1, .., 1, l, .., l); these
-tile the double coset of diag(1, .., 1, l, .., l) by right SL(n,Z)-cosets,
-which is the decomposition the chain-level action needs.  The action on
-H_0 lifts a class by theta, translates it by the cosets, reduces the
-modular symbols to unimodular ones and reads the result back in W_0.
+The right SL(n,Z)-cosets tiling the double coset of diag(1, .., 1, l, .., l)
+correspond to the k-dimensional subspaces of F_l^n, one Schubert cell per
+set S of k pivot rows.  Each is represented by its lower-triangular Hermite
+form: diagonal l on S and 1 elsewhere, any entry in [0, l) at (i, j) with
+j < i, i in S and j not in S, and 0 everywhere else.  Their number is the
+Gaussian binomial, which `hecke_cosets` checks.  The action on H_0 lifts
+a class by theta, translates it by the cosets, reduces the modular symbols
+to unimodular ones and reads the result back in W_0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from . import intlinalg as la
 from . import sharbly as sh
 from .errors import InternalCheckError, PreconditionError
 from .fields import Field, _is_prime, charpoly, eigenvalues
 from .homology import GammaComplex, build_complex, chain_to_w, express_cycle, homology, theta_lift
-from .intlinalg import Mat
 
 
 @dataclass(frozen=True)
@@ -48,27 +49,16 @@ def hecke_cosets(n: int, ell: int, k: int) -> HeckeOperator:
         raise PreconditionError(f"Hecke prime required, got {ell}")
     if not 1 <= k <= n:
         raise PreconditionError(f"T(l, k) needs 1 <= k <= n, got k = {k}")
-    target_snf = tuple([1] * (n - k) + [ell] * k)
     reps = []
-    for diag in product(*([[ell ** e for e in range(k + 1)]] * n)):
-        prod_d = 1
-        for d in diag:
-            prod_d *= d
-        if prod_d != ell ** k:
-            continue
-        ranges = [range(diag[i]) for i in range(n)]
-        # lower-triangular Hermite form: row i reduced mod its diagonal
-        below = [[(i, j) for j in range(i)] for i in range(n)]
-        slots = [s for row in below for s in row]
-        for fill in product(*[range(diag[i]) for (i, j) in slots]):
+    for rows in combinations(range(n), k):
+        slots = [(i, j) for i in rows for j in range(i) if j not in rows]
+        for fill in product(range(ell), repeat=len(slots)):
             m = [[0] * n for _ in range(n)]
             for i in range(n):
-                m[i][i] = diag[i]
+                m[i][i] = ell if i in rows else 1
             for (i, j), v in zip(slots, fill):
                 m[i][j] = v
-            mat = la.freeze(m)
-            if la.snf(mat) == target_snf:
-                reps.append(mat)
+            reps.append(la.freeze(m))
     reps.sort()
     op = HeckeOperator(n, ell, k, tuple(reps))
     if op.degree() != gaussian_binomial(n, k, ell):
@@ -76,22 +66,6 @@ def hecke_cosets(n: int, ell: int, k: int) -> HeckeOperator:
             "coset count disagrees with the Gaussian binomial"
         )
     return op
-
-
-def coset_of(op: HeckeOperator, mat: Mat) -> int:
-    """Index i with mat in s_i * SL(n,Z); raises if in none."""
-    hits = []
-    for i, s in enumerate(op.cosets):
-        adj = la.adjugate(s)
-        d = la.det(s)
-        prod = la.mat_mul(adj, mat)
-        if all(x % d == 0 for row in prod for x in row):
-            g = tuple(tuple(x // d for x in row) for row in prod)
-            if la.det(g) == 1:
-                hits.append(i)
-    if len(hits) != 1:
-        raise InternalCheckError(f"matrix lies in {len(hits)} cosets, not 1")
-    return hits[0]
 
 
 # ---------------------------------------------------------------------------

@@ -287,7 +287,7 @@ def _cell_coordinate(cx: GammaComplex, orb, gamma, cell: VoronoiCell):
     orb.representative * gamma = cell, or None when its split orbit is
     killed by orientation."""
     space = cg.projective_space(cx.n, cx.level)
-    pos, char = cx.labels[orb.dim, orb.index][space.index(la.inverse_unimodular(gamma)[0])]
+    pos, char = cx.labels[orb.dim, orb.index][space.index(la.first_column_cofactors(gamma))]
     if not char:
         return None
     return pos, char * _orientation_transport_sign(orb.representative, gamma, cell)

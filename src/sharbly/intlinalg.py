@@ -89,7 +89,10 @@ def _minor(a: Mat, i: int, j: int) -> Mat:
 
 
 def first_column_cofactors(a: Mat) -> Vec:
-    """Row 0 of adj(a): the cofactors of a's first column."""
+    """Row 0 of adj(a): the cofactors of a's first column.
+
+    For det a = 1 this is e_1 * a^{-1}, the coset point of a.
+    """
     rest = [row[1:] for row in a]
     return tuple((-1) ** j * det(rest[:j] + rest[j + 1:]) for j in range(len(a)))
 
@@ -302,15 +305,17 @@ def snf(a: Mat) -> tuple[int, ...]:
     return tuple(divisors)
 
 
-def complete_to_sl(v: Vec) -> Mat:
-    """An SL(n,Z) matrix whose first row is the primitive vector v."""
+def reduce_to_e1(v: Vec) -> Mat:
+    """gamma in SL(n,Z) with v * gamma = e_1, for a primitive v.
+
+    One column reduction of v; row 0 of gamma^{-1} is then v.
+    """
     v = tuple(int(x) for x in v)
     if content(v) != 1:
         raise ValueError(f"{v} is not primitive")
     n = len(v)
     if n == 1:
         return ((1,),)
-    # Find W in GL(n,Z) with v*W = e1; then W^{-1} has first row v.
     w = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     cur = list(v)
 
@@ -329,12 +334,10 @@ def complete_to_sl(v: Vec) -> Mat:
             r[0] = -r[0]
     if cur != [1] + [0] * (n - 1):
         raise InternalCheckError(f"column reduction of {v} did not reach e_1")
-    winv = inverse_unimodular(freeze(w))
-    if det(winv) == -1:
-        winv = winv[:-1] + (tuple(-x for x in winv[-1]),)
-    if det(winv) != 1 or winv[0] != v:
-        raise InternalCheckError(f"completion of {v} is not in SL(n,Z) with first row {v}")
-    return winv
+    if det(freeze(w)) == -1:  # v * (last column) = 0, so negating it keeps v * w = e_1
+        for r in w:
+            r[-1] = -r[-1]
+    return freeze(w)
 
 
 # ---------------------------------------------------------------------------

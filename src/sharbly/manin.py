@@ -192,7 +192,7 @@ def manin_hecke(n_mod: int, ell: int):
     d = space.dim()
     mats = merel_matrices(ell)
     columns = []
-    for col, gen_idx in enumerate(space.free):
+    for gen_idx in space.free:
         x = space.p1._list[gen_idx]
         acc = [Fraction(0)] * d
         for m in mats:

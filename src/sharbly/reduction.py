@@ -165,7 +165,7 @@ class _SupportSystem:
                 tuple(self._sign(key, s, key) for s in stab),
             )
         _stab, perms, chars = self._stabs[rep]
-        q = self._space.index(la.inverse_unimodular(h)[0])
+        q = self._space.index(la.first_column_cofactors(h))
         best, char = cg.orbit_label(self._space, perms, chars, q)
         label, eps = (rep, best), 0
         if char:

@@ -119,7 +119,7 @@ class TestExitCodes:
         assert out.returncode == 0, out.stderr
         assert "T_1: charpoly x^3 - 3*x^2 + 3*x - 1" in out.stdout
 
-    @pytest.mark.parametrize("ell", ["-2", "11"])
+    @pytest.mark.parametrize("ell", ["-2", "0", "11"])
     def test_oracle_rejected_ell_prints_nothing(self, run_cli, ell):
         # the report is all or nothing: no manin_dim line before the exit
         out = run_cli(["oracle", "--level", "11", "--ell", ell])

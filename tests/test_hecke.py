@@ -30,6 +30,7 @@ class TestCosets:
     def test_central(self):
         assert hk.hecke_cosets(2, 3, 2).cosets == (((3, 0), (0, 3)),)
         assert hk.hecke_cosets(3, 2, 3).cosets == (((2, 0, 0), (0, 2, 0), (0, 0, 2)),)
+        assert hk.hecke_cosets(3, 7, 3).cosets == (((7, 0, 0), (0, 7, 0), (0, 0, 7)),)
 
     def test_composite_rejected(self):
         with pytest.raises(PreconditionError):
@@ -40,15 +41,17 @@ class TestCosets:
         assert hk.hecke_cosets(n, ell, k).degree() == hk.gaussian_binomial(n, k, ell)
 
     @pytest.mark.parametrize(
-        "n,ell,k", [(2, 2, 1), (2, 3, 1), (2, 2, 2), (3, 2, 1), (3, 2, 2)]
+        "n,ell,k",
+        [(2, 2, 1), (2, 3, 1), (2, 2, 2), (3, 2, 1), (3, 2, 2), (3, 3, 2), (4, 2, 2)],
     )
     def test_tiling_of_double_coset(self, n, ell, k):
-        # every Hermite form with the right determinant and elementary
-        # divisors lies in exactly one right coset s_i * SL(n,Z)
+        # the representatives are exactly the lower-triangular Hermite forms
+        # with the right determinant and elementary divisors, found here by
+        # a Smith-form filter; Hermite forms are unique per right coset
         op = hk.hecke_cosets(n, ell, k)
         target = tuple([1] * (n - k) + [ell] * k)
         det_target = ell ** k
-        count = 0
+        found = []
         for diag in itertools.product(
             *([[d for d in range(1, det_target + 1) if det_target % d == 0]] * n)
         ):
@@ -65,11 +68,9 @@ class TestCosets:
                 for (i, j), v in zip(slots, fill):
                     m[i][j] = v
                 mat = la.freeze(m)
-                if la.snf(mat) != target:
-                    continue
-                count += 1
-                assert hk.coset_of(op, mat) is not None  # exactly-one inside
-        assert count == op.degree()
+                if la.snf(mat) == target:
+                    found.append(mat)
+        assert tuple(sorted(found)) == op.cosets
 
 
 class TestHeckeH0:

@@ -201,20 +201,21 @@ class TestDetAdj:
         )
 
 
-class TestCompleteToSl:
+class TestReduceToE1:
     @given(
         st.lists(st.integers(min_value=-9, max_value=9), min_size=2, max_size=4)
     )
     @settings(max_examples=100, deadline=None)
-    def test_first_row_and_det(self, coords):
+    def test_reduces_to_e1_in_sl(self, coords):
         v = tuple(coords)
         if la.content(v) != 1:
             with pytest.raises(ValueError):
-                la.complete_to_sl(v)
+                la.reduce_to_e1(v)
             return
-        a = la.complete_to_sl(v)
-        assert a[0] == v
-        assert la.det(a) == 1
+        g = la.reduce_to_e1(v)
+        assert la.vec_mat(v, g) == (1,) + (0,) * (len(v) - 1)
+        assert la.det(g) == 1
+        assert la.inverse_unimodular(g)[0] == v
 
 
 class TestShortVectors:

@@ -55,3 +55,28 @@ def test_every_private_function_is_referenced():
         and node.name not in referenced
     ]
     assert not offenders, f"private function referenced nowhere in the package: {offenders}"
+
+
+def test_no_unused_local():
+    # a name stored in a function and never loaded there; `_` names are
+    # deliberate throwaways, and nested functions count as the same scope
+    offenders = []
+    for name, tree in TREES.items():
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            stored, loaded = {}, set()
+            for node in ast.walk(func):
+                if isinstance(node, ast.Name):
+                    if isinstance(node.ctx, ast.Store):
+                        stored.setdefault(node.id, node.lineno)
+                    else:
+                        loaded.add(node.id)
+                elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                    loaded.update(node.names)
+            offenders += [
+                f"{name}:{line} {func.name}: {local}"
+                for local, line in stored.items()
+                if local not in loaded and not local.startswith("_")
+            ]
+    assert not offenders, f"local stored and never loaded in {offenders}"
