@@ -267,6 +267,23 @@ class LinearSpan:
         self.rows[q] = v
         return True
 
+    def kernel_vectors(self, columns, ncols: int) -> list:
+        """The kernel vectors of the span at the free columns `columns`, in
+        that order, as tuples of length ncols.
+
+        The one at c is 1 at c and minus the RREF entry of column c at each
+        pivot, so it is 0 at every other free column.
+        """
+        f = self.field
+        kernel = {c: [f.zero] * ncols for c in columns}
+        for c, vec in kernel.items():
+            vec[c] = f.one
+        for p, row in self.rows.items():
+            for c, x in row.items():
+                if c in kernel:
+                    kernel[c][p] = f.neg(x)
+        return [tuple(kernel[c]) for c in columns]
+
     @property
     def rank(self) -> int:
         return len(self.rows)
@@ -283,7 +300,7 @@ def _axpy(f, y: dict, a, x: dict):
             y.pop(c, None)
 
 
-def _row_span(m: SparseFieldMatrix, rhs=None) -> LinearSpan:
+def row_span(m: SparseFieldMatrix, rhs=None) -> LinearSpan:
     """The span of the rows of m (of [m | rhs] when rhs is given).
 
     Rows go in sparsest first, which keeps the fill-in down; the RREF, and
@@ -305,25 +322,17 @@ def _row_span(m: SparseFieldMatrix, rhs=None) -> LinearSpan:
 def rank_kernel(m: SparseFieldMatrix):
     """(rank, kernel basis) of a sparse field matrix; kernel vectors exact.
 
-    The kernel has one vector per free (non-pivot) column c, in increasing
-    c: coordinate 1 at c, minus the RREF entries of column c at the pivots.
+    The kernel has one vector per free (non-pivot) column, in increasing
+    column order, read off the RREF by `LinearSpan.kernel_vectors`.
     """
-    f = m.field
-    span = _row_span(m)
+    span = row_span(m)
     free = [c for c in range(m.ncols) if c not in span.rows]
-    kernel = {c: [f.zero] * m.ncols for c in free}
-    for c in free:
-        kernel[c][c] = f.one
-    for p, row in span.rows.items():
-        for c, x in row.items():
-            if c != p:
-                kernel[c][p] = f.neg(x)
-    return span.rank, [tuple(kernel[c]) for c in free]
+    return span.rank, span.kernel_vectors(free, m.ncols)
 
 
 def rank(m: SparseFieldMatrix) -> int:
     """Rank of a sparse field matrix."""
-    return _row_span(m).rank
+    return row_span(m).rank
 
 
 def solve(m: SparseFieldMatrix, rhs):
@@ -333,7 +342,7 @@ def solve(m: SparseFieldMatrix, rhs):
     is that RREF row's entry in the rhs column.
     """
     f = m.field
-    span = _row_span(m, rhs)
+    span = row_span(m, rhs)
     if m.ncols in span.rows:
         return None
     x = [f.zero] * m.ncols

@@ -16,7 +16,7 @@ from . import congruence as cg
 from . import intlinalg as la
 from . import sharbly as sh
 from .errors import InternalCheckError, PreconditionError
-from .fields import Field, LinearSpan, PrimeField, SparseFieldMatrix, coeff_str, rank_kernel, solve
+from .fields import Field, LinearSpan, PrimeField, SparseFieldMatrix, coeff_str, row_span, solve
 from .voronoi import (
     CellComplexTable, VoronoiCell, _orientation_transport_sign, enumerate_cells, equivalent_cells,
 )
@@ -160,27 +160,23 @@ def _compute_homology(cx: GammaComplex, k: int) -> HomologyResult:
     im d_{k+1}, in basis order and each with its position, and the span
     of im d_{k+1} in positions.
 
-    The elimination runs in coordinates on ker d_k: each vector of the
-    `rank_kernel` basis is 1 at its own free column, which is its last
-    nonzero entry, and 0 at the other free columns, so a cycle's
-    coordinates are its entries at the free columns.  im d_{k+1} lies in
-    ker d_k because build_complex checks d o d = 0.  The free columns
-    c_0 < ... < c_{f-1} sit at positions f-1, ..., 0, reversed, so that a
-    `LinearSpan` pivot (a row's least position) is the last free column of
-    an image vector: the kernel vector at c is independent of im d_{k+1}
-    and of the vectors before it iff c is no such last column.  Its
-    position is then no pivot, so its class, reduced against the image,
-    is the unit vector at its position.
+    `cycles` is the RREF of the rows of d_k (empty at k = 0); its free
+    columns index a basis of ker d_k, the kernel vector at c being 1 at c
+    and 0 at the other free columns, so a cycle's coordinates are its
+    entries at the free columns.  The elimination runs in those
+    coordinates; im d_{k+1} lies in ker d_k because build_complex checks
+    d o d = 0.  The free columns c_0 < ... < c_{f-1} sit at positions
+    f-1, ..., 0, reversed, so that a `LinearSpan` pivot (a row's least
+    position) is the last free column of an image vector: the kernel
+    vector at c is independent of im d_{k+1} and of the vectors before it
+    iff its position is no image pivot.  Its class, reduced against the
+    image, is then the unit vector at its position.  Only those kept
+    kernel vectors are built, by `LinearSpan.kernel_vectors`.
     """
     f = cx.field
-    if k == 0:
-        kernel = [
-            tuple(f.one if i == j else f.zero for j in range(cx.rank(0)))
-            for i in range(cx.rank(0))
-        ]
-    else:
-        kernel = rank_kernel(cx.boundaries[k])[1]
-    free = [max(i for i, x in enumerate(vec) if x != f.zero) for vec in kernel]
+    ncols = cx.rank(k)
+    cycles = row_span(cx.boundaries[k]) if k else LinearSpan(f)
+    free = [c for c in range(ncols) if c not in cycles.rows]
     top = len(free) - 1
     position = {c: top - j for j, c in enumerate(free)}
     cols: dict = {}  # the columns of d_{k+1}, in positions
@@ -191,7 +187,8 @@ def _compute_homology(cx: GammaComplex, k: int) -> HomologyResult:
     image = LinearSpan(f)
     for c in sorted(cols):
         image.add(cols[c])
-    reps = tuple((top - j, vec) for j, vec in enumerate(kernel) if top - j not in image.rows)
+    kept = [c for c in free if position[c] not in image.rows]
+    reps = tuple(zip((position[c] for c in kept), cycles.kernel_vectors(kept, ncols)))
     return HomologyResult(k, len(reps), cx, reps, position, image)
 
 

@@ -49,15 +49,13 @@ def mat_neg(a: Mat) -> Mat:
 
 
 def det(a: Mat) -> int:
-    """Determinant: the closed form up to 2 x 2, else fraction-free
+    """Determinant: the closed form at 2 x 2, else fraction-free
     (Bareiss) elimination."""
     n = len(a)
     if n == 0:
         return 1
     if any(len(row) != n for row in a):
         raise InternalCheckError("det needs a square matrix")
-    if n == 1:
-        return a[0][0]
     if n == 2:
         return a[0][0] * a[1][1] - a[0][1] * a[1][0]
     m = [list(row) for row in a]
@@ -100,8 +98,6 @@ def first_column_cofactors(a: Mat) -> Vec:
 def adjugate(a: Mat) -> Mat:
     """adj(a) with a * adj(a) = det(a) * I."""
     n = len(a)
-    if n == 1:
-        return ((1,),)
     cof = [
         [(-1) ** (i + j) * det(_minor(a, i, j)) for j in range(n)] for i in range(n)
     ]
@@ -306,7 +302,8 @@ def snf(a: Mat) -> tuple[int, ...]:
 
 
 def reduce_to_e1(v: Vec) -> Mat:
-    """gamma in SL(n,Z) with v * gamma = e_1, for a primitive v.
+    """gamma in SL(n,Z) with v * gamma = e_1, for a primitive v; ValueError
+    when there is none (v is not primitive, or v = (-1,)).
 
     One column reduction of v; row 0 of gamma^{-1} is then v.
     """
@@ -314,8 +311,6 @@ def reduce_to_e1(v: Vec) -> Mat:
     if content(v) != 1:
         raise ValueError(f"{v} is not primitive")
     n = len(v)
-    if n == 1:
-        return ((1,),)
     w = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     cur = list(v)
 
@@ -335,6 +330,8 @@ def reduce_to_e1(v: Vec) -> Mat:
     if cur != [1] + [0] * (n - 1):
         raise InternalCheckError(f"column reduction of {v} did not reach e_1")
     if det(freeze(w)) == -1:  # v * (last column) = 0, so negating it keeps v * w = e_1
+        if n == 1:  # the last column is the first: SL(1,Z) = {1}
+            raise ValueError(f"no gamma in SL(1,Z) has {v} * gamma = e_1")
         for r in w:
             r[-1] = -r[-1]
     return freeze(w)

@@ -29,7 +29,10 @@ from .homology import (
     GammaComplex, build_complex, chain_to_w, express_cycle, homology, is_cycle, is_voronoi_supported,
     theta_lift,
 )
-from .voronoi import VoronoiCell, cell_signature, cell_stabilizer, equivalent_cells
+from .voronoi import (
+    VoronoiCell, _orientation_transport_sign, cell_signature, cell_stabilizer, equivalent_cells,
+    sl_orientation_chars,
+)
 
 
 @dataclass(frozen=True)
@@ -84,12 +87,13 @@ class _SupportSystem:
 
     Every support key k gets an SL(n,Z) class representative R, a
     standardizing map h with R * h = +-k, and the coset point q of the
-    first row of h^-1.  `congruence.orbit_label` of q under the stabilizer
-    of R, with the characters s -> sign of R * s, labels the Gamma_0(N)-orbit
-    of k (as `homology` labels W_k generators); eps_k is that character
-    times the sign of R * h.  The projection k -> eps_k [label] is the
-    quotient map to the coinvariants, and keys on a label killed by
-    orientation map to 0.  On the support, the bars c * gamma - c between
+    first row of h^-1.  The key is filed as `homology._cell_coordinate`
+    files a W_k generator: `congruence.orbit_label` of q under the
+    stabilizer of R, with the orientation characters the cell table
+    carries (`sl_orientation_chars`), labels the Gamma_0(N)-orbit of k,
+    and eps_k is that character times the transport sign of R * h.  The
+    projection k -> eps_k [label] is the quotient map to the
+    coinvariants, and keys on a label killed by orientation map to 0.  On the support, the bars c * gamma - c between
     keys of one label span exactly its kernel (2 is invertible, and a
     killed key c has c * s = -c for some s in Gamma_0(N)), so the system
     is solved on labels and the bar terms are rebuilt only for the final
@@ -107,7 +111,6 @@ class _SupportSystem:
         self._level = cx.level
         self._space = cg.projective_space(self.n, cx.level)
         self._reps: dict = {}  # cell signature -> representative cells
-        self._stabs: dict = {}  # representative -> (stabilizer, perms, chars)
         self._placed: dict = {}  # key -> (label, q, h, eps), eps = 0 on a killed label
         self._first: dict = {}  # label -> its first key
         self._rows: dict = {}  # live label -> row
@@ -140,13 +143,6 @@ class _SupportSystem:
                 out[row] = f.add(out.get(row, f.zero), f(c * eps))
         return {row: c for row, c in out.items() if c != f.zero}
 
-    def _sign(self, src, gamma, dst) -> int:
-        """sigma with src * gamma = sigma * dst as sharblies."""
-        elem = sh.normalize(self.n, [la.vec_mat(v, gamma) for v in src])
-        if elem is None or elem.vectors != dst:
-            raise InternalCheckError(f"{src} * {gamma} is not +-{dst}")
-        return elem.sign
-
     def _place(self, key):
         """Standardize a key and file it under its Gamma_0(N)-orbit label."""
         cell = VoronoiCell(self.n, key)
@@ -158,18 +154,12 @@ class _SupportSystem:
         else:
             rep, h = cell, la.identity(self.n)
             same_sig.append(rep)
-            stab = cell_stabilizer(rep)[1]
-            self._stabs[rep] = (
-                stab,
-                tuple(self._space.perm(s) for s in stab),
-                tuple(self._sign(key, s, key) for s in stab),
-            )
-        _stab, perms, chars = self._stabs[rep]
+        perms = [self._space.perm(s) for s in cell_stabilizer(rep)[1]]
         q = self._space.index(la.first_column_cofactors(h))
-        best, char = cg.orbit_label(self._space, perms, chars, q)
+        best, char = cg.orbit_label(self._space, perms, sl_orientation_chars(rep), q)
         label, eps = (rep, best), 0
         if char:
-            eps = char * self._sign(rep.vertices, h, key)
+            eps = char * _orientation_transport_sign(rep, h, cell)
             self._rows.setdefault(label, len(self._rows))
         self._first.setdefault(label, key)
         self._placed[key] = (label, q, h, eps)
@@ -184,12 +174,12 @@ class _SupportSystem:
         """
         label, q_src, h_src, _eps = self._placed[src]
         _label, q_dst, h_dst, _eps = self._placed[dst]
-        stab, perms, _chars = self._stabs[label[0]]
         h_inv = la.inverse_unimodular(h_src)
-        for s, perm in zip(stab, perms):
-            if perm[q_src] == q_dst:
+        src_cell, dst_cell = VoronoiCell(self.n, src), VoronoiCell(self.n, dst)
+        for s in cell_stabilizer(label[0])[1]:
+            if self._space.perm(s)[q_src] == q_dst:
                 gamma = la.mat_mul(la.mat_mul(h_inv, s), h_dst)
-                sigma = self._sign(src, gamma, dst)
+                sigma = _orientation_transport_sign(src_cell, gamma, dst_cell)
                 if sign in (None, sigma):
                     if not cg.is_gamma0(gamma, self._level):
                         raise InternalCheckError("orbit label admitted a bar outside Gamma_0(N)")

@@ -279,7 +279,9 @@ def _orientation_transport_sign(rep: VoronoiCell, gamma: Mat, facet: VoronoiCell
     """Sign eta with or(rep) * gamma = eta * or(facet)."""
     if is_simplex(rep):
         order = {v: i for i, v in enumerate(facet.vertices)}
-        perm = [order[la.sign_normalize(la.vec_mat(v, gamma))] for v in rep.vertices]
+        perm = [order.get(la.sign_normalize(la.vec_mat(v, gamma))) for v in rep.vertices]
+        if None in perm or len(perm) != len(order):
+            raise InternalCheckError(f"{rep.vertices} * {gamma} is not +-{facet.vertices}")
         return _perm_sign(perm)
     images = [sym_coords(la.vec_mat(v, gamma)) for v in orientation_basis(rep)]
     return _sign_in_basis(facet, images, "transported orientation left the facet span")
@@ -500,11 +502,13 @@ def _facet_record(facet, incidence, orbit, gamma, reps) -> FacetRecord:
 def _cell_orbit(dim, index, rep, facets) -> CellOrbit:
     """The orbit of rep, with its stabilizers and their orientation characters."""
     gl, sl = cell_stabilizer(rep)
-    return CellOrbit(dim, index, rep, gl, sl, _sl_orientation_chars(rep), tuple(facets))
+    return CellOrbit(dim, index, rep, gl, sl, sl_orientation_chars(rep), tuple(facets))
 
 
 @lru_cache(maxsize=None)
-def _sl_orientation_chars(rep: VoronoiCell) -> tuple:
+def sl_orientation_chars(rep: VoronoiCell) -> tuple:
+    """`orientation_char` of each element of rep's SL(n,Z) stabilizer, in
+    the order of `cell_stabilizer(rep)[1]`."""
     return tuple(orientation_char(rep, g) for g in cell_stabilizer(rep)[1])
 
 

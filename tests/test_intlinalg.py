@@ -203,12 +203,12 @@ class TestDetAdj:
 
 class TestReduceToE1:
     @given(
-        st.lists(st.integers(min_value=-9, max_value=9), min_size=2, max_size=4)
+        st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=4)
     )
     @settings(max_examples=100, deadline=None)
     def test_reduces_to_e1_in_sl(self, coords):
         v = tuple(coords)
-        if la.content(v) != 1:
+        if la.content(v) != 1 or v == (-1,):
             with pytest.raises(ValueError):
                 la.reduce_to_e1(v)
             return
@@ -216,6 +216,12 @@ class TestReduceToE1:
         assert la.vec_mat(v, g) == (1,) + (0,) * (len(v) - 1)
         assert la.det(g) == 1
         assert la.inverse_unimodular(g)[0] == v
+
+    def test_rank_one(self):
+        # SL(1,Z) = {1}: (1,) reduces by the identity and (-1,) by nothing
+        assert la.reduce_to_e1((1,)) == ((1,),)
+        with pytest.raises(ValueError):
+            la.reduce_to_e1((-1,))
 
 
 class TestShortVectors:

@@ -15,7 +15,7 @@ from sharbly.homology import (
     _cell_coordinate, build_complex, chain_to_w, homology, is_voronoi_supported,
     theta_lift,
 )
-from sharbly.voronoi import VoronoiCell, _vertex_maps, equivalent_cells
+from sharbly.voronoi import VoronoiCell, _vertex_maps, cell_stabilizer, equivalent_cells
 
 
 class TestLifts:
@@ -337,7 +337,8 @@ class TestSupportGrowth:
         system = rd._SupportSystem(cx11, [x_chain, s_chain], with_w1=False)
         system.grow()
         for key, (label, q, h, eps) in sorted(system._placed.items()):
-            wrong = {perm[q] for perm in system._stabs[label[0]][1]} - {q}
+            perms = [system._space.perm(s) for s in cell_stabilizer(label[0])[1]]
+            wrong = {perm[q] for perm in perms} - {q}
             if key != system._first[label] and wrong:
                 break
         else:

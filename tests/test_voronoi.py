@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from sharbly import intlinalg as la
+from sharbly import sharbly as sh
 from sharbly import voronoi as vo
-from sharbly.errors import UnsupportedError
+from sharbly.errors import InternalCheckError, UnsupportedError
 
 
 class TestMinimalVectors:
@@ -312,6 +313,30 @@ class TestFacetSigns:
 
     def test_dd_zero_n3(self, table3):
         _dd_zero_on_representatives(table3)
+
+    def test_transport_sign_is_the_sharbly_sign(self, table2, table3):
+        # [v_1 * gamma, ..., v_m * gamma] in sharbly normal form carries the
+        # sign of the transport of src onto the cell it lands on
+        rng = random.Random(20260)
+        for table in (table2, table3):
+            cells = [orb.representative for orbs in table.orbits.values() for orb in orbs]
+            for _ in range(150):
+                cell, move, gamma = rng.choice(cells), _random_sl(rng, table.n), _random_sl(rng, table.n)
+                src = vo.VoronoiCell.from_vectors(table.n, [la.vec_mat(v, move) for v in cell.vertices])
+                moved = [la.vec_mat(v, gamma) for v in src.vertices]
+                dst = vo.VoronoiCell.from_vectors(table.n, moved)
+                sign = vo._orientation_transport_sign(src, gamma, dst)
+                assert sh.normalize(table.n, moved).sign == sign
+
+    def test_transport_off_the_target_is_caught(self, table2, table3):
+        for table in (table2, table3):
+            src = table.orbits[table.top_dim()][0].representative
+            rows = [list(row) for row in la.identity(table.n)]
+            rows[0][1] = 1
+            gamma = la.freeze(rows)
+            assert {la.sign_normalize(la.vec_mat(v, gamma)) for v in src.vertices} != set(src.vertices)
+            with pytest.raises(InternalCheckError, match="is not"):
+                vo._orientation_transport_sign(src, gamma, src)
 
 
 class TestN4:
