@@ -20,7 +20,7 @@ from .voronoi import (  # noqa: F401
 )
 from .congruence import proj_points, split_orbits  # noqa: F401
 from .sharbly import SharblyChain, ar_reduce, boundary, normalize, theta  # noqa: F401
-from .homology import betti_numbers, build_complex, express_cycle, homology  # noqa: F401
+from .homology import betti_numbers, build_complex, express_cycle  # noqa: F401
 from .hecke import EigenReport, hecke_cosets, hecke_on_h0  # noqa: F401
 from .reduction import (  # noqa: F401
     Undetermined,

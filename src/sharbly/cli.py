@@ -211,8 +211,6 @@ def cmd_nofake(args: argparse.Namespace) -> int:
         return EXIT_OK
     x = h1.homology_reps[0]
     op = hecke_cosets(2, args.ell, 1)
-    if args.a is None:
-        raise PreconditionError("--a <eigenvalue> is required for nofake")
     try:
         a = field(Fraction(args.a))
     except (ValueError, ZeroDivisionError):

@@ -6,8 +6,8 @@ right cosets Gamma_0(N)\\SL(n,Z) are labeled by the projective point of
 the first row, and the cell orbit of c * gamma is labeled by the
 stabilizer orbit of [e_1 * gamma^{-1}].
 
-`orbit_label` is the one labeller of those orbits; `split_orbits` and the
-coinvariant complex of `homology` read it per point, from `orbit_labels`.
+`ProjectiveSpace.orbit_labels(rep)` is the one labeller of those orbits;
+`split_orbits`, `homology` and `reduction` all read its table.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from operator import mul
 from . import intlinalg as la
 from .errors import InternalCheckError
 from .intlinalg import Mat, Vec
-from .voronoi import CellOrbit
+from .voronoi import CellOrbit, VoronoiCell, cell_stabilizer, sl_orientation_chars
 
 
 class ProjectiveSpace:
@@ -34,7 +34,8 @@ class ProjectiveSpace:
     indexed by the mixed-radix code sum_i (v_i mod N) N^(n-1-i) of a vector
     and holds the index of its point, or -1 when the vector is not
     unimodular mod N.  Building it walks the N^n vectors once.  The right
-    action of a matrix is a permutation of point indices, cached per matrix.
+    action of a matrix is a permutation of point indices, cached per matrix,
+    and the Gamma_0(N)-orbit labels of a cell are cached per representative.
     """
 
     def __init__(self, n: int, n_mod: int):
@@ -64,6 +65,7 @@ class ProjectiveSpace:
         self.points = tuple(points)
         self._table = table
         self._perms: dict = {}
+        self._labels: dict = {}
 
     def __len__(self) -> int:
         return len(self.points)
@@ -101,6 +103,33 @@ class ProjectiveSpace:
                 raise ValueError(f"{gamma} is not invertible mod {n_mod}")
             p = self._perms[gamma] = tuple(p)
         return p
+
+    def orbit_labels(self, rep: VoronoiCell) -> tuple:
+        """(least index, character) per point i: the Gamma_0(N)-orbit label
+        of the cell rep * h whose coset point is i, cached per rep.
+
+        It is the least point that the orbit of i under the SL(n,Z)
+        stabilizer of rep (`cell_stabilizer`) reaches, with the character
+        (`sl_orientation_chars`) of the elements that reach it.  They form
+        one coset of that point's fixer, so the characters agree unless the
+        fixer reverses orientation and kills the orbit; then it is 0.
+        """
+        labels = self._labels.get(rep)
+        if labels is None:
+            perms = [self.perm(s) for s in cell_stabilizer(rep)[1]]
+            chars = sl_orientation_chars(rep)
+            labels = []
+            for i in range(len(self.points)):
+                best, char = len(self.points), 0
+                for perm, ch in zip(perms, chars):
+                    j = perm[i]
+                    if j < best:
+                        best, char = j, ch
+                    elif j == best and ch != char:
+                        char = 0
+                labels.append((best, char))
+            labels = self._labels[rep] = tuple(labels)
+        return labels
 
 
 @lru_cache(maxsize=16)
@@ -157,37 +186,6 @@ def coset_matrix(pt: Vec, n_mod: int) -> Mat:
     return la.reduce_to_e1(lift_point(pt, n_mod))
 
 
-def orbit_label(space: ProjectiveSpace, perms, chars, i: int):
-    """(least index, character) of the stabilizer orbit of point i.
-
-    `perms` are the permutations of P^{n-1}(Z/N) by the elements of a
-    cell's SL(n,Z) stabilizer, `chars` their orientation characters.  The
-    Gamma_0(N)-orbit of the cell whose coset point is i is labelled by the
-    least point its stabilizer orbit reaches, with the character of the
-    elements that reach it.  Those elements form one coset of the least
-    point's fixer, so their characters agree unless the fixer reverses
-    orientation, that is, unless the orbit is killed; then the character
-    is 0.
-    """
-    best = len(space)
-    char = 0
-    for perm, ch in zip(perms, chars):
-        j = perm[i]
-        if j < best:
-            best, char = j, ch
-        elif j == best and ch != char:
-            char = 0
-    return best, char
-
-
-def orbit_labels(space: ProjectiveSpace, orbit: CellOrbit) -> list:
-    """`orbit_label` of every point of P^{n-1}(Z/N) under the orbit's SL(n,Z)
-    stabilizer, indexed by point."""
-    perms = [space.perm(s) for s in orbit.sl_stabilizer]
-    chars = orbit.sl_orientation_chars
-    return [orbit_label(space, perms, chars, i) for i in range(len(space))]
-
-
 @dataclass(frozen=True)
 class SplitOrbit:
     """One Gamma_0(N)-orbit inside an SL(n,Z) cell orbit."""
@@ -202,17 +200,20 @@ def split_orbits(orbit: CellOrbit, n_mod: int) -> list[SplitOrbit]:
     """Gamma_0(N)-orbits of the cells in an SL-orbit, with orientation data.
 
     These are the orbits of the cell's SL-stabilizer S on P^{n-1}(Z/N), read
-    off `orbit_labels`: each is named by its least point, its stabilizer
-    order is |S| / size, and it is orientation_ok iff its character is not 0.
+    off the space's `orbit_labels`: each is named by its least point, its
+    stabilizer order is |S| / size, and it is orientation_ok iff its label's
+    character is not 0.
     """
-    space = projective_space(len(orbit.representative.vertices[0]), n_mod)
-    labels = orbit_labels(space, orbit)
+    rep = orbit.representative
+    space = projective_space(rep.n, n_mod)
+    labels = space.orbit_labels(rep)
     sizes = Counter(best for best, _ in labels)
+    order = len(cell_stabilizer(rep)[1])
     return [
         SplitOrbit(
             point=space.points[i],
             size=size,
-            stabilizer_order=len(orbit.sl_stabilizer) // size,
+            stabilizer_order=order // size,
             orientation_ok=labels[i][1] != 0,
         )
         for i, size in sorted(sizes.items())

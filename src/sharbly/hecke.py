@@ -84,8 +84,6 @@ def theta_s(cx: GammaComplex, k: int, op: HeckeOperator, x_vec) -> tuple:
 def symbol_chain_to_w0(cx: GammaComplex, chain: sh.SharblyChain):
     """Coordinates in W_0 of a chain of unimodular symbols."""
     # A name of its own so that bench/tracer.py can time the degree-0 read-back.
-    if chain.k != 0:
-        raise InternalCheckError(f"expected a chain of symbols, got degree {chain.k}")
     return chain_to_w(cx, 0, chain)
 
 
@@ -146,10 +144,19 @@ def hecke_matrix_on_h0(cx: GammaComplex, op: HeckeOperator) -> list:
     return columns
 
 
+def _complex_for(n: int, level: int, field: Field, cx: GammaComplex | None) -> GammaComplex:
+    """cx, checked to be the complex of (n, level, field), or that complex built."""
+    if cx is None:
+        return build_complex(n, level, field)
+    if (cx.n, cx.level, cx.field) != (n, level, field):
+        raise ValueError(f"cx is the complex of n = {cx.n}, N = {cx.level} over {cx.field.name}, "
+                         f"not of n = {n}, N = {level} over {field.name}")
+    return cx
+
+
 def hecke_on_h0(n: int, level: int, field: Field, ell: int, power: int,
                 cx: GammaComplex | None = None) -> EigenReport:
     """T(l, k) acting on H_0 of the degree-0 Voronoi coinvariants."""
     op = hecke_cosets(n, ell, power)
-    if cx is None:
-        cx = build_complex(n, level, field)
+    cx = _complex_for(n, level, field, cx)
     return _eigen_report(cx, ell, power, 0, hecke_matrix_on_h0(cx, op))

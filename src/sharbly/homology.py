@@ -18,7 +18,8 @@ from . import sharbly as sh
 from .errors import InternalCheckError, PreconditionError
 from .fields import Field, LinearSpan, PrimeField, SparseFieldMatrix, coeff_str, row_span, solve
 from .voronoi import (
-    CellComplexTable, VoronoiCell, _orientation_transport_sign, enumerate_cells, equivalent_cells,
+    CellComplexTable, VoronoiCell, _orientation_transport_sign, cell_stabilizer, enumerate_cells,
+    equivalent_cells,
 )
 
 
@@ -47,8 +48,9 @@ def build_complex(n: int, level: int, field: Field, table=None) -> GammaComplex:
     """Assemble W_* tensored down to Gamma_0(N)-coinvariants over `field`.
 
     The generators, the F_p stabilizer check and the boundary entries are
-    read from one label table per cell orbit, `congruence.orbit_labels`
-    with each live least point replaced by its position in bases[k].
+    read from one label table per cell orbit, the level's
+    `ProjectiveSpace.orbit_labels` of its representative with each live
+    least point replaced by its position in bases[k].
     """
     if n not in (2, 3):
         raise PreconditionError(f"homology is supported for n in {{2, 3}}, got {n}")
@@ -66,10 +68,11 @@ def build_complex(n: int, level: int, field: Field, table=None) -> GammaComplex:
         d = k + n - 1
         basis = []
         for orb in table.orbits[d]:
-            raw = cg.orbit_labels(space, orb)
+            raw = space.orbit_labels(orb.representative)
+            stabilizer_order = len(cell_stabilizer(orb.representative)[1])
             position = {}
             for i, size in sorted(Counter(best for best, _ in raw).items()):
-                order = len(orb.sl_stabilizer) // size  # orbit-stabilizer
+                order = stabilizer_order // size  # orbit-stabilizer
                 if isinstance(field, PrimeField) and order % field.p == 0:
                     raise PreconditionError(
                         f"p = {field.p} divides a split-orbit stabilizer "

@@ -24,14 +24,12 @@ from . import intlinalg as la
 from . import sharbly as sh
 from .errors import InternalCheckError, PreconditionError
 from .fields import SparseFieldMatrix, solve
-from .hecke import HeckeOperator, _eigen_report, hecke_cosets, theta_s
+from .hecke import HeckeOperator, _eigen_report, _complex_for, hecke_cosets, theta_s
 from .homology import (
-    GammaComplex, build_complex, chain_to_w, express_cycle, homology, is_cycle, is_voronoi_supported,
-    theta_lift,
+    GammaComplex, chain_to_w, express_cycle, homology, is_cycle, is_voronoi_supported, theta_lift,
 )
 from .voronoi import (
     VoronoiCell, _orientation_transport_sign, cell_signature, cell_stabilizer, equivalent_cells,
-    sl_orientation_chars,
 )
 
 
@@ -88,16 +86,16 @@ class _SupportSystem:
     Every support key k gets an SL(n,Z) class representative R, a
     standardizing map h with R * h = +-k, and the coset point q of the
     first row of h^-1.  The key is filed as `homology._cell_coordinate`
-    files a W_k generator: `congruence.orbit_label` of q under the
-    stabilizer of R, with the orientation characters the cell table
-    carries (`sl_orientation_chars`), labels the Gamma_0(N)-orbit of k,
-    and eps_k is that character times the transport sign of R * h.  The
+    files a W_k generator: the entry at q of the level's
+    `ProjectiveSpace.orbit_labels(R)` labels the Gamma_0(N)-orbit of k,
+    and eps_k is its character times the transport sign of R * h.  The
     projection k -> eps_k [label] is the quotient map to the
-    coinvariants, and keys on a label killed by orientation map to 0.  On the support, the bars c * gamma - c between
-    keys of one label span exactly its kernel (2 is invertible, and a
-    killed key c has c * s = -c for some s in Gamma_0(N)), so the system
-    is solved on labels and the bar terms are rebuilt only for the final
-    residual, by `_bar_terms`.
+    coinvariants, and keys on a label killed by orientation map to 0.
+    On the support, the bars c * gamma - c between keys of one label
+    span exactly its kernel (2 is invertible, and a killed key c has
+    c * s = -c for some s in Gamma_0(N)), so the system is solved on
+    labels and the bar terms are rebuilt only for the final residual,
+    by `_bar_terms`.
 
     The system's columns are the projected lifts and 2-sharbly boundaries,
     each built once, in the order [lifts | taus], and its rows are the live
@@ -154,9 +152,8 @@ class _SupportSystem:
         else:
             rep, h = cell, la.identity(self.n)
             same_sig.append(rep)
-        perms = [self._space.perm(s) for s in cell_stabilizer(rep)[1]]
         q = self._space.index(la.first_column_cofactors(h))
-        best, char = cg.orbit_label(self._space, perms, sl_orientation_chars(rep), q)
+        best, char = self._space.orbit_labels(rep)[q]
         label, eps = (rep, best), 0
         if char:
             eps = char * _orientation_transport_sign(rep, h, cell)
@@ -395,10 +392,9 @@ def hecke_on_h1_n2(level: int, field, ell: int, budget: int = 4,
                    cx: GammaComplex | None = None):
     """T(l, 1) on H_1 for n = 2, via one-sharbly reduction of theta-images."""
     check_budget(budget)
-    if cx is None:
-        cx = build_complex(2, level, field)
+    cx = _complex_for(2, level, field, cx)
     if cx.level % ell == 0:
-        raise PreconditionError(f"l = {ell} divides N = {level}")
+        raise PreconditionError(f"l = {ell} divides N = {cx.level}")
     op = hecke_cosets(2, ell, 1)
     h1 = homology(cx, 1)
     columns = []

@@ -455,12 +455,13 @@ class FacetRecord:
 
 @dataclass(frozen=True)
 class CellOrbit:
+    """One SL(n,Z)-orbit of cells.  Its stabilizers and their orientation
+    characters are read from the representative, by `cell_stabilizer` and
+    `sl_orientation_chars`, which cache them per cell."""
+
     dim: int
     index: int
     representative: VoronoiCell
-    gl_stabilizer: tuple
-    sl_stabilizer: tuple
-    sl_orientation_chars: tuple  # aligned with sl_stabilizer
     facets: tuple  # FacetRecords
 
 
@@ -497,12 +498,6 @@ def _facet_record(facet, incidence, orbit, gamma, reps) -> FacetRecord:
     facet's sign in its cell and `reps` the orbit representatives below."""
     eta = _orientation_transport_sign(reps[orbit], gamma, facet)
     return FacetRecord(orbit, gamma, incidence * eta)
-
-
-def _cell_orbit(dim, index, rep, facets) -> CellOrbit:
-    """The orbit of rep, with its stabilizers and their orientation characters."""
-    gl, sl = cell_stabilizer(rep)
-    return CellOrbit(dim, index, rep, gl, sl, sl_orientation_chars(rep), tuple(facets))
 
 
 @lru_cache(maxsize=None)
@@ -550,7 +545,7 @@ def enumerate_cells(n: int, nonsimplex_backend: bool = False) -> CellComplexTabl
                 _facet_record(f, incidence, *classify(d - 1, f), reps[d - 1])
                 for f, incidence in _facet_cells(rep)
             ]
-            orbits[d].append(_cell_orbit(d, index, rep, facets))
+            orbits[d].append(CellOrbit(d, index, rep, tuple(facets)))
     return CellComplexTable(n, {d: tuple(orbits[d]) for d in sorted(orbits)})
 
 
@@ -565,8 +560,8 @@ def cells_to_json(table: CellComplexTable) -> str:
             str(d): [
                 {
                     "vertices": [list(v) for v in orb.representative.vertices],
-                    "stabilizer_order": len(orb.gl_stabilizer),
-                    "sl_stabilizer_order": len(orb.sl_stabilizer),
+                    "stabilizer_order": len(cell_stabilizer(orb.representative)[0]),
+                    "sl_stabilizer_order": len(cell_stabilizer(orb.representative)[1]),
                     "facets": [
                         {
                             "orbit": fr.orbit,
@@ -602,11 +597,10 @@ def cells_from_json(text: str) -> CellComplexTable:
         orbits[d] = []
         for index, (rep, rec) in enumerate(zip(reps[d], recs)):
             facets = _checked_facets(rep, rec["facets"], reps.get(d - 1, []))
-            orb = _cell_orbit(d, index, rep, facets)
             orders = (rec["stabilizer_order"], rec["sl_stabilizer_order"])
-            if orders != (len(orb.gl_stabilizer), len(orb.sl_stabilizer)):
+            if orders != tuple(map(len, cell_stabilizer(rep))):
                 raise ValueError(f"cached stabilizer orders {orders} disagree with recomputation")
-            orbits[d].append(orb)
+            orbits[d].append(CellOrbit(d, index, rep, tuple(facets)))
     return CellComplexTable(n, {d: tuple(orbs) for d, orbs in orbits.items()})
 
 

@@ -154,6 +154,7 @@ class TestExitCodes:
         (["verify", "--cache-dir", "c"], "unrecognized arguments: --cache-dir c"),
         (["nofake", "--level", "11", "--ell", "2", "--a", "3", "--out", "r.json"],
          "unrecognized arguments: --out r.json"),
+        (["nofake", "--level", "11", "--ell", "2"], "the following arguments are required: --a"),
     ])
     def test_usage_error_exit_1(self, run_cli, args, message):
         out = run_cli(args)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sharbly import congruence as cg
 from sharbly import intlinalg as la
 from sharbly import manin
+from sharbly.voronoi import CellOrbit, VoronoiCell, cell_stabilizer, orientation_char
 
 
 def independent_point_count(n, n_mod):
@@ -38,10 +39,12 @@ def least_unit_multiple(v, n_mod):
 
 def reference_split_orbits(orbit, n_mod):
     """split_orbits by a breadth-first search of each stabilizer orbit and a
-    scan of its least point's fixers, without `orbit_label`."""
-    space = cg.projective_space(orbit.representative.n, n_mod)
-    perms = [space.perm(s) for s in orbit.sl_stabilizer]
-    chars = orbit.sl_orientation_chars
+    scan of its least point's fixers, without `ProjectiveSpace.orbit_labels`."""
+    rep = orbit.representative
+    space = cg.projective_space(rep.n, n_mod)
+    stabilizer = cell_stabilizer(rep)[1]
+    perms = [space.perm(s) for s in stabilizer]
+    chars = [orientation_char(rep, s) for s in stabilizer]
     seen = [False] * len(space)
     out = []
     for i, p in enumerate(space.points):  # sorted, so orbit reps come out canonically
@@ -163,6 +166,19 @@ class TestProjectiveSpace:
     def test_p1_count_matches_the_oracle(self, n_mod):
         assert len(cg.ProjectiveSpace(2, n_mod)) == len(manin.P1(n_mod))
 
+    def test_orbit_labels_are_cached_per_representative(self, table2, table3):
+        # an equal but distinct cell finds the table of the first call
+        for table in (table2, table3):
+            space = cg.projective_space(table.n, 13)
+            for orbs in table.orbits.values():
+                for orb in orbs:
+                    rep = orb.representative
+                    twin = VoronoiCell(rep.n, tuple(tuple(v) for v in rep.vertices))
+                    assert twin == rep and twin is not rep
+                    labels = space.orbit_labels(rep)
+                    assert len(labels) == len(space)
+                    assert space.orbit_labels(twin) is labels
+
 
 class TestAction:
     def test_identity(self):
@@ -224,7 +240,7 @@ class TestSplitOrbits:
 
     @pytest.mark.parametrize("n_mod", [1, 2, 3, 4, 7, 12, 13, 17])
     def test_matches_reference_search(self, table2, table3, n_mod):
-        # split_orbits is read off the labels of orbit_labels, which also
+        # split_orbits is read off ProjectiveSpace.orbit_labels, which also
         # build every W_k table; an independent orbit search must agree on
         # every orbit, killed ones included
         killed = 0
@@ -248,23 +264,12 @@ class TestSplitOrbits:
         # splitting data is intrinsic: translating the representative
         # produces the same multiset of (size, stabilizer order, flag)
         rng = random.Random(3)
-        from sharbly.voronoi import CellOrbit, VoronoiCell, cell_stabilizer, orientation_char
-
         for orb in (table2.orbits[1][0], table2.orbits[2][0]):
             g = _random_sl(rng, 2)
             moved = VoronoiCell.from_vectors(
                 2, [la.vec_mat(v, g) for v in orb.representative.vertices]
             )
-            gl, sl = cell_stabilizer(moved)
-            moved_orb = CellOrbit(
-                dim=orb.dim,
-                index=0,
-                representative=moved,
-                gl_stabilizer=gl,
-                sl_stabilizer=sl,
-                sl_orientation_chars=tuple(orientation_char(moved, s) for s in sl),
-                facets=(),
-            )
+            moved_orb = CellOrbit(dim=orb.dim, index=0, representative=moved, facets=())
             for n_mod in (5, 11):
                 a = sorted(
                     (r.size, r.stabilizer_order, r.orientation_ok)

@@ -10,7 +10,7 @@ from sharbly import sharbly as sh
 from sharbly.congruence import is_gamma0, projective_space
 from sharbly.errors import InternalCheckError, PreconditionError
 from sharbly.fields import PrimeField, QQ, solve
-from sharbly.hecke import hecke_cosets, theta_s
+from sharbly.hecke import hecke_cosets, hecke_on_h0, theta_s
 from sharbly.homology import (
     _cell_coordinate, build_complex, chain_to_w, homology, is_voronoi_supported,
     theta_lift,
@@ -150,6 +150,18 @@ class TestHeckeH1:
     def test_bad_prime_rejected(self, cx11):
         with pytest.raises(PreconditionError):
             rd.hecke_on_h1_n2(11, QQ, 11, cx=cx11)
+
+    def test_arguments_disagreeing_with_cx_rejected(self, cx11):
+        # a given complex must be the one the arguments name
+        with pytest.raises(ValueError, match="N = 11"):
+            hecke_on_h0(2, 13, PrimeField(7), 2, 1, cx=cx11)
+        with pytest.raises(ValueError, match="N = 11"):
+            rd.hecke_on_h1_n2(12, QQ, 11, cx=cx11)
+        for args in ((3, 11, QQ), (2, 11, PrimeField(7))):
+            with pytest.raises(ValueError):
+                hecke_on_h0(*args, 2, 1, cx=cx11)
+        with pytest.raises(ValueError):
+            rd.hecke_on_h1_n2(11, PrimeField(7), 2, cx=cx11)
 
     def test_negative_budget_rejected(self, cx11):
         with pytest.raises(PreconditionError, match="budget must be >= 0"):

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import sharbly
@@ -80,3 +81,16 @@ def test_no_unused_local():
                 if local not in loaded and not local.startswith("_")
             ]
     assert not offenders, f"local stored and never loaded in {offenders}"
+
+
+def test_no_package_attribute_shadows_a_submodule():
+    # a re-exported function named like a module would replace it on the
+    # package, and `import sharbly.<name> as m` would then bind the function
+    offenders = []
+    for path in SOURCES:
+        if path.stem.startswith("__"):
+            continue
+        module = importlib.import_module("sharbly." + path.stem)
+        if getattr(sharbly, path.stem) is not module:
+            offenders.append(path.stem)
+    assert not offenders, f"package attribute is not the submodule: {offenders}"
