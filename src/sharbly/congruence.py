@@ -7,7 +7,9 @@ the first row, and the cell orbit of c * gamma is labeled by the
 stabilizer orbit of [e_1 * gamma^{-1}].
 
 `ProjectiveSpace.orbit_labels(rep)` is the one labeller of those orbits;
-`split_orbits`, `homology` and `reduction` all read its table.
+`split_orbits`, `homology` and `reduction` all read its table.  It acts on
+P^{n-1}(Z/N) by a generating set of the cell stabilizer alone
+(`voronoi.stabilizer_generators`), not by every stabilizer element.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from operator import mul
 from . import intlinalg as la
 from .errors import InternalCheckError
 from .intlinalg import Mat, Vec
-from .voronoi import CellOrbit, VoronoiCell, cell_stabilizer, sl_orientation_chars
+from .voronoi import CellOrbit, VoronoiCell, cell_stabilizer, stabilizer_generators
 
 
 class ProjectiveSpace:
@@ -34,8 +36,9 @@ class ProjectiveSpace:
     indexed by the mixed-radix code sum_i (v_i mod N) N^(n-1-i) of a vector
     and holds the index of its point, or -1 when the vector is not
     unimodular mod N.  Building it walks the N^n vectors once.  The right
-    action of a matrix is a permutation of point indices, cached per matrix,
-    and the Gamma_0(N)-orbit labels of a cell are cached per representative.
+    action of a matrix is a permutation of point indices, cached per matrix;
+    `orbit_labels` asks for it on stabilizer generators only.  The
+    Gamma_0(N)-orbit labels of a cell are cached per representative.
     """
 
     def __init__(self, n: int, n_mod: int):
@@ -108,26 +111,45 @@ class ProjectiveSpace:
         """(least index, character) per point i: the Gamma_0(N)-orbit label
         of the cell rep * h whose coset point is i, cached per rep.
 
-        It is the least point that the orbit of i under the SL(n,Z)
-        stabilizer of rep (`cell_stabilizer`) reaches, with the character
-        (`sl_orientation_chars`) of the elements that reach it.  They form
-        one coset of that point's fixer, so the characters agree unless the
-        fixer reverses orientation and kills the orbit; then it is 0.
+        The label is the least point m that the orbit of i under the SL(n,Z)
+        stabilizer S of rep (`cell_stabilizer`) reaches, with the character
+        (`sl_orientation_chars`) of the elements that carry i to m.  They
+        form one coset of the fixer of m, so their characters agree unless
+        that fixer reverses orientation and kills the orbit; then it is 0.
+
+        Only the generators of S (`stabilizer_generators`) act.  Each orbit
+        is one breadth-first search from its least point m, in increasing
+        index order, and a visited point a gets value(a), the character of
+        the search-tree path t_a from m to a (a sign, so also that of its
+        inverse, which carries a to m).  Every generator edge a -> b under
+        g gives the element t_a g t_b^-1 of the fixer of m, and by
+        Schreier's lemma these elements generate it.  The character is a
+        homomorphism, so that element's character is
+        value(a) * char(g) * value(b), and the fixer reverses orientation
+        iff some edge has value(b) != value(a) * char(g).
         """
         labels = self._labels.get(rep)
         if labels is None:
-            perms = [self.perm(s) for s in cell_stabilizer(rep)[1]]
-            chars = sl_orientation_chars(rep)
-            labels = []
-            for i in range(len(self.points)):
-                best, char = len(self.points), 0
-                for perm, ch in zip(perms, chars):
-                    j = perm[i]
-                    if j < best:
-                        best, char = j, ch
-                    elif j == best and ch != char:
-                        char = 0
-                labels.append((best, char))
+            gens = [(self.perm(g), ch) for g, ch in stabilizer_generators(rep)]
+            value = [0] * len(self.points)  # +-1 once visited
+            labels = [None] * len(self.points)
+            for m in range(len(self.points)):
+                if value[m]:
+                    continue
+                value[m] = 1
+                orbit = [m]
+                alive = True
+                for a in orbit:
+                    va = value[a]
+                    for perm, ch in gens:
+                        b = perm[a]
+                        if not value[b]:
+                            value[b] = va * ch
+                            orbit.append(b)
+                        elif value[b] != va * ch:
+                            alive = False
+                for a in orbit:
+                    labels[a] = (m, value[a] if alive else 0)
             labels = self._labels[rep] = tuple(labels)
         return labels
 

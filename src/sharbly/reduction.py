@@ -85,7 +85,10 @@ class _SupportSystem:
 
     Every support key k gets an SL(n,Z) class representative R, a
     standardizing map h with R * h = +-k, and the coset point q of the
-    first row of h^-1.  The key is filed as `homology._cell_coordinate`
+    first row of h^-1.  R is the cell table's representative when k is
+    equivalent to a W_1 generator, so such keys share the level's label
+    table with `GammaComplex.labels`; otherwise it is the first key placed
+    in k's class.  The key is filed as `homology._cell_coordinate`
     files a W_k generator: the entry at q of the level's
     `ProjectiveSpace.orbit_labels(R)` labels the Gamma_0(N)-orbit of k,
     and eps_k is its character times the transport sign of R * h.  The
@@ -109,6 +112,9 @@ class _SupportSystem:
         self._level = cx.level
         self._space = cg.projective_space(self.n, cx.level)
         self._reps: dict = {}  # cell signature -> representative cells
+        for orb in cx.table.orbits[cx.n]:
+            rep = orb.representative
+            self._reps.setdefault(cell_signature(rep), []).append(rep)
         self._placed: dict = {}  # key -> (label, q, h, eps), eps = 0 on a killed label
         self._first: dict = {}  # label -> its first key
         self._rows: dict = {}  # live label -> row
@@ -174,7 +180,7 @@ class _SupportSystem:
         h_inv = la.inverse_unimodular(h_src)
         src_cell, dst_cell = VoronoiCell(self.n, src), VoronoiCell(self.n, dst)
         for s in cell_stabilizer(label[0])[1]:
-            if self._space.perm(s)[q_src] == q_dst:
+            if self._space.index(la.vec_mat(self._space.points[q_src], s)) == q_dst:
                 gamma = la.mat_mul(la.mat_mul(h_inv, s), h_dst)
                 sigma = _orientation_transport_sign(src_cell, gamma, dst_cell)
                 if sign in (None, sigma):

@@ -507,6 +507,45 @@ def sl_orientation_chars(rep: VoronoiCell) -> tuple:
     return tuple(orientation_char(rep, g) for g in cell_stabilizer(rep)[1])
 
 
+def generating_subset(elements) -> tuple:
+    """Indices of a generating set of the finite matrix group `elements`.
+
+    Walks the elements in order and keeps one when it is not in the group
+    generated by those kept before it.  Raises InternalCheckError unless
+    the kept elements generate exactly the set of `elements`.
+    """
+    group = {la.identity(len(elements[0]))}
+    kept = []
+    for i, g in enumerate(elements):
+        if g in group:
+            continue
+        kept.append(i)
+        gens = [elements[j] for j in kept]
+        queue = list(group)
+        for a in queue:
+            for s in gens:
+                b = la.mat_mul(a, s)
+                if b not in group:
+                    group.add(b)
+                    queue.append(b)
+    if group != set(elements):
+        raise InternalCheckError(
+            f"{len(kept)} kept elements generate a group of order {len(group)}, "
+            f"not the {len(set(elements))} given"
+        )
+    return tuple(kept)
+
+
+@lru_cache(maxsize=None)
+def stabilizer_generators(rep: VoronoiCell) -> tuple:
+    """(gamma, character) for a generating set of rep's SL(n,Z) stabilizer:
+    the `generating_subset` of `cell_stabilizer(rep)[1]`, each element with
+    its `sl_orientation_chars` entry.  It does not depend on a level."""
+    sl = cell_stabilizer(rep)[1]
+    chars = sl_orientation_chars(rep)
+    return tuple((sl[i], chars[i]) for i in generating_subset(sl))
+
+
 def enumerate_cells(n: int, nonsimplex_backend: bool = False) -> CellComplexTable:
     """All non-degenerate cell orbits in dimensions n-1 .. n(n+1)/2 - 1."""
     if n == 4 and not nonsimplex_backend:

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 from sharbly import congruence as cg
 from sharbly import intlinalg as la
 from sharbly import manin
-from sharbly.voronoi import CellOrbit, VoronoiCell, cell_stabilizer, orientation_char
+from sharbly.voronoi import (
+    CellOrbit, VoronoiCell, cell_stabilizer, orientation_char, sl_orientation_chars,
+)
+
+# Levels on which the labeller is compared with the all-elements scan.
+LABEL_LEVELS = {2: tuple(range(1, 61)), 3: (*range(1, 14), 17, 23, 30, 31)}
 
 
 def independent_point_count(n, n_mod):
@@ -64,6 +69,25 @@ def reference_split_orbits(orbit, n_mod):
         fixers = [ch for perm, ch in zip(perms, chars) if perm[i] == i]
         out.append(cg.SplitOrbit(p, size, len(fixers), all(ch == 1 for ch in fixers)))
     return out
+
+
+def reference_orbit_labels(space, rep):
+    """`ProjectiveSpace.orbit_labels` by a scan of every stabilizer element
+    at every point: the least image of i, and the character of the elements
+    reaching it, or 0 when two of them disagree."""
+    perms = [space.perm(s) for s in cell_stabilizer(rep)[1]]
+    chars = sl_orientation_chars(rep)
+    labels = []
+    for i in range(len(space)):
+        best, char = len(space), 0
+        for perm, ch in zip(perms, chars):
+            j = perm[i]
+            if j < best:
+                best, char = j, ch
+            elif j == best and ch != char:
+                char = 0
+        labels.append((best, char))
+    return tuple(labels)
 
 
 def _random_sl(rng, n):
@@ -178,6 +202,21 @@ class TestProjectiveSpace:
                     labels = space.orbit_labels(rep)
                     assert len(labels) == len(space)
                     assert space.orbit_labels(twin) is labels
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_orbit_labels_match_the_all_elements_scan(self, table2, table3, n):
+        # the labeller acts by stabilizer generators only; the scan over
+        # every element must agree at every point, killed labels included
+        table = table2 if n == 2 else table3
+        killed = 0
+        for n_mod in LABEL_LEVELS[n]:
+            space = cg.ProjectiveSpace(n, n_mod)
+            for orbs in table.orbits.values():
+                for orb in orbs:
+                    labels = space.orbit_labels(orb.representative)
+                    assert labels == reference_orbit_labels(space, orb.representative)
+                    killed += sum(char == 0 for _best, char in labels)
+        assert killed > 0
 
 
 class TestAction:

@@ -340,6 +340,30 @@ class TestSupportGrowth:
                 assert gamma in self._gamma0_maps(level, c, key, memo)
                 assert sh.SharblyChain(2, 1, {c: 1}).act(gamma) == sh.SharblyChain(2, 1, {key: sigma})
 
+    @pytest.mark.parametrize("level", [11, 13, 15, 17])
+    def test_voronoi_keys_file_under_the_table_rep(self, table2, level):
+        # a key SL(2,Z)-equivalent to the Voronoi triangle is filed under
+        # the cell table's representative, so its label is the one
+        # GammaComplex.labels gives the W_1 generator at its coset point
+        cx = build_complex(2, level, QQ, table=table2)
+        space = projective_space(2, level)
+        x = homology(cx, 1).homology_reps[0]
+        x_chain, s_chain = theta_s(cx, 1, hecke_cosets(2, 2, 1), x)
+        system = rd._SupportSystem(cx, [x_chain, s_chain], with_w1=False)
+        system.grow()
+        (orb,) = table2.orbits[2]
+        hits = 0
+        for key, ((rep, best), q, _h, eps) in system._placed.items():
+            if equivalent_cells(orb.representative, VoronoiCell(2, key)) is None:
+                continue
+            hits += 1
+            assert rep == orb.representative
+            position, char = cx.labels[2, orb.index][q]
+            assert (position is None) == (eps == 0)
+            if position is not None:
+                assert cx.bases[1][position] == (orb.index, space.points[best])
+        assert hits
+
     def test_a_slipped_label_is_caught(self, cx11):
         # file a key under a wrong coset point of its stabilizer orbit: the
         # rebuilt map still carries c to +-key, and only the Gamma_0(N)

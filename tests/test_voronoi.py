@@ -197,6 +197,51 @@ class TestStabilizers:
                     vo.orientation_char(cell, a) * vo.orientation_char(cell, b)
                 )
 
+    def test_generators_generate_each_stabilizer(self, table2, table3):
+        # closure of the generators under products, computed here, must be
+        # exactly the stabilizer; the counts are per orbit, in table order
+        counts = {}
+        for table in (table2, table3):
+            for orbs in table.orbits.values():
+                for orb in orbs:
+                    rep = orb.representative
+                    sl = vo.cell_stabilizer(rep)[1]
+                    gens = vo.stabilizer_generators(rep)
+                    assert [ch for _g, ch in gens] == [
+                        vo.orientation_char(rep, g) for g, _ch in gens
+                    ]
+                    group = {la.identity(rep.n)}
+                    frontier = list(group)
+                    while frontier:
+                        frontier = [
+                            b for b in {la.mat_mul(a, g) for a in frontier for g, _ch in gens}
+                            if b not in group
+                        ]
+                        group.update(frontier)
+                    assert group == set(sl)
+                    counts.setdefault(table.n, []).append(len(gens))
+        assert counts == {2: [2, 2], 3: [3, 3, 3, 2, 3]}
+
+    def test_characters_multiplicative_on_every_stabilizer(self, table2, table3):
+        # orbit labelling follows generator paths, which needs the
+        # orientation character to be a homomorphism on each SL stabilizer
+        for table in (table2, table3):
+            for orbs in table.orbits.values():
+                for orb in orbs:
+                    rep = orb.representative
+                    sl = vo.cell_stabilizer(rep)[1]
+                    char = dict(zip(sl, vo.sl_orientation_chars(rep)))
+                    for a in sl:
+                        for b in sl:
+                            assert char[la.mat_mul(a, b)] == char[a] * char[b]
+
+    def test_generating_subset_rejects_a_non_group(self, table3):
+        sl = vo.cell_stabilizer(table3.orbits[3][0].representative)[1]
+        assert vo.generating_subset(sl)
+        for drop in (0, len(sl) // 2, len(sl) - 1):
+            with pytest.raises(InternalCheckError):
+                vo.generating_subset(sl[:drop] + sl[drop + 1:])
+
 
 def _element_order(g):
     acc = g
