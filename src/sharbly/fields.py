@@ -423,20 +423,21 @@ def eigenvalues(field, poly):
 
     Returns (sorted [(root, multiplicity)], remainder_poly or None).
 
-    The candidates are every element of F_p, or over Q the rational roots
-    the root theorem allows.  A candidate num/den is tested on the cleared
-    int polynomial g (g = d*f for d the lcm of the denominators over Q,
-    g = f over F_p) as den^deg * g(num/den), by an int Horner loop, mod p
-    over F_p.  It is divided out as often as it is a root before the scan
-    moves on.  So one pass finds every root: each later polynomial divides
-    the one a candidate was last tested on, and a candidate that is not a
-    root of it is not a root of any later one.
+    Over F_p the candidates are the roots of g = gcd(f, x^p - x), the
+    product of f's distinct linear factors (`_fp_roots`); over Q they are
+    the rational roots the root theorem allows.  A candidate num/den is
+    tested on the cleared int polynomial g (g = d*f for d the lcm of the
+    denominators over Q, g = f over F_p) as den^deg * g(num/den), by an int
+    Horner loop, mod p over F_p.  It is divided out as often as it is a
+    root before the scan moves on.  So one pass finds every root: each
+    later polynomial divides the one a candidate was last tested on, and a
+    candidate that is not a root of it is not a root of any later one.
     """
     f = field
     cur = tuple(poly)
     ints = _int_poly(f, cur)
     if isinstance(f, PrimeField):
-        p, candidates = f.p, range(f.p)
+        p, candidates = f.p, _fp_roots(ints, f.p)
     else:
         p, candidates = None, _rational_root_candidates(ints)
     roots: dict = {}
@@ -451,6 +452,100 @@ def eigenvalues(field, poly):
     remainder = cur if len(cur) > 1 else None
     ordered = sorted(roots.items(), key=lambda r: r[0])
     return ordered, remainder
+
+
+def _fp_roots(ints, p: int) -> list:
+    """The distinct roots in F_p of a polynomial (ints mod p, low degree
+    first), ascending; [0] for the zero polynomial.
+
+    g = gcd(f, x^p - x) is the product of f's distinct linear factors, with
+    x^p taken by repeated squaring mod f.  A factor of g with several roots
+    is split by gcd(g, (x + a)^((p-1)/2) - 1), which keeps the roots r with
+    r + a a nonzero square, for a = 0, 1, ... until one splits it (Cantor
+    and Zassenhaus, Math. Comp. 36, 1981, with deterministic shifts).  Two
+    roots r != s are split by some a < p: (r + a)/(s + a) is a non-square
+    for (p - 1)/2 values of a, and then just one of r + a, s + a is a
+    square.
+    """
+    f = _poly_trim(list(ints))
+    if not f:
+        return [0]
+    x = [0, 1]
+    g = _poly_gcd(f, _poly_sub(_poly_powmod(x, p, f, p), x, p), p)
+    roots, todo = [], [g]
+    while todo:
+        g = todo.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % p)  # g is monic
+            continue
+        if len(g) < 2:
+            continue
+        for a in range(p):
+            h = _poly_gcd(g, _poly_sub(_poly_powmod([a, 1], (p - 1) // 2, g, p), [1], p), p)
+            if 1 < len(h) < len(g):
+                todo += [h, _poly_divmod(g, h, p)[0]]
+                break
+        else:
+            raise InternalCheckError(f"no shift splits {g} over F_{p}")
+    return sorted(roots)
+
+
+def _poly_trim(a: list) -> list:
+    """a without its zero leading coefficients (low degree first)."""
+    while a and a[-1] == 0:
+        a = a[:-1]
+    return a
+
+
+def _poly_sub(a: list, b: list, p: int) -> list:
+    out = a + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = (out[i] - c) % p
+    return _poly_trim(out)
+
+
+def _poly_divmod(a: list, b: list, p: int) -> tuple:
+    """(quotient, remainder) of trimmed polynomials mod p, b != 0."""
+    rem = list(a)
+    inv = pow(b[-1], -1, p)
+    quo = [0] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        c = rem[i + len(b) - 1] * inv % p
+        quo[i] = c
+        if c:
+            for j, bj in enumerate(b):
+                rem[i + j] = (rem[i + j] - c * bj) % p
+    return _poly_trim(quo), _poly_trim(rem[:len(b) - 1])
+
+
+def _poly_powmod(base: list, e: int, m: list, p: int) -> list:
+    """base^e mod m, by repeated squaring."""
+    out, base = [1], _poly_divmod(base, m, p)[1]
+    while e:
+        if e & 1:
+            out = _poly_divmod(_poly_mul(out, base, p), m, p)[1]
+        e >>= 1
+        if e:
+            base = _poly_divmod(_poly_mul(base, base, p), m, p)[1]
+    return out
+
+
+def _poly_mul(a: list, b: list, p: int) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [c % p for c in out]
+
+
+def _poly_gcd(a: list, b: list, p: int) -> list:
+    """The monic gcd of two polynomials mod p ([] when both are 0)."""
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+    if not a:
+        return a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
 
 def _int_poly(field, poly):

@@ -18,6 +18,7 @@ terms are rebuilt only for the residual of the final solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import congruence as cg
 from . import intlinalg as la
@@ -66,7 +67,11 @@ def _bad_pairs(key):
     return out
 
 
-def _cone_candidates(n, key):
+# The three helpers below depend on cells and keys only, never on the level,
+# so one process computes each of them once for every support system.
+
+@lru_cache(maxsize=None)
+def _cone_candidates(n, key) -> tuple:
     """Cone 2-sharblies subdividing each bad edge of a 1-sharbly."""
     out = []
     for u, v, _d in _bad_pairs(key):
@@ -76,7 +81,23 @@ def _cone_candidates(n, key):
         tau = sh.normalize(n, (z,) + tuple(key))
         if tau is not None:
             out.append(tau.vectors)
-    return out
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _tau_boundary(n, tau_key) -> tuple:
+    """The boundary of the 2-sharbly [tau_key], as (key, coeff) pairs."""
+    return tuple(sh.boundary(sh.SharblyChain(n, 2, {tau_key: 1})).coeffs.items())
+
+
+@lru_cache(maxsize=None)
+def _class_map(rep: VoronoiCell, cell: VoronoiCell):
+    """(h, eta) with rep * h = +-cell, h in SL(n,Z), and eta the transport
+    sign of rep * h onto cell; None when the cells are not equivalent."""
+    h = equivalent_cells(rep, cell)
+    if h is None:
+        return None
+    return h, _orientation_transport_sign(rep, h, cell)
 
 
 class _SupportSystem:
@@ -98,7 +119,10 @@ class _SupportSystem:
     span exactly its kernel (2 is invertible, and a killed key c has
     c * s = -c for some s in Gamma_0(N)), so the system is solved on
     labels and the bar terms are rebuilt only for the final residual,
-    by `_bar_terms`.
+    by `_bar_terms`.  The SL(n,Z) maps R * h = +-k, the cone candidates
+    and the 2-sharbly boundaries do not depend on N and come from
+    per-process caches; the representatives, coset points, labels and
+    rows are the system's own.
 
     The system's columns are the projected lifts and 2-sharbly boundaries,
     each built once, in the order [lifts | taus], and its rows are the live
@@ -122,7 +146,7 @@ class _SupportSystem:
         self.lifts: list = []  # (theta-lift of a W_1 generator, its projection)
         self.taus: dict = {}  # 2-sharbly key -> its projected boundary
         for chain in chains:
-            self._project(chain)
+            self._project(chain.coeffs.items())
         if with_w1:
             for i in range(cx.rank(1)):
                 unit = [cx.field.zero] * cx.rank(1)
@@ -131,14 +155,14 @@ class _SupportSystem:
                 back = chain_to_w(cx, 1, lift)
                 if tuple(back) != tuple(unit):
                     raise InternalCheckError("theta lift does not invert chain_to_w")
-                self.lifts.append((lift, self._project(lift)))
+                self.lifts.append((lift, self._project(lift.coeffs.items())))
 
-    def _project(self, chain: sh.SharblyChain) -> dict:
-        """{row: coeff}, the image of a chain in the coinvariants; its keys
-        are placed first."""
+    def _project(self, terms) -> dict:
+        """{row: coeff}, the image in the coinvariants of the chain with
+        (key, coeff) pairs `terms`; its keys are placed first."""
         f = self.f
         out: dict = {}
-        for key, c in chain.coeffs.items():
+        for key, c in terms:
             if key not in self._placed:
                 self._place(key)
             label, _q, _h, eps = self._placed[key]
@@ -152,17 +176,17 @@ class _SupportSystem:
         cell = VoronoiCell(self.n, key)
         same_sig = self._reps.setdefault(cell_signature(cell), [])
         for rep in same_sig:
-            h = equivalent_cells(rep, cell)
-            if h is not None:
+            found = _class_map(rep, cell)
+            if found is not None:
                 break
         else:
-            rep, h = cell, la.identity(self.n)
+            rep, found = cell, (la.identity(self.n), 1)
             same_sig.append(rep)
+        h, sign = found
         q = self._space.index(la.first_column_cofactors(h))
         best, char = self._space.orbit_labels(rep)[q]
-        label, eps = (rep, best), 0
-        if char:
-            eps = char * _orientation_transport_sign(rep, h, cell)
+        label, eps = (rep, best), char * sign
+        if eps:
             self._rows.setdefault(label, len(self._rows))
         self._first.setdefault(label, key)
         self._placed[key] = (label, q, h, eps)
@@ -232,8 +256,7 @@ class _SupportSystem:
         for key in fresh:
             for tau_key in _cone_candidates(self.n, key):
                 if tau_key not in self.taus:
-                    bd = sh.boundary(sh.SharblyChain(self.n, 2, {tau_key: 1}))
-                    self.taus[tau_key] = self._project(bd)
+                    self.taus[tau_key] = self._project(_tau_boundary(self.n, tau_key))
         return len(self.taus) > n_taus
 
     def search(self, rhs_chain: sh.SharblyChain, budget: int, what: str):
@@ -249,7 +272,7 @@ class _SupportSystem:
         reached.
         """
         f = self.f
-        rhs = self._project(rhs_chain)
+        rhs = self._project(rhs_chain.coeffs.items())
         rounds = 0
         while True:
             target = [rhs.get(row, f.zero) for row in range(len(self._rows))]

@@ -28,6 +28,16 @@ class TestCommands:
         assert "x^3 + x^2 - 8*x - 12" in out.stdout
         assert "-2:2;3:1" in out.stdout
 
+    def test_hecke_over_a_61_bit_prime(self, run_cli):
+        # roots come from gcd(f, x^p - x); a scan of F_p would not return
+        out = run_cli(
+            ["hecke", "--level", "23", "--ell", "2", "--degree", "0",
+             "--field", "Fp:2305843009213693951"],
+        )
+        assert out.returncode == 0, out.stderr
+        # 3 and the two roots of x^2 + x - 1, each twice
+        assert "3:1;329895555426495809:2;1975947453787198141:2" in out.stdout
+
     def test_oracle(self, run_cli):
         out = run_cli(["oracle", "--level", "11", "--ell", "2"])
         assert out.returncode == 0, out.stderr

@@ -347,6 +347,40 @@ class TestFields:
             multiple += any(m > 1 for _, m in roots)
         assert multiple >= 5
 
+    def test_fp_roots_match_the_scan(self):
+        """Roots over F_p from gcd(f, x^p - x) and its splitting are what
+        the scan of every element of F_p finds: roots, multiplicities,
+        order and remainder, on polynomials with repeated roots, factors
+        without roots, a non-monic or zero leading coefficient, and the
+        zero and constant polynomials."""
+        import random
+
+        from sharbly.fields import PrimeField, eigenvalues
+
+        def times(a, b, p):
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] = (out[i + j] + x * y) % p
+            return out
+
+        rng = random.Random(20)
+        split = 0
+        for p, count in ((3, 150), (7, 150), (32003, 6)):
+            f = PrimeField(p)
+            polys = [[0], [0, 0, 0], [2]]
+            for _ in range(count):
+                poly = [rng.randrange(1, p)]
+                for _ in range(rng.randrange(6)):
+                    poly = times(poly, [-rng.randrange(min(p, 4)) % p, 1], p)
+                poly = times(poly, [rng.randrange(p) for _ in range(rng.randrange(4))] + [1], p)
+                polys.append(poly + [0] * rng.choice((0, 0, 0, 1)))
+            for poly in polys:
+                got = eigenvalues(f, poly)
+                assert got == _reference_eigenvalues(f, poly)
+                split += len(got[0]) > 1
+        assert split >= 50
+
     def test_root_candidates_keep_every_rational_root(self):
         """The candidates bounded by Fujiwara's bound after the rescaling
         x = y/D keep every rational root, with denominators up to 12, a

@@ -407,3 +407,63 @@ class TestSupportGrowth:
         assert len(flips) == 1 and len(bars) == 2
         dropped = bars[:flips[0]] + bars[flips[0] + 1:]
         assert not dataclasses.replace(res, bar_terms=dropped).verify(rhs)
+
+
+class TestLevelFreeCaches:
+    """The class maps, cone candidates and 2-sharbly boundaries are cached
+    per process across levels; no certificate may depend on what ran
+    before it."""
+
+    CACHES = (rd._class_map, rd._cone_candidates, rd._tau_boundary)
+
+    @staticmethod
+    def _record(out):
+        if isinstance(out, rd.Undetermined):
+            return out.reason
+        return sorted(out.y.coeffs.items()), [(g, sorted(c.coeffs.items())) for g, c in out.u]
+
+    def test_certificates_do_not_depend_on_history(self, cx11, table2):
+        cx13 = build_complex(2, 13, QQ, table=table2)
+        op = hecke_cosets(2, 2, 1)
+        x11, x13 = (homology(cx, 1).homology_reps[0] for cx in (cx11, cx13))
+        runs = []
+        for _run in range(2):
+            runs.append([
+                self._record(rd.verify_eigen_chain(cx, x, op, a, budget=4))
+                for cx, x, a in ((cx11, x11, 3), (cx13, x13, 0), (cx11, x11, 3))
+            ])
+            for cache in self.CACHES:
+                cache.cache_clear()
+        first, probe, again = runs[0]
+        assert isinstance(first, tuple) and isinstance(probe, str) and first == again
+        assert runs[0] == runs[1]
+
+    def test_a_second_level_reuses_the_searches(self, cx11, table2, monkeypatch):
+        cx13 = build_complex(2, 13, QQ, table=table2)
+        x = homology(cx11, 1).homology_reps[0]
+        chains = theta_s(cx11, 1, hecke_cosets(2, 2, 1), x)
+        calls = []
+
+        def counting(rep, cell):
+            calls.append((rep, cell))
+            return equivalent_cells(rep, cell)
+
+        monkeypatch.setattr(rd, "equivalent_cells", counting)
+        for cache in self.CACHES:
+            cache.cache_clear()
+        searched = []
+        for cx in (cx11, cx13):
+            calls.clear()
+            system = rd._SupportSystem(cx, chains, with_w1=False)
+            system.grow()
+            searched.append(set(calls))
+        assert searched[0] and not searched[0] & searched[1]
+        for key in system._placed:
+            cands = rd._cone_candidates(2, key)
+            assert type(cands) is tuple
+            for tau_key in cands:
+                bd = rd._tau_boundary(2, tau_key)
+                assert type(bd) is tuple and all(type(term) is tuple for term in bd)
+        for rep, cell in searched[0]:
+            found = rd._class_map(rep, cell)
+            assert found is None or type(found) is tuple
