@@ -5,9 +5,11 @@ correspond to the k-dimensional subspaces of F_l^n, one Schubert cell per
 set S of k pivot rows.  Each is represented by its lower-triangular Hermite
 form: diagonal l on S and 1 elsewhere, any entry in [0, l) at (i, j) with
 j < i, i in S and j not in S, and 0 everywhere else.  Their number is the
-Gaussian binomial, which `hecke_cosets` checks.  The action on H_0 lifts
-a class by theta, translates it by the cosets, reduces the modular symbols
-to unimodular ones and reads the result back in W_0.
+Gaussian binomial, which `hecke_cosets` checks.  On H_0 the operator is
+read off one level-free list of pairs (c, h), `_h0_translates`, built from
+one unimodular reduction of each V * s; the Voronoi and sharbly complexes
+compute the same homology, so any reduction gives the same class in H_0.
+At n = 2 the list plays the role of Merel's Heilbronn matrices.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
+from . import congruence as cg
 from . import intlinalg as la
 from . import sharbly as sh
 from .errors import InternalCheckError, PreconditionError
 from .fields import Field, _is_prime, charpoly, eigenvalues
 from .homology import GammaComplex, build_complex, chain_to_w, express_cycle, homology, theta_lift
+from .homology import w0_orbit, w0_transport
 
 
 @dataclass(frozen=True)
@@ -125,22 +129,38 @@ def _eigen_report(cx: GammaComplex, ell: int, power: int, degree: int, columns):
     )
 
 
-def hecke_matrix_on_h0(cx: GammaComplex, op: HeckeOperator) -> list:
-    """Columns of the operator on H_0: the images of the basis classes.
+def _h0_translates(rep, op: HeckeOperator) -> list:
+    """(c, h) with T(e_q) = sum c * e(q * h) in W_0 at every level prime to l.
 
-    A class x goes to theta(x) * T, reduced to unimodular symbols by
-    ar_reduce and read back in W_0, as in every degree.
+    The point q is the symbol [V * gamma_q], V = rep, gamma_q = `coset_matrix(q)`.
+    gamma_q * s_j = s_i * g with g in SL(n,Z), j -> i a permutation, so a term
+    K * g of ar_reduce(V * s_i) * g sits at q * s_i * `w0_transport`(V, K), the
+    s_j being lower triangular.
     """
+    return [(c, la.mat_mul(s, w0_transport(rep, k))) for s in op.cosets
+            for k, c in sh.ar_reduce(la.mat_mul(rep, s)).coeffs.items()]
+
+
+def hecke_matrix_on_h0(cx: GammaComplex, op: HeckeOperator) -> list:
+    """Columns of the operator on H_0: each rep's entries moved by `_h0_translates`."""
     if cx.level % op.ell == 0:
-        raise PreconditionError(
-            f"gcd(l, N) = 1 required: l = {op.ell} divides N = {cx.level}"
-        )
+        raise PreconditionError(f"gcd(l, N) = 1 required: l = {op.ell} divides N = {cx.level}")
+    f = cx.field
     h0 = homology(cx, 0)
+    space = cg.projective_space(cx.n, cx.level)
+    rep, labels = w0_orbit(cx)
+    translates = _h0_translates(rep, op)
     columns = []
     for rep_vec in h0.homology_reps:
-        _, s_chain = theta_s(cx, 0, op, rep_vec)
-        reduced = sh.ar_reduce_chain(s_chain.reduced(cx.field))
-        columns.append(express_cycle(h0, symbol_chain_to_w0(cx, reduced)))
+        image = [f.zero] * cx.rank(0)
+        for (_, q), x in zip(cx.bases[0], rep_vec):
+            if x == f.zero:
+                continue
+            for c, h in translates:
+                pos, char = labels[space.index(la.vec_mat(q, h))]
+                if char:
+                    image[pos] = f.add(image[pos], f.mul(x, f(c * char)))
+        columns.append(express_cycle(h0, image))
     return columns
 
 

@@ -293,19 +293,38 @@ def _cell_coordinate(cx: GammaComplex, orb, gamma, cell: VoronoiCell):
     return pos, char * _orientation_transport_sign(orb.representative, gamma, cell)
 
 
+def w0_orbit(cx: GammaComplex) -> tuple:
+    """(V, label table) of the single unimodular cell orbit, whose
+    representative has vertex matrix V; W_0 is built on that orbit."""
+    orbits = cx.table.orbits[cx.n - 1]
+    if len(orbits) != 1:
+        raise InternalCheckError("expected a single unimodular cell orbit")
+    return orbits[0].representative.vertices, cx.labels[cx.n - 1, 0]
+
+
+def w0_transport(v, k):
+    """adj(K') * V = det V * gamma^{-1} for unimodular V and K, where K' =
+    V * gamma is K with its last row negated when det K != det V (the same
+    symbol); row 0 is K's coset point e_1 * gamma^{-1} up to the unit det V.
+    """
+    d = la.det(k)
+    if abs(d) != 1:
+        raise ValueError(f"chain term {k} is not a Voronoi cell sharbly")
+    if d != la.det(v):
+        k = k[:-1] + (tuple(-x for x in k[-1]),)
+    return la.mat_mul(la.adjugate(k), v)
+
+
 def chain_to_w(cx: GammaComplex, k: int, chain: sh.SharblyChain):
     """Coordinates in W_k of a Voronoi-supported plain chain.
 
     Every term must be the sharbly of an actual Voronoi cell; terms whose
     split orbit is killed by orientation contribute zero.
 
-    In degree 0 every term is a unimodular symbol R of the single orbit,
-    whose representative has vertex matrix V.  With R's last row negated
-    when det R != det V, R = V * gamma for gamma in SL(n,Z), so the
-    term's coordinate depends only on its coset point e_1 * gamma^{-1} =
-    adj(R)[0] * V * det V, looked up in the orbit's label table.  Its
-    transport sign is +1, because V * gamma = R row for row.  In higher
-    degrees each cell's orbit and gamma come from `_locate`.
+    In degree 0 every term K is a unimodular symbol of the single orbit,
+    read in its label table at K's coset point, row 0 of `w0_transport`,
+    with transport sign +1.  In higher degrees each cell's orbit and gamma
+    come from `_locate`.
     """
     if (chain.n, chain.k) != (cx.n, k):
         raise ValueError(
@@ -314,21 +333,10 @@ def chain_to_w(cx: GammaComplex, k: int, chain: sh.SharblyChain):
     f = cx.field
     out = [f.zero] * cx.rank(k)
     if k == 0:
-        orbits = cx.table.orbits[cx.n - 1]
-        if len(orbits) != 1:
-            raise InternalCheckError("expected a single unimodular cell orbit")
         space = cg.projective_space(cx.n, cx.level)
-        labels = cx.labels[cx.n - 1, 0]
-        rep = orbits[0].representative.vertices
-        rep_det = la.det(rep)
+        rep, labels = w0_orbit(cx)
         for key, c in chain.coeffs.items():
-            cof = la.first_column_cofactors(key)
-            det = sum(row[0] * x for row, x in zip(key, cof))
-            if abs(det) != 1:
-                raise ValueError(f"chain term {key} is not a Voronoi cell sharbly")
-            if det != rep_det:  # negating the last row negates all cofactors but its own
-                cof = [-x for x in cof[:-1]] + [cof[-1]]
-            pos, char = labels[space.index(la.vec_mat(cof, rep))]  # the unit det V drops
+            pos, char = labels[space.index(w0_transport(rep, key)[0])]
             if char:
                 out[pos] = f.add(out[pos], f(c * char))
         return out

@@ -40,10 +40,6 @@ def vec_mat(v: Vec, a: Mat) -> Vec:
     return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0])))
 
 
-def transpose(a: Mat) -> Mat:
-    return tuple(zip(*a))
-
-
 def mat_neg(a: Mat) -> Mat:
     return tuple(tuple(-x for x in row) for row in a)
 

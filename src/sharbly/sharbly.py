@@ -220,16 +220,13 @@ def _least_in_box(h: Mat, u: Mat, t: int, exclude) -> tuple[int, Vec] | None:
     return best
 
 
-_AR_CACHE: dict = {}
-
-
 def ar_reduce(x: Mat) -> SharblyChain:
     """Rewrite the modular symbol of x as an integer chain of unimodular ones.
 
-    Each level replaces one row by a reducing vector, using the relation
-    [x_1..x_n] = sum_j [x_1, .., v at j, .., x_n]; every replacement symbol
-    has strictly smaller |det|, so the recursion terminates on unimodular
-    symbols representing the same class.
+    Each level replaces one row of the normal form by a reducing vector,
+    using the relation [x_1..x_n] = sum_j [x_1, .., v at j, .., x_n]; every
+    replacement symbol has strictly smaller |det|, so the recursion
+    terminates on unimodular symbols representing the same class.
     """
     x = la.freeze(x)
     n = len(x)
@@ -240,34 +237,13 @@ def ar_reduce(x: Mat) -> SharblyChain:
     elem = normalize(n, x)
     if elem is None:
         raise InternalCheckError("a nonsingular matrix normalized to the zero sharbly")
-    return _reduce_elem(elem.n, elem.vectors).scaled(elem.sign)
-
-
-def _reduce_elem(n: int, key) -> SharblyChain:
-    cached = _AR_CACHE.get(key)
-    if cached is not None:
-        return cached
-    rows = la.freeze(key)
-    if abs(la.det(rows)) == 1:
-        out = SharblyChain(n, 0, {key: 1})
-    else:
-        v = _reducing_vector(rows)
-        out = SharblyChain(n, 0)
-        for j in range(n):
-            replaced = key[:j] + (v,) + key[j + 1:]
-            sub = normalize(n, replaced)
-            if sub is None:
-                continue
-            out.add_chain(_reduce_elem(n, sub.vectors), sub.sign)
-    _AR_CACHE[key] = out
-    return out
-
-
-def ar_reduce_chain(chain: SharblyChain) -> SharblyChain:
-    """ar_reduce applied to every term of a degree-0 chain."""
-    if chain.k != 0:
-        raise InternalCheckError(f"ar_reduce_chain needs a degree-0 chain, got k = {chain.k}")
-    out = SharblyChain(chain.n, 0)
-    for key, c in chain.coeffs.items():
-        out.add_chain(ar_reduce(key), c)
+    key = elem.vectors
+    if abs(la.det(key)) == 1:  # the normal form's rows are primitive, x's need not be
+        return SharblyChain(n, 0, {key: elem.sign})
+    v = _reducing_vector(key)
+    out = SharblyChain(n, 0)
+    for j in range(n):
+        replaced = key[:j] + (v,) + key[j + 1:]
+        if la.det(replaced):
+            out.add_chain(ar_reduce(replaced), elem.sign)
     return out

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import sharbly
-from sharbly.fields import QQ
+from sharbly.fields import QQ, PrimeField
 from sharbly.homology import build_complex
 from sharbly.voronoi import enumerate_cells
 
@@ -56,3 +56,11 @@ def cx11(table2):
 @pytest.fixture(scope="session")
 def cx1(table2):
     return build_complex(2, 1, QQ, table=table2)
+
+
+@pytest.fixture(scope="session")
+def n3_prime_complexes(table3):
+    """n = 3 complexes over F_32003 at every prime level p <= 61, by p."""
+    field = PrimeField(32003)
+    primes = [p for p in range(2, 62) if all(p % d for d in range(2, p))]
+    return {p: build_complex(3, p, field, table=table3) for p in primes}

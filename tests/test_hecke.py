@@ -10,9 +10,10 @@ import pytest
 from sharbly import hecke as hk
 from sharbly import intlinalg as la
 from sharbly import manin
-from sharbly.errors import PreconditionError
-from sharbly.fields import QQ
-from sharbly.homology import build_complex, homology
+from sharbly import sharbly as sh
+from sharbly.errors import InternalCheckError, PreconditionError
+from sharbly.fields import QQ, PrimeField
+from sharbly.homology import build_complex, chain_to_w, express_cycle, homology
 
 
 class TestCosets:
@@ -124,9 +125,7 @@ class TestHeckeH0:
     def test_basis_independence(self, cx11):
         # T(2,1) on a mixed basis of H_0 is M conjugated by the change of
         # basis P, so the char poly does not depend on the basis
-        import sharbly.sharbly as sh
         from sharbly.fields import charpoly
-        from sharbly.homology import express_cycle
         from test_intlinalg import _gauss_jordan
 
         h0 = homology(cx11, 0)
@@ -134,11 +133,7 @@ class TestHeckeH0:
         mixed[0] = tuple(a + b for a, b in zip(mixed[0], mixed[1]))
         mixed[2] = tuple(3 * c for c in mixed[2])
         op = hk.hecke_cosets(2, 2, 1)
-        images = []
-        for x in mixed:
-            _, s_chain = hk.theta_s(cx11, 0, op, x)
-            image = hk.symbol_chain_to_w0(cx11, sh.ar_reduce_chain(s_chain))
-            images.append(express_cycle(h0, image))
+        images = [_reference_h0_image(cx11, op, x) for x in mixed]
         report = hk.hecke_on_h0(2, 11, QQ, 2, 1, cx=cx11)
         p_mat = tuple(zip(*(express_cycle(h0, x) for x in mixed)))
         assert tuple(zip(*images)) == _mul(report.matrix, p_mat)
@@ -151,6 +146,43 @@ class TestHeckeH0:
         assert charpoly(QQ, conjugated) == report.charpoly
         with pytest.raises(TypeError):
             replace(h0, homology_reps=tuple(mixed))
+
+
+    def test_both_w0_readers_need_a_single_unimodular_orbit(self, cx11):
+        orbits = dict(cx11.table.orbits)
+        orbits[1] = orbits[1] * 2
+        cx = replace(cx11, table=replace(cx11.table, orbits=orbits))
+        with pytest.raises(InternalCheckError, match="single unimodular cell orbit"):
+            chain_to_w(cx, 0, sh.chain_of(2, [(1, 0), (0, 1)]))
+        with pytest.raises(InternalCheckError, match="single unimodular cell orbit"):
+            hk.hecke_matrix_on_h0(cx, hk.hecke_cosets(2, 2, 1))
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+    @pytest.mark.parametrize("n,level,ops", [
+        (2, 11, ((2, 1), (3, 1), (5, 1))),
+        (2, 35, ((2, 1), (3, 1), (5, 1))),
+        (2, 37, ((2, 1), (3, 1), (5, 1))),
+        (2, 43, ((2, 1), (3, 1), (5, 1))),
+        # H_0 vanishes at n = 3, N = 7 and 13
+        (3, 11, ((2, 1), (2, 2), (3, 1))),
+        (3, 17, ((2, 1), (2, 2), (3, 1))),
+        (3, 23, ((2, 1), (2, 2), (3, 1))),
+    ])
+    def test_translate_list_matches_the_reference_path(self, table2, table3, n, level, ops, field):
+        # the level-free translate list gives, entry for entry, the columns of
+        # theta(x) * T reduced symbol by symbol and read back in W_0
+        cx = build_complex(n, level, field, table=table2 if n == 2 else table3)
+        h0 = homology(cx, 0)
+        assert h0.dimension > 0
+        checked = 0
+        for ell, k in ops:
+            if level % ell == 0:
+                continue
+            op = hk.hecke_cosets(n, ell, k)
+            want = [_reference_h0_image(cx, op, x) for x in h0.homology_reps]
+            assert hk.hecke_matrix_on_h0(cx, op) == want
+            checked += 1
+        assert checked >= 2
 
 
 class TestHeckeN3:
@@ -177,6 +209,39 @@ class TestHeckeN3:
             for a in mats:
                 for b in mats:
                     assert _mul(a, b) == _mul(b, a)
+
+
+    def test_hecke_relations_over_fp(self, table3, n3_prime_complexes):
+        # on H_0 over F_32003, T(l, 1) and T(l, 2) have one char poly (their
+        # eigenvalues are complex conjugates, Ash-Grayson-Green), and T(2, 1)
+        # commutes with T(3, 1)
+        p = 32003
+        complexes = dict(n3_prime_complexes)
+        for level in (25, 35, 49, 55):
+            complexes[level] = build_complex(3, level, PrimeField(p), table=table3)
+        commuting = 0
+        for level, cx in complexes.items():
+            mats = {}
+            for ell in (2, 3):
+                if level % ell:
+                    t1, t2 = (hk.hecke_on_h0(3, level, cx.field, ell, k, cx=cx) for k in (1, 2))
+                    assert t1.charpoly == t2.charpoly, (level, ell)
+                    mats[ell] = t1.matrix
+            if len(mats) == 2:
+                ab, ba = _mul(mats[2], mats[3]), _mul(mats[3], mats[2])
+                assert [[x % p for x in row] for row in ab] == [[x % p for x in row] for row in ba]
+                commuting += 1
+        assert commuting == 20  # the 16 primes 5 <= p <= 61 and the four composites
+
+
+def _reference_h0_image(cx, op, x):
+    """H_0 coordinates of x * T by the path the translate list replaces:
+    theta(x) * T, each symbol reduced by ar_reduce, read back in W_0."""
+    _, s_chain = hk.theta_s(cx, 0, op, x)
+    reduced = sh.SharblyChain(cx.n, 0)
+    for key, c in s_chain.reduced(cx.field).coeffs.items():
+        reduced.add_chain(sh.ar_reduce(key), c)
+    return express_cycle(homology(cx, 0), hk.symbol_chain_to_w0(cx, reduced))
 
 
 def _mul(a, b):

@@ -135,13 +135,12 @@ class TestHomology:
         chi_ranks = sum((-1) ** k * cx.rank(k) for k in range(cx.max_degree + 1))
         assert chi_ranks == sum((-1) ** k * b for k, b in betti.items())
 
-    def test_n3_prime_level_survey(self, table3):
+    def test_n3_prime_level_survey(self, n3_prime_complexes):
         # Ash-Grayson-Green (Contemp. Math. 28, 1984): among prime levels
         # p <= 61, cuspidal cohomology of Gamma_0(p) in SL(3,Z) appears
         # exactly at p = 53 and p = 61
-        field = PrimeField(32003)
-        primes = [p for p in range(2, 62) if all(p % d for d in range(2, p))]
-        h1 = {p: homology(build_complex(3, p, field, table=table3), 1).dimension for p in primes}
+        assert len(n3_prime_complexes) == 18
+        h1 = {p: homology(cx, 1).dimension for p, cx in n3_prime_complexes.items()}
         assert {p: d for p, d in h1.items() if d} == {53: 2, 61: 2}
 
     def test_reps_are_the_first_kernel_vectors_independent_mod_image(self, table2, table3):

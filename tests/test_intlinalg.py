@@ -249,7 +249,7 @@ class TestShortVectors:
     def test_matches_naive_enumeration(self, n, rng, bound):
         # random small positive definite form b^T b + I
         b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-        g = la.mat_mul(la.transpose(la.freeze(b)), la.freeze(b))
+        g = la.mat_mul(tuple(zip(*la.freeze(b))), la.freeze(b))
         g = tuple(
             tuple(g[i][j] + (1 if i == j else 0) for j in range(n)) for i in range(n)
         )

@@ -94,3 +94,21 @@ def test_no_package_attribute_shadows_a_submodule():
         if getattr(sharbly, path.stem) is not module:
             offenders.append(path.stem)
     assert not offenders, f"package attribute is not the submodule: {offenders}"
+
+
+def test_no_module_level_mutable_container():
+    # module state that code mutates is shared by every caller in the
+    # process, so one job or test could change the next one's work;
+    # `lru_cache` on pure functions is the allowed cache
+    containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    makers = {"dict", "list", "set", "Counter", "defaultdict", "OrderedDict", "deque"}
+    offenders = []
+    for name, tree in TREES.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                continue
+            callee = node.value.func if isinstance(node.value, ast.Call) else None
+            callee = getattr(callee, "attr", getattr(callee, "id", None))
+            if isinstance(node.value, containers) or callee in makers:
+                offenders.append(f"{name}:{node.lineno}")
+    assert not offenders, f"module-level mutable container in {offenders}"
