@@ -49,7 +49,7 @@ class Rationals:
     char = 0
 
     def __call__(self, x) -> Fraction:
-        return Fraction(x)
+        return x if type(x) is Fraction else Fraction(x)
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -227,45 +227,113 @@ class SparseFieldMatrix:
 
 
 class LinearSpan:
-    """A row space over a field, kept in reduced row echelon form (RREF).
+    """A row space over Q or F_p, kept as int multiples of its reduced row
+    echelon form (RREF).
 
-    This is the one elimination routine of the package.  `rows` maps each
-    pivot column to its sparse row {col: coeff}: the pivot is the row's least
-    column, with coefficient one, and no other row has an entry in a pivot
-    column.  The RREF of a row space is unique, so the stored rows do not
-    depend on the order in which vectors were added.
+    This is the one elimination routine of the package, and it runs on ints
+    only (fraction-free, as in Bareiss, Math. Comp. 22, 1968).  `rows` maps
+    each pivot column to its sparse int row {col: int}: the pivot is the
+    row's least column, and no other row has an entry in a pivot column.
+    Over Q a row is primitive (its entries have gcd 1) with a positive
+    pivot; over F_p its entries are residues in [0, p) with pivot 1.  So
+    each row is a nonzero int multiple of its RREF row, and `entry` reads
+    the RREF back as field elements.  The RREF of a row space is unique, so
+    the stored rows do not depend on the order in which vectors were added.
+
+    Both fields take the same step, v <- b*v - a*row, which clears v at the
+    row's pivot (a is v's entry there and b the pivot, both divided by their
+    gcd; b = 1 over F_p).  The field supplies only the row normalisation:
+    the content is divided out over Q, and the row is scaled by the inverse
+    of its pivot over F_p.
     """
 
     def __init__(self, field):
         self.field = field
         self.rows: dict = {}
+        self._p = field.char  # 0 over Q
+
+    def _clear(self, vec: dict) -> tuple:
+        """(w, d): the nonzero ints w = d * vec, d the lcm of the entries'
+        denominators over Q; the residues of vec and d = 1 over F_p."""
+        p = self._p
+        if p:
+            return {c: r for c, x in vec.items() if (r := x % p)}, 1
+        d = lcm(*(x.denominator for x in vec.values()))
+        return {c: x.numerator * (d // x.denominator) for c, x in vec.items() if x}, d
+
+    def _step(self, v: dict, q: int, row: dict) -> int:
+        """v <- b*v - a*row in place, a = v[q] and b = row[q] over their gcd,
+        so that v is 0 at q; returns b."""
+        p = self._p
+        a, b = v[q], row[q]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if b != 1:
+            for c in v:
+                v[c] *= b
+        for c, x in row.items():
+            y = v.get(c, 0) - a * x
+            if p:
+                y %= p
+            if y:
+                v[c] = y
+            else:
+                v.pop(c, None)
+        return b
+
+    def _normalize(self, row: dict, pivot: int) -> dict:
+        """The row scaled to its stored form: primitive with a positive
+        pivot over Q, pivot 1 over F_p."""
+        p = self._p
+        if p:
+            inv = pow(row[pivot], -1, p)
+            return row if inv == 1 else {c: x * inv % p for c, x in row.items()}
+        g = gcd(*row.values())
+        if row[pivot] < 0:
+            g = -g
+        return row if g == 1 else {c: x // g for c, x in row.items()}
+
+    def _eliminate(self, v: dict) -> int:
+        """Clear the int vector v at every pivot, in place; returns the
+        scalar that v was multiplied by.  A stored row meets no other pivot
+        column, so one pass does it."""
+        rows, scale = self.rows, 1
+        for q in [c for c in v if c in rows]:
+            scale *= self._step(v, q, rows[q])
+        return scale
 
     def reduce(self, vec: dict) -> dict:
         """The sparse vector {col: field element} minus its multiples of the
         stored rows: equal to vec modulo the span, and zero at every pivot."""
-        f = self.field
-        v = {c: x for c, x in vec.items() if x}
-        rows = self.rows
-        # a stored row meets no other pivot column, so one pass reduces v
-        for p in [c for c in v if c in rows]:
-            _axpy(f, v, f.neg(v[p]), rows[p])
-        return v
+        v, d = self._clear(vec)
+        d *= self._eliminate(v)
+        if self._p:
+            return v
+        return {c: Fraction(x, d) for c, x in v.items()}
 
     def add(self, vec: dict) -> bool:
         """Add the sparse vector {col: field element} to the span; True if
         the dimension grew."""
-        f = self.field
-        v = self.reduce(vec)
+        v = self._clear(vec)[0]
+        self._eliminate(v)
         if not v:
             return False
         q = min(v)
-        inv = f.inv(v[q])
-        v = {c: f.mul(inv, x) for c, x in v.items()}
-        for row in self.rows.values():
+        v = self._normalize(v, q)
+        rows = self.rows
+        for pivot, row in rows.items():
             if q in row:
-                _axpy(f, row, f.neg(row[q]), v)
-        self.rows[q] = v
+                self._step(row, q, v)
+                rows[pivot] = self._normalize(row, pivot)
+        rows[q] = v
         return True
+
+    def entry(self, pivot: int, col: int):
+        """The RREF entry, a field element, of the row at `pivot` in column
+        `col`."""
+        row = self.rows[pivot]
+        x = row.get(col, 0)
+        return x if self._p else Fraction(x, row[pivot])
 
     def kernel_vectors(self, columns, ncols: int) -> list:
         """The kernel vectors of the span at the free columns `columns`, in
@@ -279,25 +347,14 @@ class LinearSpan:
         for c, vec in kernel.items():
             vec[c] = f.one
         for p, row in self.rows.items():
-            for c, x in row.items():
+            for c in row:
                 if c in kernel:
-                    kernel[c][p] = f.neg(x)
+                    kernel[c][p] = f.neg(self.entry(p, c))
         return [tuple(kernel[c]) for c in columns]
 
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-
-def _axpy(f, y: dict, a, x: dict):
-    """y += a * x on sparse vectors, dropping the entries that cancel."""
-    zero = f.zero
-    for c, xc in x.items():
-        s = f.add(y.get(c, zero), f.mul(a, xc))
-        if s:
-            y[c] = s
-        else:
-            y.pop(c, None)
 
 
 def row_span(m: SparseFieldMatrix, rhs=None) -> LinearSpan:
@@ -346,8 +403,8 @@ def solve(m: SparseFieldMatrix, rhs):
     if m.ncols in span.rows:
         return None
     x = [f.zero] * m.ncols
-    for p, row in span.rows.items():
-        x[p] = row.get(m.ncols, f.zero)
+    for p in span.rows:
+        x[p] = span.entry(p, m.ncols)
     return tuple(x)
 
 

@@ -15,6 +15,7 @@ At n = 2 the list plays the role of Merel's Heilbronn matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
 from . import congruence as cg
@@ -129,16 +130,18 @@ def _eigen_report(cx: GammaComplex, ell: int, power: int, degree: int, columns):
     )
 
 
-def _h0_translates(rep, op: HeckeOperator) -> list:
+@lru_cache(maxsize=None)
+def _h0_translates(rep, op: HeckeOperator) -> tuple:
     """(c, h) with T(e_q) = sum c * e(q * h) in W_0 at every level prime to l.
 
     The point q is the symbol [V * gamma_q], V = rep, gamma_q = `coset_matrix(q)`.
     gamma_q * s_j = s_i * g with g in SL(n,Z), j -> i a permutation, so a term
     K * g of ar_reduce(V * s_i) * g sits at q * s_i * `w0_transport`(V, K), the
-    s_j being lower triangular.
+    s_j being lower triangular.  The list does not depend on the level, so
+    one process builds it once per (rep, op).
     """
-    return [(c, la.mat_mul(s, w0_transport(rep, k))) for s in op.cosets
-            for k, c in sh.ar_reduce(la.mat_mul(rep, s)).coeffs.items()]
+    return tuple((c, la.mat_mul(s, w0_transport(rep, k))) for s in op.cosets
+                 for k, c in sh.ar_reduce(la.mat_mul(rep, s)).coeffs.items())
 
 
 def hecke_matrix_on_h0(cx: GammaComplex, op: HeckeOperator) -> list:

@@ -19,7 +19,7 @@ from math import gcd, lcm
 
 from . import intlinalg as la
 from .errors import InternalCheckError, UnsupportedError
-from .fields import QQ, LinearSpan, SparseFieldMatrix, rank, rank_kernel
+from .fields import QQ, LinearSpan, SparseFieldMatrix, rank_kernel
 from .intlinalg import Mat, Vec
 
 
@@ -35,7 +35,10 @@ def sym_coords(v: Vec) -> tuple:
 
 def _rank_of_rows(rows) -> int:
     """Rank over Q of a list of integer row vectors."""
-    return rank(SparseFieldMatrix.from_dense(QQ, rows))
+    span = LinearSpan(QQ)
+    for row in rows:
+        span.add(dict(enumerate(row)))
+    return span.rank
 
 
 def _first_independent(rows, count: int):
@@ -325,7 +328,7 @@ def _solve_in_basis(cell, targets):
         span.add(dict(enumerate(row)))
     if any(p >= r for p in span.rows):
         return None
-    return [[span.rows[i].get(r + k, QQ.zero) for i in range(r)] for k in range(len(targets))]
+    return [[span.entry(i, r + k) for i in range(r)] for k in range(len(targets))]
 
 
 # ---------------------------------------------------------------------------

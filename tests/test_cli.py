@@ -147,9 +147,16 @@ class TestExitCodes:
         def broken(_x):
             raise ValueError("singular matrix has no modular symbol")
 
+        # the H_0 translate lists are cached per process: clear them so that
+        # ar_reduce runs whatever ran before, and leave no list built without it
+        translates = importlib.import_module("sharbly.hecke")._h0_translates
+        translates.cache_clear()
         monkeypatch.setattr(importlib.import_module("sharbly.sharbly"), "ar_reduce", broken)
-        code = cli.main(["hecke", "--n", "2", "--level", "11", "--ell", "2",
-                         "--cache-dir", str(tmp_path)])
+        try:
+            code = cli.main(["hecke", "--n", "2", "--level", "11", "--ell", "2",
+                             "--cache-dir", str(tmp_path)])
+        finally:
+            translates.cache_clear()
         assert code == 4
         assert "singular matrix" in capsys.readouterr().err
 

@@ -148,6 +148,28 @@ class TestHeckeH0:
             replace(h0, homology_reps=tuple(mixed))
 
 
+    def test_matrices_do_not_depend_on_history(self, table2, table3):
+        # the translate lists are cached per process; the H_0 matrices are
+        # the same whichever operators and levels came first
+        cases = [(2, 11, QQ, 2, 1), (2, 35, PrimeField(32003), 3, 1), (3, 17, QQ, 2, 2),
+                 (2, 37, QQ, 2, 1), (3, 11, PrimeField(32003), 2, 1), (3, 17, QQ, 3, 1)]
+        complexes = {(n, level, f): build_complex(n, level, f, table=table2 if n == 2 else table3)
+                     for n, level, f, _, _ in cases}
+
+        def run(order):
+            return {(n, level, f, ell, k): hk.hecke_matrix_on_h0(complexes[n, level, f],
+                                                                  hk.hecke_cosets(n, ell, k))
+                    for n, level, f, ell, k in order}
+
+        hk._h0_translates.cache_clear()
+        first = run(cases)
+        info = hk._h0_translates.cache_info()
+        assert (info.hits, info.misses) == (1, 5)  # T(2,1) at n = 2 is shared by N = 11 and 37
+        hk._h0_translates.cache_clear()
+        again = run(reversed(cases))
+        assert again == first
+        assert all(any(map(any, cols)) for cols in first.values())
+
     def test_both_w0_readers_need_a_single_unimodular_orbit(self, cx11):
         orbits = dict(cx11.table.orbits)
         orbits[1] = orbits[1] * 2

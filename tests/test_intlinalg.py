@@ -466,11 +466,9 @@ class TestFields:
                 for i, row in enumerate(mat):
                     grew = len(_gauss_jordan(f, mat[: i + 1])) > len(_gauss_jordan(f, mat[:i]))
                     assert span.add(dict(enumerate(row))) == grew
-                rref = _gauss_jordan(f, mat)
-                assert span.rows == {
-                    min(j for j, x in enumerate(r) if x): {j: x for j, x in enumerate(r) if x}
-                    for r in rref
-                }
+                rref = {min(j for j, x in enumerate(r) if x): r for r in _gauss_jordan(f, mat)}
+                assert span.rows.keys() == rref.keys()
+                assert all(span.entry(p, j) == x for p, r in rref.items() for j, x in enumerate(r))
                 rows = {p: dict(row) for p, row in span.rows.items()}
                 for _ in range(3):
                     vec = {j: f(probe.randrange(-4, 5)) for j in range(ncols)}
@@ -478,6 +476,79 @@ class TestFields:
                     assert not left.keys() & rows.keys()
                     assert not span.add({j: f.sub(x, left.get(j, f.zero)) for j, x in vec.items()})
                     assert span.rows == rows
+
+    @pytest.mark.parametrize("p", [0, 3, 7, 32003], ids=["Q", "F3", "F7", "F32003"])
+    def test_int_rows_match_the_dense_reference(self, p):
+        """LinearSpan stores int rows: primitive with a positive pivot over Q,
+        residues with pivot 1 over F_p, none meeting another pivot column;
+        entry, reduce, kernel_vectors and solve give the field values of the
+        dense RREF, on entries with denominators 2, 3, 4 and 6 over Q."""
+        import random
+        from math import gcd
+
+        from sharbly.fields import QQ, PrimeField, SparseFieldMatrix, row_span, solve
+
+        f = PrimeField(p) if p else QQ
+        rng = random.Random(40 + p)
+
+        def draw():
+            if rng.random() < 0.45:
+                return f.zero
+            if p:
+                return rng.randrange(1, p)
+            return Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 3, 4, 6)))
+
+        compared = solved = 0
+        for _ in range(40):
+            ncols = rng.randrange(1, 9)
+            mat = [[draw() for _ in range(ncols)] for _ in range(rng.randrange(1, 8))]
+            a = draw()
+            mat.append([f.add(x, f.mul(a, y)) for x, y in zip(mat[0], mat[-1])])
+            m = SparseFieldMatrix.from_dense(f, mat)
+            span = row_span(m)
+            rref = {min(j for j, x in enumerate(r) if x): r for r in _gauss_jordan(f, mat)}
+            assert span.rows.keys() == rref.keys()
+            for q, row in span.rows.items():
+                assert min(row) == q and all(type(x) is int and x for x in row.values())
+                assert not (row.keys() - {q}) & span.rows.keys()
+                if p:
+                    assert row[q] == 1 and all(0 <= x < p for x in row.values())
+                else:
+                    assert row[q] > 0 and gcd(*row.values()) == 1
+                assert all(span.entry(q, j) == x for j, x in enumerate(rref[q]))
+
+            free = [c for c in range(ncols) if c not in rref]
+            want = []
+            for c in free:
+                vec = [f.zero] * ncols
+                vec[c] = f.one
+                for q, r in rref.items():
+                    vec[q] = f.neg(r[c])
+                want.append(tuple(vec))
+            assert span.kernel_vectors(free, ncols) == want
+
+            for _ in range(3):
+                vec = [draw() for _ in range(ncols)]
+                left = list(vec)
+                for q, r in rref.items():
+                    left = _minus(f, left, left[q], r)
+                got = span.reduce(dict(enumerate(vec)))
+                assert got == {j: x for j, x in enumerate(left) if x}
+                assert all(type(x) is (int if p else Fraction) for x in got.values())
+                compared += len(got)
+
+                for rhs in ([draw() for _ in range(m.nrows)], m.matvec(vec)):
+                    aug = {min(j for j, x in enumerate(r) if x): r
+                           for r in _gauss_jordan(f, [r + [b] for r, b in zip(mat, rhs)])}
+                    sol = None
+                    if ncols not in aug:
+                        sol = [f.zero] * ncols
+                        for q, r in aug.items():
+                            sol[q] = r[ncols]
+                        sol = tuple(sol)
+                        solved += 1
+                    assert solve(m, rhs) == sol
+        assert compared > 50 and solved >= 120
 
     def test_invariants_raise_internal_check_error(self):
         from sharbly.errors import InternalCheckError
