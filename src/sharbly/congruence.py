@@ -7,9 +7,10 @@ the first row, and the cell orbit of c * gamma is labeled by the
 stabilizer orbit of [e_1 * gamma^{-1}].
 
 `ProjectiveSpace.orbit_labels(rep)` is the one labeller of those orbits;
-`split_orbits`, `homology` and `reduction` all read its table.  It acts on
-P^{n-1}(Z/N) by a generating set of the cell stabilizer alone
-(`voronoi.stabilizer_generators`), not by every stabilizer element.
+`split_orbits` (the generators of `homology`), `homology` and `reduction`
+read its table.  It acts on P^{n-1}(Z/N) by a generating set of the cell
+stabilizer alone (`voronoi.stabilizer_generators`), not by every
+stabilizer element.
 """
 
 from __future__ import annotations

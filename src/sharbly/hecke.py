@@ -9,7 +9,9 @@ Gaussian binomial, which `hecke_cosets` checks.  On H_0 the operator is
 read off one level-free list of pairs (c, h), `_h0_translates`, built from
 one unimodular reduction of each V * s; the Voronoi and sharbly complexes
 compute the same homology, so any reduction gives the same class in H_0.
-At n = 2 the list plays the role of Merel's Heilbronn matrices.
+At n = 2 the list plays the role of Merel's Heilbronn matrices.  Its terms
+are read at their coset points in the unimodular orbit's label table
+(`w0_orbit`, `w0_transport`), a shortcut that only this module takes.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from . import sharbly as sh
 from .errors import InternalCheckError, PreconditionError
 from .fields import Field, _is_prime, charpoly, eigenvalues
 from .homology import GammaComplex, build_complex, chain_to_w, express_cycle, homology, theta_lift
-from .homology import w0_orbit, w0_transport
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,8 @@ def theta_s(cx: GammaComplex, k: int, op: HeckeOperator, x_vec) -> tuple:
 
 
 def symbol_chain_to_w0(cx: GammaComplex, chain: sh.SharblyChain):
-    """Coordinates in W_0 of a chain of unimodular symbols."""
+    """Coordinates in W_0 of a chain of unimodular symbols, read by
+    `chain_to_w`, which shares no code with the label-table shortcut."""
     # A name of its own so that bench/tracer.py can time the degree-0 read-back.
     return chain_to_w(cx, 0, chain)
 
@@ -130,6 +132,29 @@ def _eigen_report(cx: GammaComplex, ell: int, power: int, degree: int, columns):
     )
 
 
+def w0_orbit(cx: GammaComplex) -> tuple:
+    """(V, label table) of the single unimodular cell orbit, whose
+    representative has vertex matrix V; W_0 is built on that orbit."""
+    orbits = cx.table.orbits[cx.n - 1]
+    if len(orbits) != 1:
+        raise InternalCheckError("expected a single unimodular cell orbit")
+    return orbits[0].representative.vertices, cx.labels[cx.n - 1, 0]
+
+
+def w0_transport(v, k):
+    """adj(K') * V = det V * gamma^{-1} for unimodular V and K, where K' =
+    V * gamma is K with its last row negated when det K != det V (the same
+    symbol); row 0 is K's coset point e_1 * gamma^{-1} up to the unit det V,
+    and the transport sign is +1 because V * gamma = K' row for row.
+    """
+    d = la.det(k)
+    if abs(d) != 1:
+        raise ValueError(f"chain term {k} is not a Voronoi cell sharbly")
+    if d != la.det(v):
+        k = k[:-1] + (tuple(-x for x in k[-1]),)
+    return la.mat_mul(la.adjugate(k), v)
+
+
 @lru_cache(maxsize=None)
 def _h0_translates(rep, op: HeckeOperator) -> tuple:
     """(c, h) with T(e_q) = sum c * e(q * h) in W_0 at every level prime to l.
@@ -145,24 +170,24 @@ def _h0_translates(rep, op: HeckeOperator) -> tuple:
 
 
 def hecke_matrix_on_h0(cx: GammaComplex, op: HeckeOperator) -> list:
-    """Columns of the operator on H_0: each rep's entries moved by `_h0_translates`."""
+    """Columns of the operator on H_0.  H_0 = W_0 / im d_1 takes no kernel, so
+    each rep is the unit vector of a generator q; its column, the int vector
+    sum c * char * e(label(q * h)) over `_h0_translates`, is converted once
+    by `express_cycle`."""
     if cx.level % op.ell == 0:
         raise PreconditionError(f"gcd(l, N) = 1 required: l = {op.ell} divides N = {cx.level}")
-    f = cx.field
     h0 = homology(cx, 0)
     space = cg.projective_space(cx.n, cx.level)
     rep, labels = w0_orbit(cx)
     translates = _h0_translates(rep, op)
     columns = []
     for rep_vec in h0.homology_reps:
-        image = [f.zero] * cx.rank(0)
-        for (_, q), x in zip(cx.bases[0], rep_vec):
-            if x == f.zero:
-                continue
-            for c, h in translates:
-                pos, char = labels[space.index(la.vec_mat(q, h))]
-                if char:
-                    image[pos] = f.add(image[pos], f.mul(x, f(c * char)))
+        _, q = cx.bases[0][rep_vec.index(cx.field.one)]
+        image = [0] * cx.rank(0)
+        for c, h in translates:
+            pos, char = labels[space.index(la.vec_mat(q, h))]
+            if char:
+                image[pos] += c * char
         columns.append(express_cycle(h0, image))
     return columns
 

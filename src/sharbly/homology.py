@@ -9,7 +9,6 @@ facet records of the cell table transported through the coset labels.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 from . import congruence as cg
@@ -18,8 +17,7 @@ from . import sharbly as sh
 from .errors import InternalCheckError, PreconditionError
 from .fields import Field, LinearSpan, PrimeField, SparseFieldMatrix, coeff_str, row_span, solve
 from .voronoi import (
-    CellComplexTable, VoronoiCell, _orientation_transport_sign, cell_stabilizer, enumerate_cells,
-    equivalent_cells,
+    CellComplexTable, VoronoiCell, _orientation_transport_sign, enumerate_cells, equivalent_cells,
 )
 
 
@@ -47,10 +45,11 @@ class GammaComplex:
 def build_complex(n: int, level: int, field: Field, table=None) -> GammaComplex:
     """Assemble W_* tensored down to Gamma_0(N)-coinvariants over `field`.
 
-    The generators, the F_p stabilizer check and the boundary entries are
-    read from one label table per cell orbit, the level's
-    `ProjectiveSpace.orbit_labels` of its representative with each live
-    least point replaced by its position in bases[k].
+    The generators and the F_p stabilizer check are read from each cell
+    orbit's `congruence.split_orbits`, and the boundary entries from its
+    label table, the level's `ProjectiveSpace.orbit_labels` of its
+    representative with each live least point replaced by its position
+    in bases[k].
     """
     if n not in (2, 3):
         raise PreconditionError(f"homology is supported for n in {{2, 3}}, got {n}")
@@ -68,23 +67,21 @@ def build_complex(n: int, level: int, field: Field, table=None) -> GammaComplex:
         d = k + n - 1
         basis = []
         for orb in table.orbits[d]:
-            raw = space.orbit_labels(orb.representative)
-            stabilizer_order = len(cell_stabilizer(orb.representative)[1])
             position = {}
-            for i, size in sorted(Counter(best for best, _ in raw).items()):
-                order = stabilizer_order // size  # orbit-stabilizer
-                if isinstance(field, PrimeField) and order % field.p == 0:
+            for split in cg.split_orbits(orb, level):
+                if isinstance(field, PrimeField) and split.stabilizer_order % field.p == 0:
                     raise PreconditionError(
                         f"p = {field.p} divides a split-orbit stabilizer "
-                        f"order {order} (dim {d}, orbit {orb.index}, point "
-                        f"{space.points[i]}); the coinvariant complex would "
+                        f"order {split.stabilizer_order} (dim {d}, orbit {orb.index}, point "
+                        f"{split.point}); the coinvariant complex would "
                         "not compute Voronoi homology"
                     )
-                if raw[i][1]:
-                    position[i] = len(basis)
-                    basis.append((orb.index, space.points[i]))
+                if split.orientation_ok:
+                    position[space.index(split.point)] = len(basis)
+                    basis.append((orb.index, split.point))
             labels[d, orb.index] = tuple(
-                (position[best], char) if char else (None, 0) for best, char in raw
+                (position[best], char) if char else (None, 0)
+                for best, char in space.orbit_labels(orb.representative)
             )
         bases[k] = tuple(basis)
 
@@ -150,8 +147,7 @@ def homology(cx: GammaComplex, k: int) -> HomologyResult:
 
     Computed once per (complex, k); later calls return the same result.
     """
-    if not 0 <= k <= cx.max_degree:
-        raise ValueError(f"degree {k} out of range 0..{cx.max_degree}")
+    _check_degree(cx, k)
     result = cx.homology_memo.get(k)
     if result is None:
         result = cx.homology_memo[k] = _compute_homology(cx, k)
@@ -204,6 +200,7 @@ def betti_numbers(cx: GammaComplex) -> dict:
 
 
 def is_cycle(cx: GammaComplex, k: int, vec) -> bool:
+    _check_degree(cx, k)
     if k == 0:
         return True
     image = cx.boundaries[k].matvec(vec)
@@ -249,6 +246,11 @@ def express_cycle(result: HomologyResult, vec, want_witness: bool = False):
 # Lifts between W_k coordinates and plain sharbly chains
 # ---------------------------------------------------------------------------
 
+def _check_degree(cx: GammaComplex, k: int):
+    if not 0 <= k <= cx.max_degree:
+        raise ValueError(f"degree {k} out of range 0..{cx.max_degree}")
+
+
 def _check_length(cx: GammaComplex, k: int, vec):
     if len(vec) != cx.rank(k):
         raise ValueError(f"a W_{k} coordinate vector has {cx.rank(k)} entries, got {len(vec)}")
@@ -256,6 +258,7 @@ def _check_length(cx: GammaComplex, k: int, vec):
 
 def theta_lift(cx: GammaComplex, k: int, vec) -> sh.SharblyChain:
     """Plain sharbly chain lifting a W_k coordinate vector."""
+    _check_degree(cx, k)
     _check_length(cx, k, vec)
     out = sh.SharblyChain(cx.n, k)
     orbits = cx.table.orbits[k + cx.n - 1]
@@ -273,7 +276,6 @@ def _locate(cx: GammaComplex, d: int, cell: VoronoiCell):
     `cell` is no Voronoi cell of dimension d.
 
     Each representative of dimension d is tried with `equivalent_cells`.
-    `chain_to_w` reads degree-0 symbols from their label table instead.
     """
     for orb in cx.table.orbits[d]:
         gamma = equivalent_cells(orb.representative, cell)
@@ -293,53 +295,20 @@ def _cell_coordinate(cx: GammaComplex, orb, gamma, cell: VoronoiCell):
     return pos, char * _orientation_transport_sign(orb.representative, gamma, cell)
 
 
-def w0_orbit(cx: GammaComplex) -> tuple:
-    """(V, label table) of the single unimodular cell orbit, whose
-    representative has vertex matrix V; W_0 is built on that orbit."""
-    orbits = cx.table.orbits[cx.n - 1]
-    if len(orbits) != 1:
-        raise InternalCheckError("expected a single unimodular cell orbit")
-    return orbits[0].representative.vertices, cx.labels[cx.n - 1, 0]
-
-
-def w0_transport(v, k):
-    """adj(K') * V = det V * gamma^{-1} for unimodular V and K, where K' =
-    V * gamma is K with its last row negated when det K != det V (the same
-    symbol); row 0 is K's coset point e_1 * gamma^{-1} up to the unit det V.
-    """
-    d = la.det(k)
-    if abs(d) != 1:
-        raise ValueError(f"chain term {k} is not a Voronoi cell sharbly")
-    if d != la.det(v):
-        k = k[:-1] + (tuple(-x for x in k[-1]),)
-    return la.mat_mul(la.adjugate(k), v)
-
-
 def chain_to_w(cx: GammaComplex, k: int, chain: sh.SharblyChain):
     """Coordinates in W_k of a Voronoi-supported plain chain.
 
     Every term must be the sharbly of an actual Voronoi cell; terms whose
-    split orbit is killed by orientation contribute zero.
-
-    In degree 0 every term K is a unimodular symbol of the single orbit,
-    read in its label table at K's coset point, row 0 of `w0_transport`,
-    with transport sign +1.  In higher degrees each cell's orbit and gamma
-    come from `_locate`.
+    split orbit is killed by orientation contribute zero.  Each cell is
+    read by `_locate` and `_cell_coordinate`, in every degree alike.
     """
+    _check_degree(cx, k)
     if (chain.n, chain.k) != (cx.n, k):
         raise ValueError(
             f"expected a degree-{k} chain at n = {cx.n}, got degree {chain.k} at n = {chain.n}"
         )
     f = cx.field
     out = [f.zero] * cx.rank(k)
-    if k == 0:
-        space = cg.projective_space(cx.n, cx.level)
-        rep, labels = w0_orbit(cx)
-        for key, c in chain.coeffs.items():
-            pos, char = labels[space.index(w0_transport(rep, key)[0])]
-            if char:
-                out[pos] = f.add(out[pos], f(c * char))
-        return out
     d = k + cx.n - 1
     for key, c in chain.coeffs.items():
         cell = VoronoiCell(cx.n, key)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from sharbly import intlinalg as la
+from sharbly import sharbly as sh
 from sharbly.congruence import projective_space
 from sharbly.errors import InternalCheckError, PreconditionError
 from sharbly.fields import PrimeField, QQ
@@ -12,9 +13,12 @@ from sharbly.hecke import hecke_on_h0
 from sharbly.homology import (
     betti_numbers,
     build_complex,
+    chain_to_w,
     complex_to_json,
     express_cycle,
     homology,
+    is_cycle,
+    theta_lift,
 )
 
 
@@ -107,6 +111,19 @@ class TestHomology:
     def test_degree_out_of_range(self, cx11):
         with pytest.raises(ValueError):
             homology(cx11, 5)
+
+    @pytest.mark.parametrize("k", [2, -1])
+    @pytest.mark.parametrize("read", [
+        lambda cx, k: homology(cx, k),
+        lambda cx, k: is_cycle(cx, k, []),
+        lambda cx, k: theta_lift(cx, k, []),
+        lambda cx, k: chain_to_w(cx, k, sh.SharblyChain(cx.n, k)),
+    ], ids=["homology", "is_cycle", "theta_lift", "chain_to_w"])
+    def test_every_reader_rejects_a_degree_out_of_range(self, cx11, read, k):
+        # one check and one message in all four, never a KeyError from bases
+        # or boundaries
+        with pytest.raises(ValueError, match=f"degree {k} out of range 0..1"):
+            read(cx11, k)
 
     def test_euler_characteristic(self, table2, table3):
         for n, table, levels in ((2, table2, range(1, 16)), (3, table3, range(1, 6))):

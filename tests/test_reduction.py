@@ -10,7 +10,7 @@ from sharbly import sharbly as sh
 from sharbly.congruence import is_gamma0, projective_space
 from sharbly.errors import InternalCheckError, PreconditionError
 from sharbly.fields import PrimeField, QQ, solve
-from sharbly.hecke import hecke_cosets, hecke_on_h0, theta_s
+from sharbly.hecke import hecke_cosets, hecke_on_h0, theta_s, w0_orbit, w0_transport
 from sharbly.homology import (
     _cell_coordinate, build_complex, chain_to_w, homology, is_voronoi_supported,
     theta_lift,
@@ -41,13 +41,15 @@ class TestLifts:
 
     @pytest.mark.parametrize("n, level, killed", [(2, 11, 0), (2, 13, 2), (3, 7, 37)])
     def test_point_table_matches_equivalent_cells(self, table2, table3, n, level, killed):
-        # a unimodular symbol's W_0 coordinate is read from the complex's
-        # point table; the general path, through an equivalent_cells
-        # witness, must give the same coordinate
+        # hecke reads a unimodular symbol's W_0 coordinate from the label
+        # table at row 0 of w0_transport, with sign +1; the general path,
+        # through an equivalent_cells witness, must give the same coordinate
         cx = build_complex(n, level, QQ, table=table2 if n == 2 else table3)
         rng = random.Random(level)
         orb = cx.table.orbits[n - 1][0]
         rep = orb.representative
+        vertices, labels = w0_orbit(cx)
+        space = projective_space(n, level)
         checked = flipped = dead = 0
         while checked < 40:
             m = la.freeze([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
@@ -56,18 +58,15 @@ class TestLifts:
             for key in sh.ar_reduce(m).coeffs:
                 cell = VoronoiCell(n, key)
                 term = _cell_coordinate(cx, orb, equivalent_cells(rep, cell), cell)
-                expected = [QQ.zero] * cx.rank(0)
+                pos, char = labels[space.index(w0_transport(vertices, key)[0])]
                 if term is None:
                     dead += 1
-                else:
-                    expected[term[0]] = QQ(term[1])
-                assert chain_to_w(cx, 0, sh.chain_of(n, key)) == expected
+                assert term == ((pos, char) if char else None)
                 checked += 1
                 flipped += la.det(la.freeze(key)) * la.det(la.freeze(rep.vertices)) < 0
         assert 0 < flipped < checked  # both signs of the vertex matrix occur
         # the table covers P^{n-1}(Z/N), and killed points are met when there are any
-        labels = cx.labels[n - 1, 0]
-        assert len(labels) == len(projective_space(n, level))
+        assert len(labels) == len(space)
         assert sum(char == 0 for _, char in labels) == killed
         assert (dead > 0) == (killed > 0)
 
