@@ -4,12 +4,16 @@ Degree k holds the dimension-(k + n - 1) cell orbits split into
 Gamma_0(N)-orbits; generators whose stabilizer reverses orientation die
 (coefficients always invert 2), and the boundary matrices come from the
 facet records of the cell table transported through the coset labels.
+They are assembled once over Z, as sparse int matrices, and d o d = 0 is
+checked there; the coefficient field enters only when the checked
+entries are converted.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 from . import congruence as cg
 from . import intlinalg as la
@@ -17,7 +21,8 @@ from . import sharbly as sh
 from .errors import InternalCheckError, PreconditionError
 from .fields import Field, LinearSpan, PrimeField, SparseFieldMatrix, coeff_str, row_span, solve
 from .voronoi import (
-    CellComplexTable, VoronoiCell, _orientation_transport_sign, enumerate_cells, equivalent_cells,
+    CellComplexTable, CellOrbit, VoronoiCell, _orientation_transport_sign, enumerate_cells,
+    equivalent_cells,
 )
 
 
@@ -49,7 +54,9 @@ def build_complex(n: int, level: int, field: Field, table=None) -> GammaComplex:
     orbit's `congruence.split_orbits`, and the boundary entries from its
     label table, the level's `ProjectiveSpace.orbit_labels` of its
     representative with each live least point replaced by its position
-    in bases[k].
+    in bases[k].  Each d_k is summed as a sparse int matrix, d o d = 0 is
+    checked on those ints (which proves it over Q and every F_p), and only
+    then are the entries converted to `field`, once.
     """
     if n not in (2, 3):
         raise PreconditionError(f"homology is supported for n in {{2, 3}}, got {n}")
@@ -85,39 +92,51 @@ def build_complex(n: int, level: int, field: Field, table=None) -> GammaComplex:
             )
         bases[k] = tuple(basis)
 
-    boundaries = {}
+    ints = {}  # degree k -> d_k as {(row, col): int}
     for k in range(1, max_k + 1):
         d = k + n - 1
-        entries = {}
-        # each facet transports the coset label p to p * gamma^{-1}
-        facet_inverses = {
-            orb.index: [la.inverse_unimodular(fr.gamma) for fr in orb.facets]
-            for orb in table.orbits[d]
+        entries = ints[k] = {}
+        facets = {
+            orb.index: tuple(zip(orb.facets, _facet_inverses(orb))) for orb in table.orbits[d]
         }
         for col, (o_idx, p) in enumerate(bases[k]):
-            orb = table.orbits[d][o_idx]
-            for fr, gamma_inv in zip(orb.facets, facet_inverses[o_idx]):
+            for fr, gamma_inv in facets[o_idx]:
                 i = space.index(cg.proj_act(p, gamma_inv, level))
                 row, char = labels[d - 1, fr.orbit][i]
                 if char:
                     entries[row, col] = entries.get((row, col), 0) + fr.sign * char
-        triplets = [(r, c, v) for (r, c), v in entries.items() if v]
-        boundaries[k] = SparseFieldMatrix.from_triplets(
-            field, len(bases[k - 1]), len(bases[k]), triplets
+    _check_dd_zero(n, level, ints)
+
+    boundaries = {
+        k: SparseFieldMatrix.from_triplets(
+            field, len(bases[k - 1]), len(bases[k]), [(r, c, v) for (r, c), v in m.items()]
         )
+        for k, m in ints.items()
+    }
+    return GammaComplex(n, level, field, table, bases, labels, boundaries)
 
-    complex_ = GammaComplex(n, level, field, table, bases, labels, boundaries)
-    _check_dd_zero(complex_)
-    return complex_
+
+@lru_cache(maxsize=None)
+def _facet_inverses(orb: CellOrbit) -> tuple:
+    """gamma^{-1} of each facet record of `orb`, in order: a facet
+    transports the coset label p to p * gamma^{-1}.  They depend on no
+    level and no field."""
+    return tuple(la.inverse_unimodular(fr.gamma) for fr in orb.facets)
 
 
-def _check_dd_zero(cx: GammaComplex):
-    for k in range(2, cx.max_degree + 1):
-        prod = cx.boundaries[k - 1].compose(cx.boundaries[k])
-        if not prod.is_zero():
-            raise InternalCheckError(
-                f"d_{k-1} o d_{k} != 0 in the (n={cx.n}, N={cx.level}) complex"
-            )
+def _check_dd_zero(n: int, level: int, ints: dict):
+    """d_{k-1} o d_k = 0 on the int boundaries {(row, col): int}.  A zero
+    product over Z is zero over Q and over every F_p."""
+    for k in range(2, len(ints) + 1):
+        rows_of: dict = {}  # row i of d_k -> [(col, d_k[i, col])]
+        for (i, j), b in ints[k].items():
+            rows_of.setdefault(i, []).append((j, b))
+        prod: dict = {}
+        for (i, m), a in ints[k - 1].items():
+            for j, b in rows_of.get(m, ()):
+                prod[i, j] = prod.get((i, j), 0) + a * b
+        if any(prod.values()):
+            raise InternalCheckError(f"d_{k-1} o d_{k} != 0 in the (n={n}, N={level}) complex")
 
 
 @dataclass(frozen=True)
@@ -222,11 +241,12 @@ def express_cycle(result: HomologyResult, vec, want_witness: bool = False):
     k = result.degree
     f = cx.field
     _check_length(cx, k, vec)
-    vec = [f(x) for x in vec]
-    if not is_cycle(cx, k, vec):
-        bad = cx.boundaries[k].matvec(vec)
-        raise ValueError(f"input is not a cycle; boundary = {bad}")
-    rest = result._image.reduce({p: vec[i] for i, p in result._position.items()})
+    if k or want_witness:  # is_cycle (k >= 1) and the witness solve read every entry
+        vec = [f(x) for x in vec]
+        if not is_cycle(cx, k, vec):
+            bad = cx.boundaries[k].matvec(vec)
+            raise ValueError(f"input is not a cycle; boundary = {bad}")
+    rest = result._image.reduce({p: f(x) for i, p in result._position.items() if (x := vec[i])})
     coords = tuple(rest.pop(p, f.zero) for p, _ in result._reps)
     if rest:
         raise InternalCheckError("cycle not in image + homology span")

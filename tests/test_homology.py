@@ -11,6 +11,7 @@ from sharbly.errors import InternalCheckError, PreconditionError
 from sharbly.fields import PrimeField, QQ
 from sharbly.hecke import hecke_on_h0
 from sharbly.homology import (
+    _facet_inverses,
     betti_numbers,
     build_complex,
     chain_to_w,
@@ -53,16 +54,50 @@ class TestBuild:
             build_complex(2, 1, PrimeField(3), table=table2)
         assert "6" in str(info.value)  # the offending order is reported
 
-    def test_determinism(self, table2, cx11):
+    def test_determinism(self, table2, table3, cx11):
         again = build_complex(2, 11, QQ, table=table2)
         assert again.bases == cx11.bases
         assert again.boundaries[1].entries == cx11.boundaries[1].entries
+        # the boundaries are summed once over Z and the field enters only
+        # at conversion, so each F_p boundary is the Q one reduced mod p
+        fp = PrimeField(32003)
+        for n, level in ((2, 11), (2, 35), (3, 11), (3, 13), (3, 17)):
+            table = table2 if n == 2 else table3
+            cx_q = build_complex(n, level, QQ, table=table)
+            cx_p = build_complex(n, level, fp, table=table)
+            assert cx_p.bases == cx_q.bases
+            for k, mat in cx_q.boundaries.items():
+                mat_p = cx_p.boundaries[k]
+                assert (mat_p.nrows, mat_p.ncols) == (mat.nrows, mat.ncols)
+                assert mat_p.entries == {rc: fp(x) for rc, x in mat.entries.items() if fp(x)}
+        # the cached facet inverses, shared by every level and field
+        for table in (table2, table3):
+            for orbs in table.orbits.values():
+                for orb in orbs:
+                    for fr, inv in zip(orb.facets, _facet_inverses(orb), strict=True):
+                        assert la.mat_mul(fr.gamma, inv) == la.identity(table.n)
 
     def test_dd_zero_various_levels(self, table2, table3):
         for n_mod in (3, 6, 12, 25):
             build_complex(2, n_mod, QQ, table=table2)  # checked on build
         for n_mod in (3, 4, 5):
             build_complex(3, n_mod, QQ, table=table3)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=str)
+    def test_a_flipped_facet_sign_breaks_dd_zero(self, table3, field):
+        # d o d = 0 is checked on the int boundaries before any field
+        # enters, so one wrong sign in the table is caught over every field
+        flips = 0
+        for d, orbs in table3.orbits.items():
+            for o, orb in enumerate(orbs):
+                for j, fr in enumerate(orb.facets):
+                    facets = orb.facets[:j] + (replace(fr, sign=-fr.sign),) + orb.facets[j + 1:]
+                    broken = orbs[:o] + (replace(orb, facets=facets),) + orbs[o + 1:]
+                    table = replace(table3, orbits={**table3.orbits, d: broken})
+                    with pytest.raises(InternalCheckError, match="d_. o d_. != 0"):
+                        build_complex(3, 11, field, table=table)
+                    flips += 1
+        assert flips == 18
 
     @pytest.mark.parametrize("n, level", [(2, 1), (2, 11), (2, 13), (3, 1), (3, 7), (3, 12)])
     def test_label_tables_match_the_bases(self, table2, table3, n, level):
