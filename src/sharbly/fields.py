@@ -1,4 +1,11 @@
-"""Coefficient fields (Q and F_p, p odd) and exact sparse field linear algebra."""
+"""Coefficient fields (Q and F_p, p odd) and exact sparse field linear algebra.
+
+A field element is a Fraction over Q and an int in [0, p) over F_p.  A field
+has no arithmetic of its own: elements are combined with Python's operators
+and the result goes through one conversion, the call f(x), which takes ints
+and Fractions only.  So a + b*c is f(a + b * c) and -a/2 is f(Fraction(-a, 2))
+over either field.
+"""
 
 from __future__ import annotations
 
@@ -43,36 +50,21 @@ def _is_prime(p: int) -> bool:
 
 
 class Rationals:
-    """The field Q; elements are Fractions."""
+    """The field Q.  An element is a Fraction; arithmetic is Python's, and
+    the call QQ(x) converts an int or a Fraction, and nothing else."""
 
     name = "Q"
     char = 0
 
     def __call__(self, x) -> Fraction:
-        return x if type(x) is Fraction else Fraction(x)
+        if type(x) is Fraction:
+            return x
+        if type(x) is int or isinstance(x, (int, Fraction)):
+            return Fraction(x)
+        raise TypeError(f"Q converts ints and Fractions, not {type(x).__name__}")
 
     zero = Fraction(0)
     one = Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError
-        return 1 / Fraction(a)
-
-    def div(self, a, b):
-        return Fraction(a) / b
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -85,7 +77,9 @@ class Rationals:
 
 
 class PrimeField:
-    """F_p for an odd prime p; elements are ints in [0, p)."""
+    """F_p for an odd prime p.  An element is an int in [0, p); arithmetic
+    is Python's, and the call F(x) reduces an int or a Fraction into [0, p),
+    and takes nothing else."""
 
     def __init__(self, p: int):
         if not _is_prime(p):
@@ -101,29 +95,12 @@ class PrimeField:
         self.one = 1
 
     def __call__(self, x) -> int:
+        p = self.p
+        if type(x) is int or isinstance(x, int):
+            return x % p
         if isinstance(x, Fraction):
-            return self(x.numerator) * pow(x.denominator % self.p, -1, self.p) % self.p
-        return int(x) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError
-        return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
+            return x.numerator * pow(x.denominator % p, -1, p) % p
+        raise TypeError(f"{self.name} converts ints and Fractions, not {type(x).__name__}")
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -197,11 +174,10 @@ class SparseFieldMatrix:
         return out
 
     def matvec(self, v):
-        f = self.field
-        out = [f.zero] * self.nrows
+        out = [0] * self.nrows
         for (i, j), a in self.entries.items():
-            out[i] = f.add(out[i], f.mul(a, v[j]))
-        return out
+            out[i] += a * v[j]
+        return [self.field(x) for x in out]
 
     def compose(self, other: "SparseFieldMatrix") -> "SparseFieldMatrix":
         """self * other."""
@@ -218,8 +194,8 @@ class SparseFieldMatrix:
         for (i, k), a in self.entries.items():
             for j, b in cols_of.get(k, []):
                 key = (i, j)
-                acc[key] = f.add(acc.get(key, f.zero), f.mul(a, b))
-        entries = {k: v for k, v in acc.items() if v != f.zero}
+                acc[key] = acc.get(key, 0) + a * b
+        entries = {k: v for k, x in acc.items() if (v := f(x))}
         return SparseFieldMatrix(f, self.nrows, other.ncols, entries)
 
     def is_zero(self) -> bool:
@@ -349,7 +325,7 @@ class LinearSpan:
         for p, row in self.rows.items():
             for c in row:
                 if c in kernel:
-                    kernel[c][p] = f.neg(self.entry(p, c))
+                    kernel[c][p] = f(-self.entry(p, c))
         return [tuple(kernel[c]) for c in columns]
 
     @property
@@ -385,11 +361,6 @@ def rank_kernel(m: SparseFieldMatrix):
     span = row_span(m)
     free = [c for c in range(m.ncols) if c not in span.rows]
     return span.rank, span.kernel_vectors(free, m.ncols)
-
-
-def rank(m: SparseFieldMatrix) -> int:
-    """Rank of a sparse field matrix."""
-    return row_span(m).rank
 
 
 def solve(m: SparseFieldMatrix, rhs):
@@ -469,7 +440,7 @@ def poly_divide_root(field, poly, root):
     carry = poly[n]
     for i in range(n - 1, -1, -1):
         out[i] = carry
-        carry = f.add(poly[i], f.mul(root, carry))
+        carry = f(poly[i] + root * carry)
     if carry != f.zero:
         raise InternalCheckError(f"{root} is not a root: the remainder is {carry}")
     return tuple(out)

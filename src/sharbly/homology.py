@@ -220,6 +220,7 @@ def betti_numbers(cx: GammaComplex) -> dict:
 
 def is_cycle(cx: GammaComplex, k: int, vec) -> bool:
     _check_degree(cx, k)
+    _check_length(cx, k, vec)
     if k == 0:
         return True
     image = cx.boundaries[k].matvec(vec)
@@ -255,7 +256,7 @@ def express_cycle(result: HomologyResult, vec, want_witness: bool = False):
     if k == cx.max_degree:
         return coords, ()
     for c, rep in zip(coords, result.homology_reps):
-        vec = [f.sub(x, f.mul(c, y)) for x, y in zip(vec, rep)]
+        vec = [f(x - c * y) for x, y in zip(vec, rep)]
     witness = solve(cx.boundaries[k + 1], vec)  # coefficients over bases[k+1]
     if witness is None:
         raise InternalCheckError("cycle minus its homology part is not a boundary")
@@ -327,8 +328,7 @@ def chain_to_w(cx: GammaComplex, k: int, chain: sh.SharblyChain):
         raise ValueError(
             f"expected a degree-{k} chain at n = {cx.n}, got degree {chain.k} at n = {chain.n}"
         )
-    f = cx.field
-    out = [f.zero] * cx.rank(k)
+    out = [0] * cx.rank(k)
     d = k + cx.n - 1
     for key, c in chain.coeffs.items():
         cell = VoronoiCell(cx.n, key)
@@ -338,8 +338,8 @@ def chain_to_w(cx: GammaComplex, k: int, chain: sh.SharblyChain):
         term = _cell_coordinate(cx, *hit, cell)
         if term is not None:
             pos, sign = term
-            out[pos] = f.add(out[pos], f(c * sign))
-    return out
+            out[pos] += c * sign
+    return [cx.field(x) for x in out]
 
 
 def is_voronoi_supported(cx: GammaComplex, chain: sh.SharblyChain) -> bool:

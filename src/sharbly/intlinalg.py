@@ -25,10 +25,6 @@ def identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zeros(m: int, n: int) -> Mat:
-    return tuple(tuple(0 for _ in range(n)) for _ in range(m))
-
-
 def mat_mul(a: Mat, b: Mat) -> Mat:
     bt = list(zip(*b))
     return tuple(

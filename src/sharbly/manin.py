@@ -213,15 +213,16 @@ def _charpoly(field, dense_rows):
     """Monic characteristic polynomial det(xI - A), low degree first.
 
     The oracle's own Samuelson-Berkowitz recursion over trailing principal
-    submatrices, in the field's arithmetic; it shares no code with
-    `fields.charpoly`, which the Voronoi pipeline uses.
+    submatrices, on Python arithmetic with each new coefficient converted
+    into the field; it shares no code with `fields.charpoly`, which the
+    Voronoi pipeline uses.
     """
     n = len(dense_rows)
     f = field
     a = [[f(x) for x in row] for row in dense_rows]
     if n == 0:
         return (f.one,)
-    p = [f.one, f.neg(a[n - 1][n - 1])]  # leading coefficient first
+    p = [f.one, f(-a[n - 1][n - 1])]  # leading coefficient first
     for i in range(n - 2, -1, -1):
         m = n - i
         top = a[i][i]
@@ -229,23 +230,15 @@ def _charpoly(field, dense_rows):
         col_c = [a[j][i] for j in range(i + 1, n)]
         block = [a[j][i + 1:] for j in range(i + 1, n)]
         # Toeplitz column: 1, -top, -R*C, -R*M*C, ..., -R*M^(m-2)*C
-        t = [f.one, f.neg(top)]
+        t = [f.one, f(-top)]
         vec = col_c
         for _ in range(m - 1):
-            t.append(f.neg(_dot(f, row_r, vec)))
-            vec = [_dot(f, brow, vec) for brow in block]
-        new = [f.zero] * (m + 1)
-        for r in range(m + 1):
-            acc = f.zero
-            for c in range(max(0, r - m), min(r, m - 1) + 1):
-                acc = f.add(acc, f.mul(t[r - c], p[c]))
-            new[r] = acc
-        p = new
+            t.append(f(-_dot(row_r, vec)))
+            vec = [f(_dot(brow, vec)) for brow in block]
+        p = [f(sum(t[r - c] * p[c] for c in range(max(0, r - m), min(r, m - 1) + 1)))
+             for r in range(m + 1)]
     return tuple(reversed(p))
 
 
-def _dot(f, u, v):
-    acc = f.zero
-    for x, y in zip(u, v):
-        acc = f.add(acc, f.mul(x, y))
-    return acc
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))

@@ -18,6 +18,7 @@ terms are rebuilt only for the residual of the final solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from . import congruence as cg
@@ -160,7 +161,6 @@ class _SupportSystem:
     def _project(self, terms) -> dict:
         """{row: coeff}, the image in the coinvariants of the chain with
         (key, coeff) pairs `terms`; its keys are placed first."""
-        f = self.f
         out: dict = {}
         for key, c in terms:
             if key not in self._placed:
@@ -168,8 +168,8 @@ class _SupportSystem:
             label, _q, _h, eps = self._placed[key]
             if eps:
                 row = self._rows[label]
-                out[row] = f.add(out.get(row, f.zero), f(c * eps))
-        return {row: c for row, c in out.items() if c != f.zero}
+                out[row] = out.get(row, 0) + c * eps
+        return {row: v for row, c in out.items() if (v := self.f(c))}
 
     def _place(self, key):
         """Standardize a key and file it under its Gamma_0(N)-orbit label."""
@@ -230,17 +230,17 @@ class _SupportSystem:
             c = self._first[label]
             if key != c:
                 gamma, sigma = self._map(c, key)
-                a = a if sigma == 1 else f.neg(a)
+                a = f(a * sigma)
                 terms.append((gamma, sh.SharblyChain(self.n, 1, {c: a})))
-            left[label] = f.add(left.get(label, f.zero), a)
+            left[label] = left.get(label, 0) + a
         for label, a in left.items():
-            if a == f.zero:
+            if not f(a):
                 continue
             if label in self._rows:
                 raise InternalCheckError("the residual survives in the coinvariants")
             c = self._first[label]
             gamma, _sigma = self._map(c, c, sign=-1)
-            terms.append((gamma, sh.SharblyChain(self.n, 1, {c: f.div(f.neg(a), f(2))})))
+            terms.append((gamma, sh.SharblyChain(self.n, 1, {c: f(Fraction(-a, 2))})))
         return tuple(terms)
 
     def grow(self) -> bool:
@@ -303,7 +303,7 @@ class _SupportSystem:
         })
         residual = rhs_chain.copy().add_chain(sh.boundary(homotopy), -1)
         for x, (lift, _col) in zip(w1_vec, self.lifts):
-            residual.add_chain(lift, f.neg(x))
+            residual.add_chain(lift, -x)
         return w1_vec, homotopy, self._bar_terms(residual.reduced(f))
 
 
@@ -383,7 +383,7 @@ class Witness:
 
     def verify(self) -> bool:
         # theta(x) s - a theta(x) = d(-y) + d2 u
-        target = self.s_chain.copy().add_chain(self.x_chain, self.field.neg(self.a))
+        target = self.s_chain.copy().add_chain(self.x_chain, -self.a)
         return _holds(self.field, self.level, target, self.y.scaled(-1), self.u)
 
 
@@ -403,7 +403,7 @@ def verify_eigen_chain(cx: GammaComplex, x_vec, op: HeckeOperator, a,
     x_chain, s_chain = theta_s(cx, 1, op, x_vec)
     if x_chain.is_zero() and s_chain.is_zero():
         return Witness(f, cx.level, a, x_chain, s_chain, sh.SharblyChain(cx.n, 2), ())
-    rhs = s_chain.copy().add_chain(x_chain, f.neg(a)).reduced(f)
+    rhs = s_chain.copy().add_chain(x_chain, -a).reduced(f)
     system = _SupportSystem(cx, [x_chain, s_chain], with_w1=False)
     sol = system.search(rhs, budget, f"witness for eigenvalue {a}")
     if isinstance(sol, Undetermined):

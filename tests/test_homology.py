@@ -216,7 +216,7 @@ class TestHomology:
                     v = [f.zero] * ncols
                     v[c] = f.one
                     for p, row in zip(pivots, rref):
-                        v[p] = f.neg(row[c])
+                        v[p] = f(-row[c])
                     grown = _gauss_jordan(f, span + [v])
                     if len(grown) > len(span):
                         span = grown
@@ -339,7 +339,7 @@ class TestExpressCycle:
                     terms = [(f(rng.randint(-3, 3)), rep) for rep in h.homology_reps]
                     terms += [(f(rng.randint(-2, 2)), col) for col in image if rng.random() < 0.3]
                     for a, vec in terms:
-                        z = [f.add(x, f.mul(a, y)) for x, y in zip(z, vec)]
+                        z = [f(x + a * y) for x, y in zip(z, vec)]
                     columns = image + [list(rep) for rep in h.homology_reps] + [z]
                     x = [f.zero] * (len(columns) - 1)
                     for row in _gauss_jordan(f, [list(r) for r in zip(*columns)]):
@@ -365,6 +365,15 @@ class TestExpressCycle:
         for size in (cx11.rank(k) + 3, cx11.rank(k) - 1):
             with pytest.raises(ValueError, match=f"has {cx11.rank(k)} entries, got {size}"):
                 express_cycle(h, [QQ.one] * size)
+
+    def test_is_cycle_checks_the_length(self, cx11):
+        # rank W_0 = 6 and rank W_1 = 4: a padded cycle is no W_1 vector,
+        # and at k = 0 the length check is all there is
+        x = homology(cx11, 1).homology_reps[0]
+        assert is_cycle(cx11, 1, x)
+        for k, vec in ((1, x + (5, 5)), (1, x[:-1]), (0, [QQ.one]), (0, [QQ.one] * 7)):
+            with pytest.raises(ValueError, match=f"has {cx11.rank(k)} entries, got {len(vec)}"):
+                is_cycle(cx11, k, vec)
 
 
 class TestCacheJson:

@@ -5,7 +5,7 @@ import pytest
 from sharbly import intlinalg as la
 from sharbly import sharbly as sh
 from sharbly.errors import InternalCheckError
-from sharbly.fields import QQ, SparseFieldMatrix, rank
+from sharbly.fields import QQ, SparseFieldMatrix, row_span
 from sharbly.hecke import symbol_chain_to_w0
 from sharbly.homology import express_cycle, homology
 
@@ -59,10 +59,11 @@ class TestNormalize:
             if not all(any(v) for v in vs):
                 continue
             repeated = len({la.primitivize(tuple(v)) for v in vs}) < m
-            low_rank = rank(SparseFieldMatrix.from_dense(QQ, vs)) < n
+            low_rank = row_span(SparseFieldMatrix.from_dense(QQ, vs)).rank < n
             if not repeated:
                 dependent += low_rank
-                spanning_late += not low_rank and rank(SparseFieldMatrix.from_dense(QQ, vs[:n])) < n
+                head = SparseFieldMatrix.from_dense(QQ, vs[:n])
+                spanning_late += not low_rank and row_span(head).rank < n
             assert (sh.normalize(n, vs) is None) == (repeated or low_rank), vs
         assert dependent >= (0 if n == 2 else 20)
         assert spanning_late >= (0 if n == 2 else 20)

@@ -112,3 +112,17 @@ def test_no_module_level_mutable_container():
             if isinstance(node.value, containers) or callee in makers:
                 offenders.append(f"{name}:{node.lineno}")
     assert not offenders, f"module-level mutable container in {offenders}"
+
+
+def test_fields_define_no_arithmetic_of_their_own():
+    # field arithmetic is Python's on the elements, then one conversion
+    # f(x); a second idiom of per-field methods would drift from it
+    arithmetic = {"add", "sub", "mul", "neg", "inv", "div"}
+    defined = {
+        node.name: {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+        for node in TREES["fields.py"].body
+        if isinstance(node, ast.ClassDef) and node.name in ("Rationals", "PrimeField")
+    }
+    assert defined.keys() == {"Rationals", "PrimeField"}
+    offenders = {name: sorted(methods & arithmetic) for name, methods in defined.items()}
+    assert not any(offenders.values()), f"field arithmetic methods: {offenders}"
