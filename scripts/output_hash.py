@@ -20,7 +20,7 @@ budget 2, and `one_sharbly_reduce_n2` of theta(x) * T(2,1) for that rep.
 
 Records are JSON with sorted keys, and every number is written by
 `fields.coeff_str`, so a digest depends only on the values.  A Tier-1
-test pins the basis-free digest.
+test pins the basis-free, basis-bound and certificates digests.
 
     python scripts/output_hash.py [--dump records.json]
 """

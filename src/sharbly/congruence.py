@@ -55,10 +55,7 @@ class ProjectiveSpace:
         for code, v in enumerate(product(range(n_mod), repeat=n)):
             if table[code] >= 0:
                 continue
-            g = 0
-            for x in v:
-                g = gcd(g, x)
-            if gcd(g, n_mod) != 1:
+            if gcd(*v, n_mod) != 1:
                 continue
             for u in units:
                 c = 0

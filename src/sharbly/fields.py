@@ -174,6 +174,9 @@ class SparseFieldMatrix:
         return out
 
     def matvec(self, v):
+        if len(v) != self.ncols:
+            raise ValueError(f"a {self.nrows}x{self.ncols} matrix takes a vector of length "
+                             f"{self.ncols}, got {len(v)}")
         out = [0] * self.nrows
         for (i, j), a in self.entries.items():
             out[i] += a * v[j]
@@ -344,6 +347,9 @@ def row_span(m: SparseFieldMatrix, rhs=None) -> LinearSpan:
     for (i, j), v in m.entries.items():
         rows[i][j] = v
     if rhs is not None:
+        if len(rhs) != m.nrows:
+            raise ValueError(f"a right-hand side of a {m.nrows}x{m.ncols} matrix has "
+                             f"{m.nrows} entries, got {len(rhs)}")
         for row, b in zip(rows, rhs):
             row[m.ncols] = f(b)
     span = LinearSpan(f)
@@ -391,7 +397,8 @@ def charpoly(field, dense_rows):
     the recursion reduces mod p as it goes.  Over Q it runs on B = d*A, d
     the lcm of the entries' denominators: det(xI - A) = d^-n det(dxI - B),
     so coefficient k of det(xI - A) is coefficient k of det(xI - B) divided
-    by d^(n-k).
+    by d^(n-k).  `eigenvalues` clears these denominators again, and finds
+    and divides out the roots on ints as well.
     """
     rows = [[field(x) for x in row] for row in dense_rows]
     if isinstance(field, PrimeField):
@@ -425,25 +432,15 @@ def _berkowitz(a, p: int | None):
                 if p:
                     vec = [x % p for x in vec]
             t.append(-sum(map(mul, row_r, vec)))
-        poly = [sum(t[r - c] * poly[c] for c in range(min(r, len(poly) - 1) + 1))
-                for r in range(len(t))]
+        acc = [0] * len(t)
+        for c, x in enumerate(poly):  # acc = t convolved with poly
+            if x:
+                for j in range(len(t) - c):
+                    acc[c + j] += t[j] * x
+        poly = acc
         if p:
             poly = [x % p for x in poly]
     return poly
-
-
-def poly_divide_root(field, poly, root):
-    """poly / (x - root), assuming root is a root."""
-    f = field
-    n = len(poly) - 1
-    out = [f.zero] * n
-    carry = poly[n]
-    for i in range(n - 1, -1, -1):
-        out[i] = carry
-        carry = f(poly[i] + root * carry)
-    if carry != f.zero:
-        raise InternalCheckError(f"{root} is not a root: the remainder is {carry}")
-    return tuple(out)
 
 
 def eigenvalues(field, poly):
@@ -451,35 +448,69 @@ def eigenvalues(field, poly):
 
     Returns (sorted [(root, multiplicity)], remainder_poly or None).
 
-    Over F_p the candidates are the roots of g = gcd(f, x^p - x), the
-    product of f's distinct linear factors (`_fp_roots`); over Q they are
-    the rational roots the root theorem allows.  A candidate num/den is
-    tested on the cleared int polynomial g (g = d*f for d the lcm of the
-    denominators over Q, g = f over F_p) as den^deg * g(num/den), by an int
-    Horner loop, mod p over F_p.  It is divided out as often as it is a
-    root before the scan moves on.  So one pass finds every root: each
-    later polynomial divides the one a candidate was last tested on, and a
-    candidate that is not a root of it is not a root of any later one.
+    Roots are found and divided out on ints.  Over Q the scan runs on the
+    monic int polynomial h(y) = D^n g(y/D) / a_n of `_rational_root_candidates`
+    (g = d*f for d the lcm of the denominators, a_n its leading
+    coefficient), whose candidates are ints y, each standing for the root
+    y/D.  Over F_p it runs on f's residues, and the candidates are the roots
+    of gcd(f, x^p - x), the product of f's distinct linear factors
+    (`_fp_roots`).  A candidate is tested by an int Horner loop (mod p over
+    F_p) and divided out by exact synthetic division (`_deflate`) as often
+    as it is a root before the scan moves on.  So one pass finds every
+    root: each later polynomial divides the one a candidate was last tested
+    on, and a candidate that is not a root of it is not a root of any later
+    one.  Fractions are built only for the roots y/D and the remainder over
+    Q, which keeps f's leading coefficient.
     """
-    f = field
-    cur = tuple(poly)
-    ints = _int_poly(f, cur)
-    if isinstance(f, PrimeField):
-        p, candidates = f.p, _fp_roots(ints, f.p)
+    ints = _int_poly(field, poly)
+    if isinstance(field, PrimeField):
+        p, d, h, candidates = field.p, 1, ints, _fp_roots(ints, field.p)
     else:
-        p, candidates = None, _rational_root_candidates(ints)
-    roots: dict = {}
-    for cand in candidates:
-        if len(cur) == 1:
+        p, (h, d, candidates) = None, _rational_root_candidates(ints)
+    roots = []
+    for y in candidates:
+        if len(h) < 2:
             break
-        num, den = cand.numerator, cand.denominator
-        while len(cur) > 1 and _scaled_value(ints, num, den, p) == 0:
-            roots[cand] = roots.get(cand, 0) + 1
-            cur = poly_divide_root(f, cur, cand)
-            ints = _int_poly(f, cur)
-    remainder = cur if len(cur) > 1 else None
-    ordered = sorted(roots.items(), key=lambda r: r[0])
-    return ordered, remainder
+        mult = 0
+        while len(h) > 1 and _horner(h, y, p) == 0:
+            mult += 1
+            h = _deflate(h, y, p)
+        if mult:
+            roots.append((y, mult))
+    if p:
+        return roots, tuple(h) if len(h) > 1 else None
+    roots = [(Fraction(y, d), mult) for y, mult in roots]
+    if len(h) < 2:
+        return roots, None
+    # f = lead * D^-m r(Dx) * prod (x - y_i/D), r = the deflated h, of degree m
+    lead, m = poly[-1], len(h) - 1
+    return roots, tuple(Fraction(lead.numerator * c, lead.denominator * d ** (m - j))
+                        for j, c in enumerate(h))
+
+
+def _horner(h, y: int, p: int | None) -> int:
+    """h(y) for the int polynomial h (low degree first); mod p when p is
+    given."""
+    acc = 0
+    for c in reversed(h):
+        acc = acc * y + c
+    return acc % p if p else acc
+
+
+def _deflate(h, y: int, p: int | None) -> list:
+    """h / (x - y) for the int polynomial h (low degree first) and its int
+    root y, by synthetic division on ints, mod p when p is given; the
+    quotient keeps h's leading coefficient, zero or not."""
+    out = [0] * (len(h) - 1)
+    carry = h[-1]
+    for i in range(len(h) - 2, -1, -1):
+        out[i] = carry
+        carry = h[i] + y * carry
+        if p:
+            carry %= p
+    if carry:
+        raise InternalCheckError(f"{y} is not a root: the remainder is {carry}")
+    return out
 
 
 def _fp_roots(ints, p: int) -> list:
@@ -581,52 +612,42 @@ def _int_poly(field, poly):
     over F_p, the polynomial times the lcm of its denominators over Q."""
     if isinstance(field, PrimeField):
         return [field(c) for c in poly]
-    coeffs = [Fraction(c) for c in poly]
-    return _clear(lcm(*(c.denominator for c in coeffs)), coeffs)
+    return _clear(lcm(*(c.denominator for c in poly)), poly)
 
 
 def _clear(d: int, values) -> list:
-    """The ints d*x for Fractions x whose denominators divide d."""
+    """The ints d*x for ints and Fractions x whose denominators divide d."""
     return [x.numerator * (d // x.denominator) for x in values]
 
 
-def _scaled_value(ints, num: int, den: int, p: int | None) -> int:
-    """den^deg * g(num/den) for the int polynomial g (low degree first);
-    mod p when p is given."""
-    acc = 0
-    scale = 1
-    for c in reversed(ints):
-        acc = acc * num + c * scale
-        scale *= den
-    return acc % p if p else acc
-
-
 def _rational_root_candidates(ints):
-    """Possible rational roots of an int polynomial g, low degree first.
+    """(h, D, candidates) for an int polynomial g, low degree first: each
+    rational root of g is y/D for an int root y of h, and candidates lists
+    ints, ascending, that include every int root of h.
 
-    With x = y/D, h(y) = D^n g(y/D) / an is monic with int coefficients
-    for the D built below (a divisor of an; D = 1 when g is monic).  A
+    With x = y/D, h(y) = D^n g(y/D) / a_n is monic with int coefficients
+    for the D built below (a divisor of a_n; D = 1 when g is monic).  A
     rational root x of g gives the int root y = D x of h, so y = 0 or y
     divides the lowest nonzero coefficient of h, and |y| is at most
     Fujiwara's bound B = 2 max_k |h_(n-k)|^(1/k), each term rounded up to
     an int (and h_0 not halved) so that no root is lost.  The divisors are
-    trial-divided only up to B.
+    trial-divided only up to B.  The zero polynomial is its own h, with
+    D = 1 and the one candidate 0.
     """
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-    if not ints:
-        return [Fraction(0)]
+    if not any(ints):
+        return list(ints), 1, [0]
     n, an = len(ints) - 1, ints[-1]
     d = 1
     for i in reversed(range(n)):  # make an divide ints[i] * d^(n-i)
         d *= abs(an) // gcd(ints[i] * d ** (n - i), an)
     h = [c * d ** (n - i) // an for i, c in enumerate(ints)]
     bound = 2 * max((_root_ceil(abs(h[n - k]), k) for k in range(1, n + 1)), default=0)
-    cands = {Fraction(0)}
-    for y in _divisors(abs(h[0]), bound):
-        cands.add(Fraction(y, d))
-        cands.add(Fraction(-y, d))
-    return sorted(cands)
+    low = next(c for c in h if c)
+    cands = {0}
+    for y in _divisors(abs(low), bound):
+        cands.add(y)
+        cands.add(-y)
+    return h, d, sorted(cands)
 
 
 def _root_ceil(a: int, k: int) -> int:

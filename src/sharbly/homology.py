@@ -247,7 +247,9 @@ def express_cycle(result: HomologyResult, vec, want_witness: bool = False):
         if not is_cycle(cx, k, vec):
             bad = cx.boundaries[k].matvec(vec)
             raise ValueError(f"input is not a cycle; boundary = {bad}")
-    rest = result._image.reduce({p: f(x) for i, p in result._position.items() if (x := vec[i])})
+    # reduce clears ints as they are; anything else (a Fraction) is converted
+    rest = result._image.reduce({p: x if type(x) is int else f(x)
+                                 for i, p in result._position.items() if (x := vec[i])})
     coords = tuple(rest.pop(p, f.zero) for p, _ in result._reps)
     if rest:
         raise InternalCheckError("cycle not in image + homology span")

@@ -58,12 +58,26 @@ def _gauss_jordan(f, rows):
     return out
 
 
+def poly_divide_root(f, poly, root):
+    """poly / (x - root) over the field f, assuming root is a root: the
+    field-arithmetic synthetic division that `fields._deflate` replaced."""
+    n = len(poly) - 1
+    out = [f.zero] * n
+    carry = poly[n]
+    for i in range(n - 1, -1, -1):
+        out[i] = carry
+        carry = f(poly[i] + root * carry)
+    if carry != f.zero:
+        raise ValueError(f"{root} is not a root: the remainder is {carry}")
+    return tuple(out)
+
+
 def _reference_eigenvalues(f, poly):
     """The earlier `fields.eigenvalues`, kept as a reference: field
     arithmetic throughout, and the whole scan repeated after any root."""
     from math import lcm
 
-    from sharbly.fields import PrimeField, poly_divide_root
+    from sharbly.fields import PrimeField
 
     def value(p, x):
         acc = f.zero
@@ -335,9 +349,32 @@ class TestFields:
         for n in (2, 5):
             entry = lambda: rng.randrange(-9, 10)  # noqa: E731
             cases.append((PrimeField(32003), _random_square(rng, n, entry, True)))
+        polys = [(f, charpoly(f, rows)) for f, rows in cases]
+
+        def times(f, *factors):
+            out = [f.one]
+            for b in factors:
+                prod = [f.zero] * (len(out) + len(b) - 1)
+                for i, x in enumerate(out):
+                    for j, y in enumerate(b):
+                        prod[i + j] = f(prod[i + j] + x * y)
+                out = prod
+            return out
+
+        # over Q: roots 1/2 (twice), -2/3 (three times) and 5 beside x^2 + x + 1,
+        # which has no root, with leading coefficient 5/7 * 4 * 27 or -3
+        half, third = [QQ(-1), QQ(2)], [QQ(2), QQ(3)]
+        for lead in (Fraction(5, 7), Fraction(-3)):
+            polys.append((QQ, times(QQ, [QQ(lead)], half, half, third, third, third,
+                                    [QQ(-5), QQ(1)], [QQ(1), QQ(1), QQ(1)])))
+        # over F_p: 3 x^2 (x - 2)^2 (x^2 + 1), x^2 + 1 having no root mod 7 or
+        # 32003, then with two zero leading coefficients, then times x^2
+        for p in (7, 32003):
+            f = PrimeField(p)
+            base = times(f, [3], [0, 1], [0, 1], [f(-2), 1], [f(-2), 1], [1, 0, 1])
+            polys += [(f, base), (f, base + [0, 0]), (f, [0, 0] + base)]
         multiple = 0
-        for f, rows in cases:
-            cp = charpoly(f, rows)
+        for f, cp in polys:
             got = eigenvalues(f, cp)
             assert got == _reference_eigenvalues(f, cp)
             roots, rem = got
@@ -407,8 +444,9 @@ class TestFields:
             poly = [sign * Fraction(rng.randrange(1, 30), rng.choice((1, 5))), 0, sign * rng.randrange(1, 8)]
             for r in roots:
                 poly = times(poly, [-r, 1])
-            cands = _rational_root_candidates(_int_poly(QQ, poly))
-            assert set(roots) <= set(cands) and cands == sorted(cands)
+            h, d, ys = _rational_root_candidates(_int_poly(QQ, poly))
+            assert h[-1] == 1 and all(type(c) is int for c in h + ys) and ys == sorted(ys)
+            assert all((r * d).denominator == 1 and int(r * d) in ys for r in roots)
             got, remainder = eigenvalues(QQ, poly)
             assert got == sorted(Counter(roots).items())
             assert remainder is not None and len(remainder) == 3
@@ -552,16 +590,38 @@ class TestFields:
 
     def test_invariants_raise_internal_check_error(self):
         from sharbly.errors import InternalCheckError
-        from sharbly.fields import QQ, SparseFieldMatrix, poly_divide_root
+        from sharbly.fields import QQ, SparseFieldMatrix, _deflate
 
-        # x^2 - 1 has the root 1 but not 2
-        assert poly_divide_root(QQ, (QQ(-1), QQ(0), QQ(1)), QQ(1)) == (QQ(1), QQ(1))
-        with pytest.raises(InternalCheckError):
-            poly_divide_root(QQ, (QQ(-1), QQ(0), QQ(1)), QQ(2))
+        # x^2 - 1 has the root 1 but not 2, over Z and mod 7
+        assert _deflate([-1, 0, 1], 1, None) == [1, 1]
+        assert _deflate([6, 0, 1], 1, 7) == [1, 1]
+        for p in (None, 7):
+            with pytest.raises(InternalCheckError):
+                _deflate([-1, 0, 1], 2, p)
         a = SparseFieldMatrix.from_dense(QQ, [[1, 2], [3, 4]])
         b = SparseFieldMatrix.from_dense(QQ, [[1, 2, 3]])
         with pytest.raises(InternalCheckError):
             a.compose(b)
+
+    def test_solve_checks_the_rhs_length(self):
+        from sharbly.fields import QQ, SparseFieldMatrix, row_span, solve
+
+        m = SparseFieldMatrix.from_dense(QQ, [[1, 0], [0, 1], [1, 1]])
+        assert solve(m, [1, 2, 3]) == (1, 2)
+        for rhs in ([1, 2, 3, 4], [1, 2], []):
+            with pytest.raises(ValueError):
+                solve(m, rhs)
+            with pytest.raises(ValueError):
+                row_span(m, rhs)
+
+    def test_matvec_checks_the_vector_length(self):
+        from sharbly.fields import PrimeField, SparseFieldMatrix
+
+        m = SparseFieldMatrix.from_dense(PrimeField(7), [[1, 0], [0, 1]])
+        assert m.matvec([3, 9]) == [3, 2]
+        for v in ([1, 2, 3], [1], []):
+            with pytest.raises(ValueError):
+                m.matvec(v)
 
     def test_conversion_takes_ints_and_fractions_only(self):
         from sharbly.fields import QQ, PrimeField
