@@ -10,6 +10,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from sharbly.congruence import projective_space
 from sharbly.errors import PreconditionError
 from sharbly.fields import parse_field
 from sharbly.homology import betti_numbers, build_complex
@@ -37,6 +38,8 @@ def main():
         except PreconditionError as exc:
             print(f"{level:7d}  rejected: {exc}")
             continue
+        finally:
+            projective_space.cache_clear()  # hold one P^{n-1}(Z/N) table at a time
         betti = betti_numbers(cx)
         row = [level]
         row += [cx.rank(k) for k in range(cx.max_degree + 1)]

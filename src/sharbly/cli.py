@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, *, field=True, level=True, n=True, files=("--cache-dir", "--out")):
         # `files` names the file options the subcommand reads
         if n:
-            sp.add_argument("--n", type=int, default=2, choices=(2, 3, 4))
+            sp.add_argument("--n", type=int, default=2, choices=(2, 3))
         if level:
             sp.add_argument("--level", "-N", type=int, default=1)
         if field:

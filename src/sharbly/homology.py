@@ -141,7 +141,8 @@ def _check_dd_zero(n: int, level: int, ints: dict):
 
 @dataclass(frozen=True)
 class HomologyResult:
-    """H_k in the basis of the reps `_compute_homology` picks.
+    """H_k in the basis of the reps `_compute_homology` picks, and the
+    free columns of d_{k+1}, which degree k + 1 starts from.
 
     Each rep is kept with its position, at which its class modulo
     im d_{k+1} is the unit vector; `express_cycle` reads a cycle's
@@ -155,6 +156,7 @@ class HomologyResult:
     _reps: tuple  # (position, cycle over bases[k]) per basis class of H_k
     _position: dict = dc_field(compare=False, repr=False)  # free column -> position
     _image: LinearSpan = dc_field(compare=False, repr=False)  # im d_{k+1} in positions
+    _free_above: tuple = dc_field(compare=False, repr=False)  # d_{k+1}'s rejected columns
 
     @property
     def homology_reps(self) -> tuple:
@@ -175,39 +177,40 @@ def homology(cx: GammaComplex, k: int) -> HomologyResult:
 
 def _compute_homology(cx: GammaComplex, k: int) -> HomologyResult:
     """The basis vectors of ker d_k whose classes are independent modulo
-    im d_{k+1}, in basis order and each with its position, and the span
-    of im d_{k+1} in positions.
+    im d_{k+1}, in basis order and each with its position, the span of
+    im d_{k+1} in positions, and the columns of d_{k+1} it rejected.
 
-    `cycles` is the RREF of the rows of d_k (empty at k = 0); its free
-    columns index a basis of ker d_k, the kernel vector at c being 1 at c
-    and 0 at the other free columns, so a cycle's coordinates are its
-    entries at the free columns.  The elimination runs in those
-    coordinates; im d_{k+1} lies in ker d_k because build_complex checks
-    d o d = 0.  The free columns c_0 < ... < c_{f-1} sit at positions
-    f-1, ..., 0, reversed, so that a `LinearSpan` pivot (a row's least
-    position) is the last free column of an image vector: the kernel
-    vector at c is independent of im d_{k+1} and of the vectors before it
-    iff its position is no image pivot.  Its class, reduced against the
-    image, is then the unit vector at its position.  Only those kept
-    kernel vectors are built, by `LinearSpan.kernel_vectors`.
+    ker d_k has one basis vector per free column c of the RREF of d_k, 1
+    at c and 0 at the other free columns, so a cycle's coordinates are its
+    entries at the free columns.  Degree k - 1 hands them up (at k = 0 all
+    columns are free): its pass adds the columns of d_k in order, in free
+    coordinates injective on ker d_{k-1}, which holds im d_k (build_complex
+    checks d o d = 0), so it rejects those that depend on earlier ones:
+    the free columns, as RREF pivots are the first column basis.  The free
+    columns c_0 < ... < c_{f-1} sit at positions f-1, ..., 0, reversed, so
+    that a `LinearSpan` pivot (a row's least position) is the last free
+    column of an image vector: the kernel vector at c is independent of
+    im d_{k+1} and of the vectors before it iff its position is no image
+    pivot.  Its class, reduced against the image, is then the unit vector
+    at its position.  d_k is row-reduced only if such a column is kept.
     """
     f = cx.field
     ncols = cx.rank(k)
-    cycles = row_span(cx.boundaries[k]) if k else LinearSpan(f)
-    free = [c for c in range(ncols) if c not in cycles.rows]
+    free = homology(cx, k - 1)._free_above if k else range(ncols)
     top = len(free) - 1
     position = {c: top - j for j, c in enumerate(free)}
-    cols: dict = {}  # the columns of d_{k+1}, in positions
+    cols: list = []  # the columns of d_{k+1}, in positions
     if k < cx.max_degree:
+        cols = [{} for _ in range(cx.rank(k + 1))]
         for (i, c), x in cx.boundaries[k + 1].entries.items():
             if i in position:
-                cols.setdefault(c, {})[position[i]] = x
+                cols[c][position[i]] = x
     image = LinearSpan(f)
-    for c in sorted(cols):
-        image.add(cols[c])
+    free_above = tuple(c for c, col in enumerate(cols) if not image.add(col))
     kept = [c for c in free if position[c] not in image.rows]
+    cycles = row_span(cx.boundaries[k]) if k and kept else LinearSpan(f)
     reps = tuple(zip((position[c] for c in kept), cycles.kernel_vectors(kept, ncols)))
-    return HomologyResult(k, len(reps), cx, reps, position, image)
+    return HomologyResult(k, len(reps), cx, reps, position, image, free_above)
 
 
 def betti_numbers(cx: GammaComplex) -> dict:

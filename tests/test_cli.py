@@ -172,6 +172,9 @@ class TestExitCodes:
         (["nofake", "--level", "11", "--ell", "2", "--a", "3", "--out", "r.json"],
          "unrecognized arguments: --out r.json"),
         (["nofake", "--level", "11", "--ell", "2"], "the following arguments are required: --a"),
+        # n = 4 has cells only through enumerate_cells(4, nonsimplex_backend=True)
+        (["cells", "--n", "4"], "argument --n: invalid choice: 4"),
+        (["homology", "--n", "4"], "argument --n: invalid choice: 4"),
     ])
     def test_usage_error_exit_1(self, run_cli, args, message):
         out = run_cli(args)

@@ -8,7 +8,7 @@ from sharbly import intlinalg as la
 from sharbly import sharbly as sh
 from sharbly.congruence import projective_space
 from sharbly.errors import InternalCheckError, PreconditionError
-from sharbly.fields import PrimeField, QQ
+from sharbly.fields import PrimeField, QQ, row_span
 from sharbly.hecke import hecke_on_h0
 from sharbly.homology import (
     _facet_inverses,
@@ -198,15 +198,22 @@ class TestHomology:
     def test_reps_are_the_first_kernel_vectors_independent_mod_image(self, table2, table3):
         # homology_reps fixes the basis the Hecke matrices are written in:
         # the RREF kernel basis of d_k in free-column order, keeping each
-        # vector that is independent of im d_{k+1} and of the kept ones
+        # vector that is independent of im d_{k+1} and of the kept ones.
+        # Degree k - 1's image pass hands up the free columns of d_k: they
+        # must be the non-pivot columns of its RREF
         from test_intlinalg import _gauss_jordan
 
-        for n, table, n_mod, f in ((2, table2, 45, QQ), (3, table3, 17, PrimeField(7))):
+        fp = PrimeField(32003)
+        for n, table, n_mod, f in ((2, table2, 45, QQ), (2, table2, 45, fp), (3, table3, 11, QQ),
+                                   (3, table3, 17, fp), (3, table3, 17, PrimeField(7))):
             cx = build_complex(n, n_mod, f, table=table)
             for k in range(cx.max_degree + 1):
                 ncols = cx.rank(k)
                 rref = _gauss_jordan(f, cx.boundaries[k].to_dense()) if k else []
                 pivots = [next(j for j, x in enumerate(r) if x != f.zero) for r in rref]
+                if k:
+                    free = tuple(c for c in range(ncols) if c not in pivots)
+                    assert homology(cx, k - 1)._free_above == free
                 image = []
                 if k < cx.max_degree:
                     image = [list(col) for col in zip(*cx.boundaries[k + 1].to_dense())]
@@ -222,6 +229,36 @@ class TestHomology:
                         span = grown
                         reps.append(v)
                 assert homology(cx, k).homology_reps == tuple(tuple(v) for v in reps)
+            assert homology(cx, cx.max_degree)._free_above == ()
+
+    def test_d_k_is_row_reduced_only_where_h_k_keeps_a_rep(self, table3, monkeypatch):
+        # at n = 3, N = 17 only H_3 (of degrees k >= 1) keeps a rep, so d_3
+        # is the one boundary whose RREF is built; the free columns of d_1
+        # and d_2 come from the image passes one degree lower
+        reduced = []
+
+        def counted(m, *args):
+            reduced.append(m)
+            return row_span(m, *args)
+
+        monkeypatch.setattr("sharbly.homology.row_span", counted)
+        cx = build_complex(3, 17, PrimeField(32003), table=table3)
+        assert betti_numbers(cx) == {0: 2, 1: 0, 2: 0, 3: 1}
+        assert len(reduced) == 1 and reduced[0] is cx.boundaries[3]
+
+    def test_n3_prime_level_survey_to_97(self, table3):
+        # the primes 67 <= p <= 97 over F_32003: H_1 != 0 exactly at p = 79
+        # and p = 89 (Ash-Grayson-Green, Contemp. Math. 28, 1984).  Each
+        # level's P^2(Z/p) table is dropped once its complex is built
+        field = PrimeField(32003)
+        h0 = {67: 10, 71: 12, 73: 10, 79: 14, 83: 14, 89: 16, 97: 14}
+        h1 = {79: 2, 89: 2}
+        for p, dim_h0 in h0.items():
+            try:
+                cx = build_complex(3, p, field, table=table3)
+            finally:
+                projective_space.cache_clear()
+            assert betti_numbers(cx) == {0: dim_h0, 1: h1.get(p, 0), 2: 0, 3: 1}, p
 
     def test_field_consistency(self, table2, table3):
         # over F_p with p passing the hypotheses and not dividing any
