@@ -283,7 +283,11 @@ def _check_length(cx: GammaComplex, k: int, vec):
 
 
 def theta_lift(cx: GammaComplex, k: int, vec) -> sh.SharblyChain:
-    """Plain sharbly chain lifting a W_k coordinate vector."""
+    """Plain sharbly chain lifting a W_k coordinate vector.
+
+    A generator is rep * gamma_p with gamma_p in SL(n,Z); the vertices of
+    a non-degenerate cell are a normal-form key, so `sh.key_image` maps it.
+    """
     _check_degree(cx, k)
     _check_length(cx, k, vec)
     out = sh.SharblyChain(cx.n, k)
@@ -292,8 +296,8 @@ def theta_lift(cx: GammaComplex, k: int, vec) -> sh.SharblyChain:
         if coeff == cx.field.zero:
             continue
         gamma_p = cg.coset_matrix(point, cx.level)
-        rep = orbits[o_idx].representative
-        out.add_term([la.vec_mat(v, gamma_p) for v in rep.vertices], coeff)
+        key, sign = sh.key_image(orbits[o_idx].representative.vertices, gamma_p)
+        out.add_key(key, coeff * sign)
     return out
 
 

@@ -93,12 +93,15 @@ def _tau_boundary(n, tau_key) -> tuple:
 
 @lru_cache(maxsize=None)
 def _class_map(rep: VoronoiCell, cell: VoronoiCell):
-    """(h, eta) with rep * h = +-cell, h in SL(n,Z), and eta the transport
-    sign of rep * h onto cell; None when the cells are not equivalent."""
+    """(h, eta, h^-1, p) with rep * h = +-cell, h in SL(n,Z), eta the
+    transport sign of rep * h onto cell, and p = e_1 * h^-1, the coset
+    point `first_column_cofactors(h)`; None when the cells are not
+    equivalent."""
     h = equivalent_cells(rep, cell)
     if h is None:
         return None
-    return h, _orientation_transport_sign(rep, h, cell)
+    sign = _orientation_transport_sign(rep, h, cell)
+    return h, sign, la.inverse_unimodular(h), la.first_column_cofactors(h)
 
 
 class _SupportSystem:
@@ -106,11 +109,11 @@ class _SupportSystem:
     Gamma_0(N)-coinvariants of the sharbly complex.
 
     Every support key k gets an SL(n,Z) class representative R, a
-    standardizing map h with R * h = +-k, and the coset point q of the
-    first row of h^-1.  R is the cell table's representative when k is
-    equivalent to a W_1 generator, so such keys share the level's label
-    table with `GammaComplex.labels`; otherwise it is the first key placed
-    in k's class.  The key is filed as `homology._cell_coordinate`
+    standardizing map h with R * h = +-k (kept with h^-1), and the coset
+    point q of the first row of h^-1.  R is the cell table's
+    representative when k is equivalent to a W_1 generator, so such keys
+    share the level's label table with `GammaComplex.labels`; otherwise it
+    is the first key placed in k's class.  The key is filed as `homology._cell_coordinate`
     files a W_k generator: the entry at q of the level's
     `ProjectiveSpace.orbit_labels(R)` labels the Gamma_0(N)-orbit of k,
     and eps_k is its character times the transport sign of R * h.  The
@@ -120,10 +123,10 @@ class _SupportSystem:
     span exactly its kernel (2 is invertible, and a killed key c has
     c * s = -c for some s in Gamma_0(N)), so the system is solved on
     labels and the bar terms are rebuilt only for the final residual,
-    by `_bar_terms`.  The SL(n,Z) maps R * h = +-k, the cone candidates
-    and the 2-sharbly boundaries do not depend on N and come from
-    per-process caches; the representatives, coset points, labels and
-    rows are the system's own.
+    by `_bar_terms`.  The SL(n,Z) maps R * h = +-k with their inverses
+    and coset points, the cone candidates and the 2-sharbly boundaries do
+    not depend on N and come from per-process caches; the representatives,
+    point indices, labels and rows are the system's own.
 
     The system's columns are the projected lifts and 2-sharbly boundaries,
     each built once, in the order [lifts | taus], and its rows are the live
@@ -140,7 +143,7 @@ class _SupportSystem:
         for orb in cx.table.orbits[cx.n]:
             rep = orb.representative
             self._reps.setdefault(cell_signature(rep), []).append(rep)
-        self._placed: dict = {}  # key -> (label, q, h, eps), eps = 0 on a killed label
+        self._placed: dict = {}  # key -> (label, q, h, h^-1, eps), eps = 0 on a killed label
         self._first: dict = {}  # label -> its first key
         self._rows: dict = {}  # live label -> row
         self._coned: set = set()
@@ -165,7 +168,7 @@ class _SupportSystem:
         for key, c in terms:
             if key not in self._placed:
                 self._place(key)
-            label, _q, _h, eps = self._placed[key]
+            label, _q, _h, _h_inv, eps = self._placed[key]
             if eps:
                 row = self._rows[label]
                 out[row] = out.get(row, 0) + c * eps
@@ -180,16 +183,17 @@ class _SupportSystem:
             if found is not None:
                 break
         else:
-            rep, found = cell, (la.identity(self.n), 1)
+            one = la.identity(self.n)
+            rep, found = cell, (one, 1, one, la.first_column_cofactors(one))
             same_sig.append(rep)
-        h, sign = found
-        q = self._space.index(la.first_column_cofactors(h))
+        h, sign, h_inv, point = found
+        q = self._space.index(point)
         best, char = self._space.orbit_labels(rep)[q]
         label, eps = (rep, best), char * sign
         if eps:
             self._rows.setdefault(label, len(self._rows))
         self._first.setdefault(label, key)
-        self._placed[key] = (label, q, h, eps)
+        self._placed[key] = (label, q, h, h_inv, eps)
 
     def _map(self, src, dst, sign=None):
         """(gamma, sigma) with gamma in Gamma_0(N) and src * gamma = sigma * dst
@@ -199,9 +203,8 @@ class _SupportSystem:
         matrices without testing them, so a slip in the labels would
         otherwise verify.
         """
-        label, q_src, h_src, _eps = self._placed[src]
-        _label, q_dst, h_dst, _eps = self._placed[dst]
-        h_inv = la.inverse_unimodular(h_src)
+        label, q_src, _h_src, h_inv, _eps = self._placed[src]
+        _label, q_dst, h_dst, _h_inv, _eps = self._placed[dst]
         src_cell, dst_cell = VoronoiCell(self.n, src), VoronoiCell(self.n, dst)
         for s in cell_stabilizer(label[0])[1]:
             if self._space.index(la.vec_mat(self._space.points[q_src], s)) == q_dst:
@@ -301,10 +304,21 @@ class _SupportSystem:
         homotopy = sh.SharblyChain(self.n, 2, {
             key: c for key, c in zip(self.taus, tau_part) if c != f.zero
         })
-        residual = rhs_chain.copy().add_chain(sh.boundary(homotopy), -1)
+        residual = self._residual(rhs_chain, w1_vec, homotopy)
+        return w1_vec, homotopy, self._bar_terms(residual.reduced(f))
+
+    def _residual(self, rhs_chain: sh.SharblyChain, w1_vec, homotopy: sh.SharblyChain):
+        """rhs - w1-part - d(homotopy) on plain keys.  d(homotopy) is summed
+        from the cached boundaries of the support's 2-sharblies, in the key
+        order `sh.boundary` gives."""
+        d_homotopy = sh.SharblyChain(self.n, 1)
+        for tau_key, c in homotopy.coeffs.items():
+            for key, sign in _tau_boundary(self.n, tau_key):
+                d_homotopy.add_key(key, c * sign)
+        residual = rhs_chain.copy().add_chain(d_homotopy, -1)
         for x, (lift, _col) in zip(w1_vec, self.lifts):
             residual.add_chain(lift, -x)
-        return w1_vec, homotopy, self._bar_terms(residual.reduced(f))
+        return residual
 
 
 def _holds(field, level, target: sh.SharblyChain, homotopy: sh.SharblyChain, bar_terms) -> bool:

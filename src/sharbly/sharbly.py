@@ -5,7 +5,9 @@ primitive and sign-normalized (the scaling relation), sorted with the
 permutation parity folded into a sign (the antisymmetry relation), and
 collapsed to the zero marker (None) when a vector repeats or the vectors
 fail to span Q^n.  Chains carry exact integer or field coefficients keyed
-by the normal-form vector tuple.
+by the normal-form vector tuple.  `normalize` builds that form from raw
+vectors; the boundary and the right action by a nonsingular matrix map
+normal-form keys to normal-form keys, so they keep it without rebuilding.
 """
 
 from __future__ import annotations
@@ -44,16 +46,40 @@ def normalize(n: int, vectors) -> SharblyElement | None:
         prim.append(la.primitivize(v))
     if len(set(prim)) != len(prim):
         return None  # repeated line: killed since 2 is invertible
-    if not any(la.det(rows) for rows in combinations(prim, n)):
-        return None  # does not span Q^n: every n x n minor vanishes
-    order = sorted(range(len(prim)), key=lambda i: prim[i])
-    sign = _perm_sign(order)
-    return SharblyElement(n, tuple(prim[i] for i in order), sign)
+    if not _spans(n, prim):
+        return None
+    return SharblyElement(n, *_sorted_with_sign(prim))
+
+
+def _spans(n: int, vectors) -> bool:
+    """Whether the vectors span Q^n, i.e. some n x n minor is nonzero."""
+    return any(la.det(rows) for rows in combinations(vectors, n))
+
+
+def _sorted_with_sign(prim) -> tuple[tuple, int]:
+    """(the vectors sorted, the sign of the sorting permutation)."""
+    order = sorted(range(len(prim)), key=prim.__getitem__)
+    return tuple(prim[i] for i in order), _perm_sign(order)
+
+
+def key_image(key: tuple, g: Mat) -> tuple[tuple, int]:
+    """(image, sign) with [key] * g = sign * [image], both in normal form,
+    for a normal-form key and a nonsingular integer matrix g.
+
+    g maps distinct lines to distinct lines and a spanning set to a
+    spanning one, so each image vector needs only `primitivize` and the
+    image a sort; the caller owns the check that det g != 0.
+    """
+    return _sorted_with_sign([la.primitivize(la.vec_mat(v, g)) for v in key])
 
 
 @dataclass
 class SharblyChain:
-    """Formal sum of normal-form sharblies with exact coefficients."""
+    """Formal sum of normal-form sharblies with exact coefficients.
+
+    Every key of `coeffs` is in normal form; `boundary` and `act` keep it
+    without re-normalizing.
+    """
 
     n: int
     k: int
@@ -69,8 +95,12 @@ class SharblyChain:
         elem = normalize(self.n, vectors)
         if elem is None:
             return self
-        key = elem.vectors
-        new = self.coeffs.get(key, 0) + coeff * elem.sign
+        return self.add_key(elem.vectors, coeff * elem.sign)
+
+    def add_key(self, key: tuple, coeff) -> "SharblyChain":
+        """Add coeff * [key] for a key already in normal form; mutates and
+        returns self."""
+        new = self.coeffs.get(key, 0) + coeff
         if new:
             self.coeffs[key] = new
         else:
@@ -84,11 +114,7 @@ class SharblyChain:
                 f"(n={self.n}, k={self.k}) one"
             )
         for key, c in other.coeffs.items():
-            new = self.coeffs.get(key, 0) + c * scale
-            if new:
-                self.coeffs[key] = new
-            else:
-                self.coeffs.pop(key, None)
+            self.add_key(key, c * scale)
         return self
 
     def scaled(self, scale) -> "SharblyChain":
@@ -98,10 +124,17 @@ class SharblyChain:
         return out
 
     def act(self, g: Mat) -> "SharblyChain":
-        """Right action: every vector multiplied by g, renormalized."""
+        """Right action: every vector multiplied by g.
+
+        A nonsingular g maps normal-form keys to normal-form keys through
+        `key_image`; a singular g raises ValueError.
+        """
+        if not la.det(g):
+            raise ValueError("the right action needs a nonsingular matrix")
         out = SharblyChain(self.n, self.k)
         for key, c in self.coeffs.items():
-            out.add_term([la.vec_mat(v, g) for v in key], c)
+            image, sign = key_image(key, g)
+            out.add_key(image, c * sign)
         return out
 
     def reduced(self, field) -> "SharblyChain":
@@ -130,13 +163,19 @@ def chain_of(n: int, vectors, coeff=1) -> SharblyChain:
 
 
 def boundary(chain: SharblyChain) -> SharblyChain:
-    """d[v_0, ..., v_m] = sum_i (-1)^i [..., v_i deleted, ...], linearly."""
+    """d[v_0, ..., v_m] = sum_i (-1)^i [..., v_i deleted, ...], linearly.
+
+    A face of a normal-form key is sorted, primitive and repeat-free
+    already, so only the faces that fail to span Q^n are dropped.
+    """
     if chain.k < 1:
         raise ValueError("boundary out of degree 0 is not defined here")
     out = SharblyChain(chain.n, chain.k - 1)
     for key, c in chain.coeffs.items():
         for i in range(len(key)):
-            out.add_term(key[:i] + key[i + 1:], c * (-1) ** i)
+            face = key[:i] + key[i + 1:]
+            if _spans(chain.n, face):
+                out.add_key(face, -c if i % 2 else c)
     return out
 
 

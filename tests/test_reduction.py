@@ -352,7 +352,7 @@ class TestSupportGrowth:
         system.grow()
         (orb,) = table2.orbits[2]
         hits = 0
-        for key, ((rep, best), q, _h, eps) in system._placed.items():
+        for key, ((rep, best), q, _h, _h_inv, eps) in system._placed.items():
             if equivalent_cells(orb.representative, VoronoiCell(2, key)) is None:
                 continue
             hits += 1
@@ -371,7 +371,7 @@ class TestSupportGrowth:
         x_chain, s_chain = theta_s(cx11, 1, hecke_cosets(2, 2, 1), x)
         system = rd._SupportSystem(cx11, [x_chain, s_chain], with_w1=False)
         system.grow()
-        for key, (label, q, h, eps) in sorted(system._placed.items()):
+        for key, (label, q, *maps, eps) in sorted(system._placed.items()):
             perms = [system._space.perm(s) for s in cell_stabilizer(label[0])[1]]
             wrong = {perm[q] for perm in perms} - {q}
             if key != system._first[label] and wrong:
@@ -379,7 +379,7 @@ class TestSupportGrowth:
         else:
             pytest.fail("no key with a second point in its stabilizer orbit")
         system._map(system._first[label], key)
-        system._placed[key] = (label, min(wrong), h, eps)
+        system._placed[key] = (label, min(wrong), *maps, eps)
         with pytest.raises(InternalCheckError, match="outside Gamma_0"):
             system._map(system._first[label], key)
 
@@ -394,7 +394,7 @@ class TestSupportGrowth:
         gamma = la.freeze([[1, 0, 0], [1, 1, 0], [0, 0, 1]])
         rhs = c.scaled(2).add_chain(c.act(gamma)).reduced(QQ)
         system = rd._SupportSystem(cx, [rhs], with_w1=False)
-        assert all(eps == 0 for _label, _q, _h, eps in system._placed.values())
+        assert all(entry[-1] == 0 for entry in system._placed.values())
         w1, homotopy, bars = system.search(rhs, 0, "test certificate")
         res = rd.ReductionResult(QQ, 2, sh.SharblyChain(3, 1), w1, homotopy, bars)
         assert res.verify(rhs) and homotopy.is_zero()
@@ -406,6 +406,27 @@ class TestSupportGrowth:
         assert len(flips) == 1 and len(bars) == 2
         dropped = bars[:flips[0]] + bars[flips[0] + 1:]
         assert not dataclasses.replace(res, bar_terms=dropped).verify(rhs)
+
+    def test_residual_is_rhs_minus_the_boundary(self, cx11):
+        # the search sums d(homotopy) from the cached 2-sharbly boundaries;
+        # it must equal sh.boundary's, key order included, since the order
+        # of the residual's keys is the order of the bar terms
+        x = homology(cx11, 1).homology_reps[0]
+        x_chain, s_chain = theta_s(cx11, 1, hecke_cosets(2, 2, 1), x)
+        witness_rhs = s_chain.copy().add_chain(x_chain, -3).reduced(QQ)
+        cases = (
+            (rd._SupportSystem(cx11, [x_chain, s_chain], with_w1=False), witness_rhs),
+            (rd._SupportSystem(cx11, [s_chain.reduced(QQ)], with_w1=True), s_chain.reduced(QQ)),
+        )
+        for system, rhs in cases:
+            w1, homotopy, _bars = system.search(rhs, 4, "test certificate")
+            assert not homotopy.is_zero()
+            want = rhs.copy().add_chain(sh.boundary(homotopy), -1)
+            for a, (lift, _col) in zip(w1, system.lifts):
+                want.add_chain(lift, -a)
+            got = system._residual(rhs, w1, homotopy)
+            assert got == want and list(got.coeffs) == list(want.coeffs)
+        assert any(a != QQ.zero for a in w1)  # the reduction subtracts lifts too
 
 
 class TestLevelFreeCaches:

@@ -1,12 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from sharbly import intlinalg as la
 from sharbly import sharbly as sh
+from sharbly.congruence import is_gamma0
 from sharbly.errors import InternalCheckError
 from sharbly.fields import QQ, SparseFieldMatrix, row_span
-from sharbly.hecke import symbol_chain_to_w0
+from sharbly.hecke import hecke_cosets, symbol_chain_to_w0
 from sharbly.homology import express_cycle, homology
 
 E1, E2 = (1, 0), (0, 1)
@@ -121,6 +123,91 @@ class TestBoundary:
         c = sh.SharblyChain(2, 1).add_term([E1, E1, E2], 1)
         assert c.is_zero()
         assert sh.boundary(c).is_zero()
+
+
+class TestKernelAgainstNormalize:
+    """`boundary` and `act` keep the normal form; the references below
+    rebuild it for every image term with `normalize`, as `add_term` does."""
+
+    @staticmethod
+    def _reference_boundary(chain):
+        out = sh.SharblyChain(chain.n, chain.k - 1)
+        for key, c in chain.coeffs.items():
+            for i in range(len(key)):
+                out.add_term(key[:i] + key[i + 1:], c * (-1) ** i)
+        return out
+
+    @staticmethod
+    def _reference_act(chain, g):
+        out = sh.SharblyChain(chain.n, chain.k)
+        for key, c in chain.coeffs.items():
+            out.add_term([la.vec_mat(v, g) for v in key], c)
+        return out
+
+    @staticmethod
+    def _random_chain(rng, n, k, terms=6):
+        # At n = 3 every other term puts all its vectors but the last in
+        # one plane, so the face that drops the last one fails to span Q^3.
+        chain = sh.SharblyChain(n, k)
+        for trial in range(terms):
+            while True:
+                vs = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n + k)]
+                if n == 3 and trial % 2:
+                    for j in range(2, n + k - 1):
+                        a, b = rng.choice((-2, -1, 1, 2)), rng.choice((-2, -1, 1, 2))
+                        vs[j] = tuple(a * x + b * y for x, y in zip(vs[0], vs[1]))
+                if all(any(v) for v in vs) and sh.normalize(n, vs) is not None:
+                    break
+            chain.add_term(vs, rng.choice((-3, -1, 1, 2, Fraction(1, 2))))
+        return chain
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_boundary_equals_reference(self, n, k):
+        rng = random.Random(200 + 10 * n + k)
+        flat_faces = 0
+        for _ in range(40):
+            chain = self._random_chain(rng, n, k)
+            assert sh.boundary(chain) == self._reference_boundary(chain)
+            flat_faces += sum(
+                sh.normalize(n, key[:i] + key[i + 1:]) is None
+                for key in chain.coeffs for i in range(len(key))
+            )
+        assert flat_faces >= (0 if n == 2 else 20)
+
+    @staticmethod
+    def _gamma0(rng, n, level):
+        # products of elementary matrices; row 0 only moves by multiples of N
+        g = la.identity(n)
+        for _ in range(6):
+            i, j = rng.sample(range(n), 2)
+            e = [[int(r == c) for c in range(n)] for r in range(n)]
+            e[i][j] = rng.randint(-2, 2) * (level if i == 0 else 1)
+            g = la.mat_mul(g, la.freeze(e))
+        return g
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_act_equals_reference(self, n):
+        rng = random.Random(300 + n)
+        flip = la.freeze([[-1 if r == c == 0 else int(r == c) for c in range(n)] for r in range(n)])
+        mats = [*hecke_cosets(n, 2, 1).cosets, *hecke_cosets(n, 3, 1).cosets, flip]
+        if n == 3:
+            mats += hecke_cosets(n, 2, 2).cosets
+        for level in (11, 15):
+            gamma = self._gamma0(rng, n, level)
+            assert is_gamma0(gamma, level) and la.det(gamma) == 1
+            mats.append(gamma)
+        assert la.det(flip) == -1 and {abs(la.det(g)) for g in mats} >= {1, 2, 3}
+        for g in mats:
+            for k in (0, 1, 2):
+                chain = self._random_chain(rng, n, k, terms=4)
+                assert chain.act(g) == self._reference_act(chain, g), g
+
+    def test_act_by_a_singular_matrix_raises(self):
+        chain = sh.chain_of(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+        with pytest.raises(ValueError, match="nonsingular"):
+            chain.act(la.freeze([[1, 2, 0], [2, 4, 0], [0, 0, 1]]))
+        with pytest.raises(ValueError, match="nonsingular"):
+            sh.SharblyChain(2, 1).act(((1, 1), (1, 1)))
 
 
 class TestTheta:

@@ -126,3 +126,27 @@ def test_fields_define_no_arithmetic_of_their_own():
     assert defined.keys() == {"Rationals", "PrimeField"}
     offenders = {name: sorted(methods & arithmetic) for name, methods in defined.items()}
     assert not any(offenders.values()), f"field arithmetic methods: {offenders}"
+
+
+def test_chain_maps_keep_the_normal_form():
+    # the boundary, the right action and theta lifts map normal-form keys
+    # to normal-form keys; normalizing each image again redoes that work
+    guarded = {
+        ("sharbly.py", "act"), ("sharbly.py", "boundary"), ("sharbly.py", "key_image"),
+        ("homology.py", "theta_lift"),
+    }
+    calls = {}
+    for name, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (name, node.name) in guarded:
+                calls[name, node.name] = {
+                    getattr(call.func, "attr", getattr(call.func, "id", None))
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                }
+    assert calls.keys() == guarded
+    offenders = {
+        f"{name}:{func}": sorted(called & {"normalize", "add_term"})
+        for (name, func), called in calls.items()
+    }
+    assert not any(offenders.values()), f"re-normalizing chain maps: {offenders}"
