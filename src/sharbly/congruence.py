@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import gcd
-from operator import mul
 
 from . import intlinalg as la
 from .errors import InternalCheckError
@@ -36,10 +35,13 @@ class ProjectiveSpace:
     points as the tuples do.  The normal form is one lookup: `_table` is
     indexed by the mixed-radix code sum_i (v_i mod N) N^(n-1-i) of a vector
     and holds the index of its point, or -1 when the vector is not
-    unimodular mod N.  Building it walks the N^n vectors once.  The right
-    action of a matrix is a permutation of point indices, cached per matrix;
-    `orbit_labels` asks for it on stabilizer generators only.  The
-    Gamma_0(N)-orbit labels of a cell are cached per representative.
+    unimodular mod N.  Building it walks the N^n vectors once; each new
+    point's phi(N) unit multiples are coded at once, one coordinate at a
+    time, from a per-residue row of unit multiples, and written in one
+    loop.  The right action of a matrix is a permutation of point indices,
+    computed column by column on the points' coordinate columns and cached
+    per matrix; `orbit_labels` asks for it on stabilizer generators only.
+    The Gamma_0(N)-orbit labels of a cell are cached per representative.
     """
 
     def __init__(self, n: int, n_mod: int):
@@ -48,22 +50,24 @@ class ProjectiveSpace:
         self.n = n
         self.n_mod = n_mod
         units = [u for u in range(n_mod) if gcd(u, n_mod) == 1]
+        # mults[x]: the residues u * x of x under the units, in unit order
+        mults = [[u * x % n_mod for u in units] for x in range(n_mod)]
         table = [-1] * n_mod ** n
         points = []
         # Vectors come in code order, which is lexicographic order, so the
         # first unmarked unimodular vector of a class is its least element.
         for code, v in enumerate(product(range(n_mod), repeat=n)):
-            if table[code] >= 0:
+            if table[code] >= 0 or gcd(*v, n_mod) != 1:
                 continue
-            if gcd(*v, n_mod) != 1:
-                continue
-            for u in units:
-                c = 0
-                for x in v:
-                    c = c * n_mod + u * x % n_mod
-                table[c] = len(points)
+            codes = mults[v[0]]
+            for x in v[1:]:
+                codes = [c * n_mod + y for c, y in zip(codes, mults[x])]
+            i = len(points)
+            for c in codes:
+                table[c] = i
             points.append(v)
         self.points = tuple(points)
+        self._coords = tuple(zip(*points))  # the points' coordinate columns
         self._table = table
         self._perms: dict = {}
         self._labels: dict = {}
@@ -89,17 +93,28 @@ class ProjectiveSpace:
         return self.points[self.index(vec)]
 
     def perm(self, gamma: Mat) -> tuple:
-        """Right action of gamma: points[i] * gamma is points[perm(gamma)[i]]."""
+        """Right action of gamma: points[i] * gamma is points[perm(gamma)[i]].
+
+        Computed on all points at once: column j of gamma maps the points'
+        coordinate columns to the image column sum_i gamma_ij * xs_i
+        (coefficients = 0 mod N skipped), which is folded into the
+        mixed-radix codes that the table looks up.
+        """
         p = self._perms.get(gamma)
         if p is None:
-            n_mod, table = self.n_mod, self._table
-            cols = [tuple(x % n_mod for x in col) for col in zip(*gamma)]
-            p = []
-            for pt in self.points:
-                code = 0
-                for col in cols:
-                    code = code * n_mod + sum(map(mul, pt, col)) % n_mod
-                p.append(table[code])
+            n, n_mod = self.n, self.n_mod
+            if [len(row) for row in gamma] != [n] * n:
+                raise ValueError(f"{gamma} is not {n} x {n}")
+            codes = [0] * len(self.points)
+            for col in zip(*gamma):
+                image = [0] * len(self.points)
+                for g, xs in zip(col, self._coords):
+                    g %= n_mod
+                    if g:
+                        image = [y + g * x for y, x in zip(image, xs)]
+                codes = [c * n_mod + y % n_mod for c, y in zip(codes, image)]
+            table = self._table
+            p = [table[c] for c in codes]
             if min(p) < 0:
                 raise ValueError(f"{gamma} is not invertible mod {n_mod}")
             p = self._perms[gamma] = tuple(p)

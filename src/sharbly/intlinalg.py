@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import mul
 
 from .errors import InternalCheckError
 
@@ -26,14 +27,19 @@ def identity(n: int) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    """a * b; ValueError when a row of a does not match b's row count."""
+    for row in a:
+        if len(row) != len(b):
+            raise ValueError(f"a row of length {len(row)} times a matrix of {len(b)} rows")
+    cols = list(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
 def vec_mat(v: Vec, a: Mat) -> Vec:
-    return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0])))
+    """The row vector v * a; ValueError when len(v) is not a's row count."""
+    if len(v) != len(a):
+        raise ValueError(f"a vector of length {len(v)} times a matrix of {len(a)} rows")
+    return tuple([sum(map(mul, v, col)) for col in zip(*a)])
 
 
 def mat_neg(a: Mat) -> Mat:

@@ -90,13 +90,18 @@ def reference_orbit_labels(space, rep):
     return tuple(labels)
 
 
+def _elementary(n, i, j, x):
+    """The identity with x added at (i, j), i != j."""
+    e = [[int(r == c) for c in range(n)] for r in range(n)]
+    e[i][j] = x
+    return la.freeze(e)
+
+
 def _random_sl(rng, n):
     g = la.identity(n)
     for _ in range(4 * n):
         i, j = rng.sample(range(n), 2)
-        e = [[int(r == c) for c in range(n)] for r in range(n)]
-        e[i][j] = rng.randint(-3, 3)
-        g = la.mat_mul(g, la.freeze(e))
+        g = la.mat_mul(g, _elementary(n, i, j, rng.randint(-3, 3)))
     return g
 
 
@@ -150,7 +155,7 @@ class TestProjPoints:
 
 class TestProjectiveSpace:
     @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("n_mod", [1, 2, 12, 17, 30])
+    @pytest.mark.parametrize("n_mod", [1, 2, 12, 17, 30, 36])
     def test_normalize_is_the_least_unit_multiple(self, n, n_mod):
         space = cg.ProjectiveSpace(n, n_mod)
         reps = set()
@@ -173,8 +178,15 @@ class TestProjectiveSpace:
     def test_perm_is_the_right_action(self, n, n_mod):
         rng = random.Random(100 * n + n_mod)
         space = cg.ProjectiveSpace(n, n_mod)
-        for _ in range(4):
-            g1, g2 = _random_sl(rng, n), _random_sl(rng, n)
+        # det -1; entries beyond N in absolute value; nonzero entries = 0 mod N
+        flip = la.freeze([[-1 if r == c == 0 else int(r == c) for c in range(n)] for r in range(n)])
+        big = la.mat_mul(_elementary(n, 0, n - 1, 2 * n_mod + 5), _elementary(n, n - 1, 0, -n_mod - 2))
+        zero_mod = la.mat_mul(_elementary(n, 1, 0, n_mod), _elementary(n, 0, n - 1, -3 * n_mod))
+        assert la.det(flip) == -1 and max(abs(x) for row in big for x in row) > n_mod
+        assert any(x and x % n_mod == 0 for row in zero_mod for x in row)
+        pairs = [(_random_sl(rng, n), _random_sl(rng, n)) for _ in range(4)]
+        pairs += [(flip, big), (big, zero_mod), (zero_mod, flip), (la.mat_mul(flip, zero_mod), big)]
+        for g1, g2 in pairs:
             p1, p2 = space.perm(g1), space.perm(g2)
             assert sorted(p1) == list(range(len(space)))
             for i, pt in enumerate(space.points):
@@ -185,6 +197,14 @@ class TestProjectiveSpace:
     def test_perm_rejects_a_matrix_singular_mod_n(self):
         with pytest.raises(ValueError):
             cg.ProjectiveSpace(2, 12).perm(((2, 0), (0, 1)))
+
+    def test_perm_rejects_a_matrix_of_the_wrong_shape(self):
+        with pytest.raises(ValueError, match="not 2 x 2"):
+            cg.ProjectiveSpace(2, 12).perm(la.identity(3))
+        with pytest.raises(ValueError, match="not 3 x 3"):
+            cg.ProjectiveSpace(3, 12).perm(la.identity(2))
+        with pytest.raises(ValueError, match="not 2 x 2"):
+            cg.ProjectiveSpace(2, 12).perm(((1, 0, 0), (0, 1, 0)))
 
     @pytest.mark.parametrize("n_mod", [1, 2, 12, 17, 30, 36, 49, 60])
     def test_p1_count_matches_the_oracle(self, n_mod):

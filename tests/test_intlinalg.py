@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,44 @@ def _random_square(rng, n, entry, triangular):
             rows[i][:i] = [0] * i
             rows[i][i] = rng.choice((-1, 2, 3))
     return rows
+
+
+def triple_loop_product(a, b):
+    """a * b by the textbook triple loop, for a k-column a and k-row b."""
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(len(b[0])):
+            total = 0
+            for t in range(len(b)):
+                total += a[i][t] * b[t][j]
+            row.append(total)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+class TestProducts:
+    def test_match_the_triple_loop(self):
+        rng = random.Random(29)
+        for m, k, l in itertools.product(range(1, 5), repeat=3):
+            a = la.freeze([[rng.randint(-9, 9) for _ in range(k)] for _ in range(m)])
+            b = la.freeze([[rng.randint(-9, 9) for _ in range(l)] for _ in range(k)])
+            want = triple_loop_product(a, b)
+            assert la.mat_mul(a, b) == want
+            assert [la.vec_mat(row, b) for row in a] == list(want)
+
+    def test_shape_mismatch_raises(self):
+        two_by_three = ((1, 2, 3), (4, 5, 6))
+        for v in ((1, 2), (1, 2, 3, 4), ()):
+            with pytest.raises(ValueError):
+                la.vec_mat(v, la.identity(3))
+        with pytest.raises(ValueError):
+            la.mat_mul(two_by_three, la.identity(2))
+        with pytest.raises(ValueError):
+            la.mat_mul(la.identity(2), la.identity(3))
+        with pytest.raises(ValueError):
+            la.mat_mul(((1, 2), (3,)), la.identity(2))
+        assert la.mat_mul(la.identity(2), two_by_three) == two_by_three
 
 
 class TestHnf:

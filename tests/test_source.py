@@ -150,3 +150,20 @@ def test_chain_maps_keep_the_normal_form():
         for (name, func), called in calls.items()
     }
     assert not any(offenders.values()), f"re-normalizing chain maps: {offenders}"
+
+
+def test_coset_kernels_build_no_generator_frames():
+    # the products and the permutation of P^{n-1}(Z/N) run once per boundary
+    # entry and stabilizer generator; they work on whole rows and columns,
+    # and a generator expression per entry is the slow form they replaced
+    guarded = {("intlinalg.py", "vec_mat"), ("intlinalg.py", "mat_mul"), ("congruence.py", "perm")}
+    generators = {}
+    for name, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (name, node.name) in guarded:
+                generators[name, node.name] = [
+                    sub.lineno for sub in ast.walk(node) if isinstance(sub, ast.GeneratorExp)
+                ]
+    assert generators.keys() == guarded
+    offenders = {f"{name}:{func}": lines for (name, func), lines in generators.items() if lines}
+    assert not offenders, f"generator expressions in the kernels: {offenders}"
