@@ -18,6 +18,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from . import intlinalg as la
@@ -87,20 +88,34 @@ def format_factored(eigen, remainder) -> str:
 
 
 def _load_or_build_cells(n: int, cache: Path):
+    """The cell table of `cache`/cells-n{n}.json, written first when it is
+    missing.  The file is read on every call; `_read_cells` checks each
+    text once."""
     path = cache / f"cells-n{n}.json"
     if path.exists():
-        try:
-            table = cells_from_json(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"cell cache {path} is not valid JSON: {exc}") from None
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"cell cache {path} is not a cell table: {exc!r}") from None
-        if table.n != n:
-            raise ConfigError(f"cell cache {path} holds a table for n = {table.n}, not n = {n}")
-        return table
+        return _read_cells(n, path, path.read_text())
     table = enumerate_cells(n)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(cells_to_json(table))
+    return table
+
+
+@lru_cache(maxsize=8)
+def _read_cells(n: int, path: Path, text: str):
+    """The checked cell table of the text read from `path`.
+
+    Byte-identical text at the same path returns the same table object, so
+    the commands of one process share its complexes (`homology` keys them
+    by the table's identity); a changed file is parsed and checked again.
+    """
+    try:
+        table = cells_from_json(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"cell cache {path} is not valid JSON: {exc}") from None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cell cache {path} is not a cell table: {exc!r}") from None
+    if table.n != n:
+        raise ConfigError(f"cell cache {path} holds a table for n = {table.n}, not n = {n}")
     return table
 
 

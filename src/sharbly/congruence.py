@@ -41,7 +41,9 @@ class ProjectiveSpace:
     loop.  The right action of a matrix is a permutation of point indices,
     computed column by column on the points' coordinate columns and cached
     per matrix; `orbit_labels` asks for it on stabilizer generators only.
-    The Gamma_0(N)-orbit labels of a cell are cached per representative.
+    The Gamma_0(N)-orbit labels of a cell are cached per representative,
+    and `integral_complex` is the one slot in which `homology` keeps the
+    level's complex over Z, so it lives and is dropped with the space.
     """
 
     def __init__(self, n: int, n_mod: int):
@@ -71,6 +73,8 @@ class ProjectiveSpace:
         self._table = table
         self._perms: dict = {}
         self._labels: dict = {}
+        # the level's W_* over Z for one cell table (`homology.IntegralComplex`)
+        self.integral_complex = None
 
     def __len__(self) -> int:
         return len(self.points)

@@ -137,7 +137,13 @@ def coeff_str(x) -> str:
 
 @dataclass(frozen=True)
 class SparseFieldMatrix:
-    """Triplet-style sparse matrix over Q or F_p; no stored zeros."""
+    """Triplet-style sparse matrix over Q or F_p; no stored zeros.
+
+    An entry is a field element, except that over Q it may also be an int
+    (as in the boundaries of `homology.build_complex`): every reader here
+    combines entries with Python's operators and converts the result, and
+    `LinearSpan` clears ints and Fractions alike.
+    """
 
     field: Field
     nrows: int

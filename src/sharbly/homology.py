@@ -4,9 +4,14 @@ Degree k holds the dimension-(k + n - 1) cell orbits split into
 Gamma_0(N)-orbits; generators whose stabilizer reverses orientation die
 (coefficients always invert 2), and the boundary matrices come from the
 facet records of the cell table transported through the coset labels.
-They are assembled once over Z, as sparse int matrices, and d o d = 0 is
-checked there; the coefficient field enters only when the checked
-entries are converted.
+
+W_* is an integral object: it is built over Z once per (cell table,
+level), as an `IntegralComplex` of bases, labels, split-orbit stabilizer
+orders and sparse int boundaries on which d o d = 0 is checked, and kept
+on the level's shared `congruence.projective_space`.  The coefficient
+field enters only in `build_complex`, which checks the F_p stabilizer
+hypothesis and reads the checked ints over the field: as they are over
+Q, as their nonzero residues over F_p.
 """
 
 from __future__ import annotations
@@ -24,6 +29,21 @@ from .voronoi import (
     CellComplexTable, CellOrbit, VoronoiCell, _orientation_transport_sign, enumerate_cells,
     equivalent_cells,
 )
+
+
+@dataclass(frozen=True)
+class IntegralComplex:
+    """W_* of one (cell table, level) over Z, with d o d = 0 checked."""
+
+    table: CellComplexTable  # held, so the identity that keys the slot stays unique
+    bases: dict  # degree k -> tuple of (orbit_index, point)
+    # (dim, orbit_index) -> per point of P^{n-1}(Z/N), (position in bases[k] or None, char)
+    labels: dict
+    # stabilizer order -> (dim, orbit_index, point) of the first split orbit
+    # with it, by degree, orbit and point; so the first key that p divides
+    # names the first split orbit whose order p divides
+    stabilizer_orders: dict
+    boundaries: dict  # degree k (>= 1) -> (nrows, ncols, {(row, col): nonzero int})
 
 
 @dataclass(frozen=True)
@@ -48,15 +68,16 @@ class GammaComplex:
 
 
 def build_complex(n: int, level: int, field: Field, table=None) -> GammaComplex:
-    """Assemble W_* tensored down to Gamma_0(N)-coinvariants over `field`.
+    """W_* tensored down to Gamma_0(N)-coinvariants over `field`.
 
-    The generators and the F_p stabilizer check are read from each cell
-    orbit's `congruence.split_orbits`, and the boundary entries from its
-    label table, the level's `ProjectiveSpace.orbit_labels` of its
-    representative with each live least point replaced by its position
-    in bases[k].  Each d_k is summed as a sparse int matrix, d o d = 0 is
-    checked on those ints (which proves it over Q and every F_p), and only
-    then are the entries converted to `field`, once.
+    The level's `IntegralComplex` is built once per (cell table, level)
+    by `_integral_complex` and shared by every field.  Each call checks
+    that p divides no split-orbit stabilizer order over F_p, naming the
+    first such orbit in basis order, and reads the checked int
+    boundaries over `field`: the ints themselves over Q (`LinearSpan`,
+    `matvec` and `coeff_str` take ints as Q elements), their nonzero
+    residues over F_p.  The bases and labels are the integral complex's
+    own.
     """
     if n not in (2, 3):
         raise PreconditionError(f"homology is supported for n in {{2, 3}}, got {n}")
@@ -67,22 +88,61 @@ def build_complex(n: int, level: int, field: Field, table=None) -> GammaComplex:
     if table.n != n:
         raise ValueError("cell table has the wrong rank")
 
+    ic = _integral_complex(table, level)
+    if isinstance(field, PrimeField):
+        p = field.p
+        for order, (d, o_idx, point) in ic.stabilizer_orders.items():
+            if order % p == 0:
+                raise PreconditionError(
+                    f"p = {p} divides a split-orbit stabilizer "
+                    f"order {order} (dim {d}, orbit {o_idx}, point "
+                    f"{point}); the coinvariant complex would "
+                    "not compute Voronoi homology"
+                )
+        boundaries = {
+            k: SparseFieldMatrix(field, nrows, ncols,
+                                 {rc: r for rc, x in ints.items() if (r := x % p)})
+            for k, (nrows, ncols, ints) in ic.boundaries.items()
+        }
+    else:
+        boundaries = {
+            k: SparseFieldMatrix(field, nrows, ncols, ints)
+            for k, (nrows, ncols, ints) in ic.boundaries.items()
+        }
+    return GammaComplex(n, level, field, table, ic.bases, ic.labels, boundaries)
+
+
+def _integral_complex(table: CellComplexTable, level: int) -> IntegralComplex:
+    """The level's IntegralComplex for `table`, from the one slot on
+    `projective_space(n, level)` when it holds this very table object,
+    else built and put there.
+
+    The slot is keyed by the table's identity, not its value: an equal
+    table read again (a rewritten cell cache, a fresh `enumerate_cells`)
+    is built again, and the slot lives as long as the space does.
+
+    The generators and stabilizer orders are read from each cell orbit's
+    `congruence.split_orbits`, and the boundary entries from its label
+    table, the level's `ProjectiveSpace.orbit_labels` of its
+    representative with each live least point replaced by its position
+    in bases[k].  Each d_k is summed as a sparse int matrix, entries that
+    cancel to 0 are dropped, and d o d = 0 is checked on those ints,
+    which proves it over Q and every F_p.
+    """
+    n = table.n
     space = cg.projective_space(n, level)
+    ic = space.integral_complex
+    if ic is not None and ic.table is table:
+        return ic
     max_k = n * (n - 1) // 2
-    bases, labels = {}, {}
+    bases, labels, orders = {}, {}, {}
     for k in range(max_k + 1):
         d = k + n - 1
         basis = []
         for orb in table.orbits[d]:
             position = {}
             for split in cg.split_orbits(orb, level):
-                if isinstance(field, PrimeField) and split.stabilizer_order % field.p == 0:
-                    raise PreconditionError(
-                        f"p = {field.p} divides a split-orbit stabilizer "
-                        f"order {split.stabilizer_order} (dim {d}, orbit {orb.index}, point "
-                        f"{split.point}); the coinvariant complex would "
-                        "not compute Voronoi homology"
-                    )
+                orders.setdefault(split.stabilizer_order, (d, orb.index, split.point))
                 if split.orientation_ok:
                     position[space.index(split.point)] = len(basis)
                     basis.append((orb.index, split.point))
@@ -92,10 +152,10 @@ def build_complex(n: int, level: int, field: Field, table=None) -> GammaComplex:
             )
         bases[k] = tuple(basis)
 
-    ints = {}  # degree k -> d_k as {(row, col): int}
+    ints = {}  # degree k -> d_k as {(row, col): nonzero int}
     for k in range(1, max_k + 1):
         d = k + n - 1
-        entries = ints[k] = {}
+        entries = {}
         facets = {
             orb.index: tuple(zip(orb.facets, _facet_inverses(orb))) for orb in table.orbits[d]
         }
@@ -105,15 +165,12 @@ def build_complex(n: int, level: int, field: Field, table=None) -> GammaComplex:
                 row, char = labels[d - 1, fr.orbit][i]
                 if char:
                     entries[row, col] = entries.get((row, col), 0) + fr.sign * char
+        ints[k] = {rc: x for rc, x in entries.items() if x}
     _check_dd_zero(n, level, ints)
 
-    boundaries = {
-        k: SparseFieldMatrix.from_triplets(
-            field, len(bases[k - 1]), len(bases[k]), [(r, c, v) for (r, c), v in m.items()]
-        )
-        for k, m in ints.items()
-    }
-    return GammaComplex(n, level, field, table, bases, labels, boundaries)
+    boundaries = {k: (len(bases[k - 1]), len(bases[k]), m) for k, m in ints.items()}
+    ic = space.integral_complex = IntegralComplex(table, bases, labels, orders, boundaries)
+    return ic
 
 
 @lru_cache(maxsize=None)

@@ -624,12 +624,21 @@ def cells_to_json(table: CellComplexTable) -> str:
 def cells_from_json(text: str) -> CellComplexTable:
     """Read a cell table back, checking each record against recomputation.
 
-    Stabilizer orders are recomputed, and the facets of every representative
-    are rebuilt; the first record that disagrees raises ValueError.
+    The dimensions must be n-1 .. n(n+1)/2 - 1, each with at least one
+    record.  Stabilizer orders are recomputed, the facets of every
+    representative are rebuilt, and no two representatives of one
+    dimension may be SL(n,Z)-equivalent (`equivalent_cells`); the first
+    record that disagrees raises ValueError.
     """
     doc = json.loads(text)
     n = doc["n"]
     dims = {int(d): recs for d, recs in doc["dimensions"].items()}
+    top = n * (n + 1) // 2 - 1
+    if sorted(dims) != list(range(n - 1, top + 1)):
+        raise ValueError(f"cell table dimensions {sorted(dims)} are not {n - 1}..{top}")
+    for d, recs in dims.items():
+        if not recs:
+            raise ValueError(f"cell table dimension {d} has no cell")
     reps = {
         d: [VoronoiCell(n, tuple(tuple(v) for v in rec["vertices"])) for rec in recs]
         for d, recs in dims.items()
@@ -643,6 +652,10 @@ def cells_from_json(text: str) -> CellComplexTable:
             if orders != tuple(map(len, cell_stabilizer(rep))):
                 raise ValueError(f"cached stabilizer orders {orders} disagree with recomputation")
             orbits[d].append(CellOrbit(d, index, rep, tuple(facets)))
+    for d, cells in reps.items():
+        for (i, a), (j, b) in combinations(enumerate(cells), 2):
+            if equivalent_cells(a, b) is not None:
+                raise ValueError(f"cells {i} and {j} of dimension {d} are one SL({n}, Z) orbit")
     return CellComplexTable(n, {d: tuple(orbs) for d, orbs in orbits.items()})
 
 

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from sharbly import cli
-from sharbly.voronoi import cells_to_json
+from sharbly.voronoi import cells_from_json, cells_to_json
 
 
 class TestCommands:
@@ -117,6 +117,23 @@ class TestExitCodes:
         out = run_cli(["homology", "--n", "2", "--level", "11"])
         assert out.returncode == 1, out.stderr
         assert "invalid configuration" in out.stderr and "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("edit", ["duplicate", "missing", "empty"])
+    def test_incomplete_or_redundant_cell_cache_exit_1(self, run_cli, tmp_path, table3, edit):
+        # read unchecked, a second copy of the top cell gives H3=6 (not 1)
+        # with exit 0, and a missing top dimension raises KeyError
+        doc = json.loads(cells_to_json(table3))
+        top = doc["dimensions"]["5"]
+        if edit == "duplicate":
+            top.append(top[0])
+        elif edit == "missing":
+            del doc["dimensions"]["5"]
+        else:
+            top.clear()
+        (tmp_path / "cells-n3.json").write_text(json.dumps(doc))
+        out = run_cli(["homology", "--n", "3", "--level", "5"])
+        assert out.returncode == 1, out.stderr
+        assert "not a cell table" in out.stderr and "Traceback" not in out.stderr
 
     def test_oracle_negative_ell_exit_2(self, run_cli):
         out = run_cli(["oracle", "--level", "11", "--ell", "-2"])
@@ -251,3 +268,27 @@ class TestDeterminismAndCache:
         assert b.returncode == 0, b.stderr
         assert "T(3,1)@n=2,N=11,Q" in a.stdout
         assert a.stdout == b.stdout
+
+    def test_commands_share_one_checked_cell_table(self, monkeypatch, tmp_path, table3, capsys):
+        # the cell cache is read by every command, and checked once per text
+        reads = []
+
+        def counted(text):
+            reads.append(text)
+            return cells_from_json(text)
+
+        monkeypatch.setattr(cli, "cells_from_json", counted)
+        text = cells_to_json(table3)
+        (tmp_path / "cells-n3.json").write_text(text)
+        args = ["homology", "--n", "3", "--level", "5", "--cache-dir", str(tmp_path)]
+        assert cli.main(args) == 0
+        assert cli.main(args) == 0
+        assert len(reads) == 1
+        assert capsys.readouterr().out == "H0=0, H1=0, H2=0, H3=1\n" * 2
+        # a rewritten cache is checked again: a second copy of the top cell
+        doc = json.loads(text)
+        doc["dimensions"]["5"].append(doc["dimensions"]["5"][0])
+        (tmp_path / "cells-n3.json").write_text(json.dumps(doc))
+        assert cli.main(args) == 1
+        assert len(reads) == 2
+        assert "not a cell table" in capsys.readouterr().err

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import pytest
 
+from sharbly import congruence as cg
+from sharbly import homology as hm
 from sharbly import intlinalg as la
 from sharbly import sharbly as sh
 from sharbly.congruence import projective_space
@@ -123,6 +125,59 @@ class TestBuild:
     def test_bad_rank_rejected(self, table2):
         with pytest.raises(PreconditionError):
             build_complex(4, 2, QQ)
+
+
+class TestLevelReuse:
+    """The level's complex over Z is built once per (cell table, level)
+    and shared by every field."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = {"proj_act": 0, "dd": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(cg, "proj_act", counted("proj_act", cg.proj_act))
+        monkeypatch.setattr(hm, "_check_dd_zero", counted("dd", hm._check_dd_zero))
+        return calls
+
+    def test_fields_share_one_build(self, table3, monkeypatch):
+        calls = self._count(monkeypatch)
+        table = replace(table3)  # a new table object, so the level is built afresh
+        fp = PrimeField(32003)
+        cx_q = build_complex(3, 13, QQ, table=table)
+        first = dict(calls)
+        assert first["proj_act"] > 0 and first["dd"] == 1
+        cx_p = build_complex(3, 13, fp, table=table)
+        again = build_complex(3, 13, QQ, table=table)
+        assert calls == first
+        assert cx_p.bases is cx_q.bases and cx_p.labels is cx_q.labels
+        for k, mat in cx_q.boundaries.items():
+            assert all(type(x) is int and x for x in mat.entries.values())
+            assert again.boundaries[k].entries == mat.entries
+            mat_p = cx_p.boundaries[k]
+            assert (mat_p.nrows, mat_p.ncols) == (mat.nrows, mat.ncols)
+            assert all(x for x in mat_p.entries.values())
+            assert mat_p.entries == {rc: x % fp.p for rc, x in mat.entries.items() if x % fp.p}
+        assert betti_numbers(cx_p) == betti_numbers(cx_q) == betti_numbers(again)
+        build_complex(3, 13, QQ, table=replace(table))  # an equal table, not the same one
+        assert calls["dd"] == 2 and calls["proj_act"] == 2 * first["proj_act"]
+
+    def test_precondition_checked_on_every_build(self, table3, monkeypatch):
+        f3 = PrimeField(3)
+        with pytest.raises(PreconditionError) as cold:
+            build_complex(3, 3, f3, table=replace(table3))
+        calls = self._count(monkeypatch)
+        table = replace(table3)
+        build_complex(3, 3, QQ, table=table)
+        with pytest.raises(PreconditionError) as hit:
+            build_complex(3, 3, f3, table=table)
+        assert calls["dd"] == 1  # the F_3 build read the level built over Q
+        assert str(hit.value) == str(cold.value)
 
 
 class TestHomology:
