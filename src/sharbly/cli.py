@@ -296,7 +296,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     check("H0 dimension equals the Manin oracle (sample levels)", oracle_dims)
 
     def hecke_spot():
-        rep = hecke_on_h0(2, 11, QQ, 2, 1)
+        rep = hecke_on_h0(2, 11, QQ, 2, 1, cx=build_complex(2, 11, QQ, table=tables[2]))
         _, cp = manin.manin_hecke(11, 2)
         return rep.charpoly == cp
 

@@ -151,17 +151,6 @@ class SparseFieldMatrix:
     entries: dict = dc_field(default_factory=dict)  # (row, col) -> nonzero coeff
 
     @classmethod
-    def from_triplets(cls, field, nrows, ncols, triplets):
-        entries = {}
-        for r, c, v in triplets:
-            v = field(v)
-            if (r, c) in entries:
-                raise ValueError(f"duplicate entry at ({r}, {c})")
-            if v != field.zero:
-                entries[r, c] = v
-        return cls(field, nrows, ncols, entries)
-
-    @classmethod
     def from_dense(cls, field, rows):
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0

@@ -25,7 +25,7 @@ from . import intlinalg as la
 from . import sharbly as sh
 from .errors import InternalCheckError, PreconditionError
 from .fields import Field, _is_prime, charpoly, eigenvalues
-from .homology import GammaComplex, build_complex, chain_to_w, express_cycle, homology, theta_lift
+from .homology import GammaComplex, chain_to_w, express_cycle, homology, theta_lift
 
 
 @dataclass(frozen=True)
@@ -192,18 +192,16 @@ def hecke_matrix_on_h0(cx: GammaComplex, op: HeckeOperator) -> list:
     return columns
 
 
-def _complex_for(n: int, level: int, field: Field, cx: GammaComplex | None) -> GammaComplex:
-    """cx, checked to be the complex of (n, level, field), or that complex built."""
-    if cx is None:
-        return build_complex(n, level, field)
+def _complex_for(n: int, level: int, field: Field, cx: GammaComplex) -> GammaComplex:
+    """cx, checked to be the complex of (n, level, field)."""
     if (cx.n, cx.level, cx.field) != (n, level, field):
         raise ValueError(f"cx is the complex of n = {cx.n}, N = {cx.level} over {cx.field.name}, "
                          f"not of n = {n}, N = {level} over {field.name}")
     return cx
 
 
-def hecke_on_h0(n: int, level: int, field: Field, ell: int, power: int,
-                cx: GammaComplex | None = None) -> EigenReport:
+def hecke_on_h0(n: int, level: int, field: Field, ell: int, power: int, *,
+                cx: GammaComplex) -> EigenReport:
     """T(l, k) acting on H_0 of the degree-0 Voronoi coinvariants."""
     op = hecke_cosets(n, ell, power)
     cx = _complex_for(n, level, field, cx)

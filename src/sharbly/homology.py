@@ -26,8 +26,7 @@ from . import sharbly as sh
 from .errors import InternalCheckError, PreconditionError
 from .fields import Field, LinearSpan, PrimeField, SparseFieldMatrix, coeff_str, row_span, solve
 from .voronoi import (
-    CellComplexTable, CellOrbit, VoronoiCell, _orientation_transport_sign, enumerate_cells,
-    equivalent_cells,
+    CellComplexTable, CellOrbit, VoronoiCell, _orientation_transport_sign, equivalent_cells,
 )
 
 
@@ -67,8 +66,9 @@ class GammaComplex:
         return len(self.bases[k])
 
 
-def build_complex(n: int, level: int, field: Field, table=None) -> GammaComplex:
-    """W_* tensored down to Gamma_0(N)-coinvariants over `field`.
+def build_complex(n: int, level: int, field: Field, *, table: CellComplexTable) -> GammaComplex:
+    """W_* tensored down to Gamma_0(N)-coinvariants over `field`, from the
+    cell table `table`.
 
     The level's `IntegralComplex` is built once per (cell table, level)
     by `_integral_complex` and shared by every field.  Each call checks
@@ -83,8 +83,6 @@ def build_complex(n: int, level: int, field: Field, table=None) -> GammaComplex:
         raise PreconditionError(f"homology is supported for n in {{2, 3}}, got {n}")
     if level < 1:
         raise PreconditionError("level must be >= 1")
-    if table is None:
-        table = enumerate_cells(n)
     if table.n != n:
         raise ValueError("cell table has the wrong rank")
 
@@ -249,7 +247,10 @@ def _compute_homology(cx: GammaComplex, k: int) -> HomologyResult:
     column of an image vector: the kernel vector at c is independent of
     im d_{k+1} and of the vectors before it iff its position is no image
     pivot.  Its class, reduced against the image, is then the unit vector
-    at its position.  d_k is row-reduced only if such a column is kept.
+    at its position.  d_k is row-reduced only if such a column is kept,
+    and then only on its pivot and kept columns: a kept column depends
+    only on the pivot columns before it, so it has the same pivots and
+    the same RREF column without the other free columns.
     """
     f = cx.field
     ncols = cx.rank(k)
@@ -265,7 +266,12 @@ def _compute_homology(cx: GammaComplex, k: int) -> HomologyResult:
     image = LinearSpan(f)
     free_above = tuple(c for c, col in enumerate(cols) if not image.add(col))
     kept = [c for c in free if position[c] not in image.rows]
-    cycles = row_span(cx.boundaries[k]) if k and kept else LinearSpan(f)
+    cycles = LinearSpan(f)
+    if k and kept:
+        d_k = cx.boundaries[k]
+        dropped = set(free).difference(kept)
+        cycles = row_span(SparseFieldMatrix(f, d_k.nrows, ncols, {
+            rc: x for rc, x in d_k.entries.items() if rc[1] not in dropped}))
     reps = tuple(zip((position[c] for c in kept), cycles.kernel_vectors(kept, ncols)))
     return HomologyResult(k, len(reps), cx, reps, position, image, free_above)
 
@@ -437,6 +443,6 @@ def complex_to_json(cx: GammaComplex) -> str:
             ]
             for k in sorted(cx.boundaries)
         },
-        "betti": {str(k): homology(cx, k).dimension for k in range(cx.max_degree + 1)},
+        "betti": {str(k): b for k, b in betti_numbers(cx).items()},
     }
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"

@@ -1,14 +1,13 @@
 """Exact integer linear algebra: normal forms, determinants, short vectors.
 
-Everything here works with arbitrary-precision Python ints (and Fractions
-for the few internally rational steps).  Matrices are immutable tuples of
-row tuples; vectors are tuples of ints.  No floating point anywhere.
+Everything here works with arbitrary-precision Python ints and nothing
+else: no Fractions and no floating point.  Matrices are immutable tuples
+of row tuples; vectors are tuples of ints.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt
 from operator import mul
 
@@ -336,39 +335,8 @@ def reduce_to_e1(v: Vec) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# Short vector enumeration (Fincke-Pohst with exact rational Cholesky)
+# Short vector enumeration (the ellipsoid's exact bounding box)
 # ---------------------------------------------------------------------------
-
-def _rational_cholesky(g: Mat) -> list[list[Fraction]]:
-    """q with Q(x) = sum_i q[i][i] * (x_i + sum_{j>i} q[i][j] x_j)^2."""
-    n = len(g)
-    q = [[Fraction(g[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        if q[i][i] <= 0:
-            raise ValueError("form is not positive definite")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] = q[k][l] - q[k][i] * q[i][l]
-    for i in range(n):
-        for j in range(i):
-            q[i][j] = Fraction(0)
-    return q
-
-
-def _floor_sqrt(f: Fraction) -> int:
-    """floor(sqrt(f)) for f >= 0, exact."""
-    if f < 0:
-        raise ValueError("negative argument")
-    r = isqrt(f.numerator // f.denominator)
-    while (r + 1) * (r + 1) <= f:
-        r += 1
-    while r * r > f:
-        r -= 1
-    return r
-
 
 def quadratic_value(g: Mat, v: Vec) -> int:
     """v * g * v^T for a row vector v."""
@@ -377,47 +345,25 @@ def quadratic_value(g: Mat, v: Vec) -> int:
 
 
 def short_vectors(g: Mat, bound: int) -> list[Vec]:
-    """All v != 0 with v*g*v^T <= bound, one per +-pair, sign-normalized.
+    """All v != 0 with v*g*v^T <= bound, one per +-pair, sign-normalized,
+    sorted lexicographically.
 
-    Exhaustive recursive enumeration over the exact rational Cholesky
-    decomposition; output sorted lexicographically.
+    Walks the box |v_i| <= isqrt(bound * adj(g)_ii // det g): the exact
+    bounding box of the ellipsoid, whose widest point along e_i is
+    v_i^2 = bound * (g^{-1})_ii and (g^{-1})_ii = adj(g)_ii / det g.
+    A tuple beats the zero tuple exactly when its first nonzero coordinate
+    is positive, and the box is walked in lexicographic order.
     """
     if not is_positive_definite(g):
         raise ValueError("form is not positive definite")
     if bound < 0:
         return []
     n = len(g)
-    q = _rational_cholesky(g)
-    found: list[Vec] = []
-    x = [0] * n
-
-    def recurse(i: int, remaining: Fraction):
-        if i < 0:
-            if any(x):
-                v = tuple(x)
-                found.append(v)
-            return
-        # q[i][i] * (x_i + r)^2 <= remaining, r = sum_{j>i} q[i][j] x_j
-        r = sum((q[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        s = _floor_sqrt(remaining / q[i][i])
-        lo = -s - r
-        hi = s - r
-        lo_i = math.ceil(lo)
-        hi_i = math.floor(hi)
-        # guard against rounding at the boundary of the exact interval
-        while q[i][i] * (lo_i - 1 + r) ** 2 <= remaining:
-            lo_i -= 1
-        while q[i][i] * (lo_i + r) ** 2 > remaining and lo_i <= hi_i:
-            lo_i += 1
-        while q[i][i] * (hi_i + 1 + r) ** 2 <= remaining:
-            hi_i += 1
-        while q[i][i] * (hi_i + r) ** 2 > remaining and hi_i >= lo_i:
-            hi_i -= 1
-        for xi in range(lo_i, hi_i + 1):
-            x[i] = xi
-            recurse(i - 1, remaining - q[i][i] * (xi + r) ** 2)
-        x[i] = 0
-
-    recurse(n - 1, Fraction(bound))
-    out = sorted({sign_normalize(v) for v in found})
-    return out
+    d = det(g)
+    box = [isqrt(bound * det(_minor(g, i, i)) // d) for i in range(n)]
+    zero = (0,) * n
+    return [
+        v
+        for v in product(*(range(-r, r + 1) for r in box))
+        if v > zero and quadratic_value(g, v) <= bound
+    ]

@@ -280,8 +280,8 @@ class _SupportSystem:
         while True:
             target = [rhs.get(row, f.zero) for row in range(len(self._rows))]
             columns = [*(col for _lift, col in self.lifts), *self.taus.values()]
-            triplets = [(row, j, c) for j, col in enumerate(columns) for row, c in col.items()]
-            mat = SparseFieldMatrix.from_triplets(f, len(self._rows), len(columns), triplets)
+            mat = SparseFieldMatrix(f, len(self._rows), len(columns), {
+                (row, j): c for j, col in enumerate(columns) for row, c in col.items()})
             sol = solve(mat, target)
             if sol is not None:
                 break
@@ -431,8 +431,7 @@ def verify_eigen_chain(cx: GammaComplex, x_vec, op: HeckeOperator, a,
     return wit
 
 
-def hecke_on_h1_n2(level: int, field, ell: int, budget: int = 4,
-                   cx: GammaComplex | None = None):
+def hecke_on_h1_n2(level: int, field, ell: int, budget: int = 4, *, cx: GammaComplex):
     """T(l, 1) on H_1 for n = 2, via one-sharbly reduction of theta-images."""
     check_budget(budget)
     cx = _complex_for(2, level, field, cx)

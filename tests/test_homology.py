@@ -124,7 +124,7 @@ class TestBuild:
 
     def test_bad_rank_rejected(self, table2):
         with pytest.raises(PreconditionError):
-            build_complex(4, 2, QQ)
+            build_complex(4, 2, QQ, table=table2)
 
 
 class TestLevelReuse:
@@ -287,19 +287,34 @@ class TestHomology:
             assert homology(cx, cx.max_degree)._free_above == ()
 
     def test_d_k_is_row_reduced_only_where_h_k_keeps_a_rep(self, table3, monkeypatch):
-        # at n = 3, N = 17 only H_3 (of degrees k >= 1) keeps a rep, so d_3
-        # is the one boundary whose RREF is built; the free columns of d_1
-        # and d_2 come from the image passes one degree lower
-        reduced = []
+        # of the degrees k >= 1, only H_3 keeps a rep at n = 3, N = 17, and
+        # H_1 and H_3 at N = 36; so d_3, and d_1 and d_3, are the boundaries
+        # whose RREF is built, each on its pivot columns and its kept ones
+        # alone.  The free columns come from the image passes one degree lower
+        reduced, dropped = [], {}
 
         def counted(m, *args):
             reduced.append(m)
             return row_span(m, *args)
 
         monkeypatch.setattr("sharbly.homology.row_span", counted)
-        cx = build_complex(3, 17, PrimeField(32003), table=table3)
-        assert betti_numbers(cx) == {0: 2, 1: 0, 2: 0, 3: 1}
-        assert len(reduced) == 1 and reduced[0] is cx.boundaries[3]
+        for level, betti in ((17, {0: 2, 1: 0, 2: 0, 3: 1}), (36, {0: 21, 1: 1, 2: 0, 3: 1})):
+            reduced.clear()
+            cx = build_complex(3, level, PrimeField(32003), table=table3)
+            assert betti_numbers(cx) == betti
+            degrees = [k for k in (1, 2, 3) if betti[k]]
+            assert len(reduced) == len(degrees)
+            for m, k in zip(reduced, degrees):
+                d_k = cx.boundaries[k]
+                free = homology(cx, k - 1)._free_above
+                reps = homology(cx, k).homology_reps
+                kept = {c for c in free if any(rep[c] for rep in reps)}
+                assert len(kept) == betti[k]
+                keep = (set(range(d_k.ncols)) - set(free)) | kept
+                assert (m.field, m.nrows, m.ncols) == (d_k.field, d_k.nrows, d_k.ncols)
+                assert m.entries == {rc: x for rc, x in d_k.entries.items() if rc[1] in keep}
+                dropped[level, k] = len(free) - len(kept)
+        assert dropped == {(17, 3): 0, (36, 1): 246, (36, 3): 0}
 
     def test_n3_prime_level_survey_to_97(self, table3):
         # the primes 67 <= p <= 97 over F_32003: H_1 != 0 exactly at p = 79

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ def naive_short_vectors(g, bound):
     box = 0
     for i in range(n):
         # (v_i)^2 <= bound * (g^{-1})_{ii}
-        box = max(box, la._floor_sqrt(Fraction(bound * adj[i][i], d)) + 1)
+        box = max(box, math.isqrt(bound * adj[i][i] // d) + 1)
     out = set()
     for v in itertools.product(range(-box, box + 1), repeat=n):
         if any(v) and la.quadratic_value(g, v) <= bound:
@@ -307,6 +308,24 @@ class TestShortVectors:
             tuple(g[i][j] + (1 if i == j else 0) for j in range(n)) for i in range(n)
         )
         assert la.short_vectors(g, bound) == naive_short_vectors(g, bound)
+
+    def test_matches_naive_enumeration_on_the_neighbor_walk(self, monkeypatch):
+        # the walk's forms are skewed, unlike the b^T b + I forms above
+        from sharbly import voronoi
+
+        calls = []
+        real = la.short_vectors
+
+        def checked(g, bound):
+            out = real(g, bound)
+            assert out == naive_short_vectors(g, bound), (g, bound)
+            calls.append(len(g))
+            return out
+
+        monkeypatch.setattr(la, "short_vectors", checked)
+        for n in (2, 3, 4):
+            voronoi.perfect_forms(n)
+        assert [calls.count(n) for n in (2, 3, 4)] == [10, 13, 149]
 
 
 class TestFields:

@@ -355,7 +355,7 @@ def _random_nonsingular(rng, n, entry, min_det=1):
 
 
 def _reference_reducing_vector(rows, exclude=frozenset()):
-    """The Fincke-Pohst selection that sh._reducing_vector must reproduce.
+    """The short-vector selection that sh._reducing_vector must reproduce.
 
     Candidates are the short vectors of the Gram matrix of the adjugate with
     bound n (d - 1)^2, kept when every replacement determinant is below d.

@@ -167,3 +167,16 @@ def test_coset_kernels_build_no_generator_frames():
     assert generators.keys() == guarded
     offenders = {f"{name}:{func}": lines for (name, func), lines in generators.items() if lines}
     assert not offenders, f"generator expressions in the kernels: {offenders}"
+
+
+def test_intlinalg_imports_nothing_from_fractions():
+    # integer linear algebra runs on ints alone; short vectors walk the
+    # ellipsoid's bounding box, which needs no rational Cholesky
+    modules = set()
+    for node in ast.walk(TREES["intlinalg.py"]):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+    assert "math" in modules  # the scan does find the module's imports
+    assert "fractions" not in modules
