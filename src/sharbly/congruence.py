@@ -218,7 +218,8 @@ def lift_point(pt: Vec, n_mod: int) -> Vec:
 def coset_matrix(pt: Vec, n_mod: int) -> Mat:
     """A gamma_p in SL(n,Z) with [e_1 * gamma_p^{-1}] = pt.
 
-    One column reduction of the primitive lift v of pt: v * gamma_p = e_1.
+    gamma_p is read off the HNF of the column v^T, for the primitive lift v
+    of pt: v * gamma_p = e_1.
     The chosen cell representative translated by gamma_p is the canonical
     lift of the split orbit labeled by pt.
     """

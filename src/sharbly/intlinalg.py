@@ -2,7 +2,9 @@
 
 Everything here works with arbitrary-precision Python ints and nothing
 else: no Fractions and no floating point.  Matrices are immutable tuples
-of row tuples; vectors are tuples of ints.
+of row tuples; vectors are tuples of ints.  There is one unimodular
+elimination, the row Hermite normal form `hnf`; `snf` and `reduce_to_e1`
+read their results off it.
 """
 
 from __future__ import annotations
@@ -235,66 +237,29 @@ def hnf(a: Mat) -> tuple[Mat, Mat]:
         row += 1
         if row == m:
             break
-    return freeze(h), freeze(u)
+    return tuple(map(tuple, h)), tuple(map(tuple, u))
 
 
 def snf(a: Mat) -> tuple[int, ...]:
-    """Nonzero elementary divisors d1 | d2 | ... of an integer matrix."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    d = [list(row) for row in a]
+    """Nonzero elementary divisors d1 | d2 | ... of an integer matrix.
 
-    def find_pivot(k):
-        for i in range(k, m):
-            for j in range(k, n):
-                if d[i][j]:
-                    return i, j
-        return None
-
-    divisors = []
-    k = 0
-    while k < min(m, n):
-        pos = find_pivot(k)
-        if pos is None:
-            break
-        i0, j0 = pos
-        d[k], d[i0] = d[i0], d[k]
-        for r in d:
-            r[k], r[j0] = r[j0], r[k]
-        while True:
-            # clear column k
-            for i in range(k + 1, m):
-                if d[i][k]:
-                    x, y, z, w = _elim_block(d[k][k], d[i][k])
-                    d[k], d[i] = (
-                        [x * s + y * t for s, t in zip(d[k], d[i])],
-                        [z * s + w * t for s, t in zip(d[k], d[i])],
-                    )
-            # clear row k
-            changed = False
-            for j in range(k + 1, n):
-                if d[k][j]:
-                    x, y, z, w = _elim_block(d[k][k], d[k][j])
-                    for r in d:
-                        r[k], r[j] = x * r[k] + y * r[j], z * r[k] + w * r[j]
-                    changed = True
-            if not changed and all(d[i][k] == 0 for i in range(k + 1, m)):
-                break
-        # enforce divisibility of the remaining block by d[k][k]
-        piv = abs(d[k][k])
-        bad = None
-        for i in range(k + 1, m):
-            for j in range(k + 1, n):
-                if d[i][j] % piv:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            d[k] = [s + t for s, t in zip(d[k], d[bad])]
-            continue
-        divisors.append(piv)
-        k += 1
+    Row HNFs of a and of its transpose alternate until no off-diagonal
+    entry is nonzero.  This ends: once a pass meets a nonzero first
+    column, the (0, 0) entry is a positive int that can only shrink, as
+    each pass makes it the gcd of its column; once it divides its row and
+    column, those are cleared and stay clear, because _elim_block(a, b)
+    with a | b is (1, 0, -b/a, 1) and the reduce-above steps see zeros.
+    The lower right block then runs the same argument.  The |diagonal| is
+    put in divisor order by replacing each pair with (gcd, lcm).
+    """
+    d = a
+    while any(x for i, row in enumerate(d) for j, x in enumerate(row) if i != j):
+        d = tuple(zip(*hnf(d)[0]))
+    divisors = [abs(row[i]) for i, row in enumerate(d) if i < len(row) and row[i]]
+    for i in range(len(divisors)):
+        for j in range(i + 1, len(divisors)):
+            g = gcd(divisors[i], divisors[j])
+            divisors[i], divisors[j] = g, divisors[i] * divisors[j] // g
     return tuple(divisors)
 
 
@@ -302,36 +267,21 @@ def reduce_to_e1(v: Vec) -> Mat:
     """gamma in SL(n,Z) with v * gamma = e_1, for a primitive v; ValueError
     when there is none (v is not primitive, or v = (-1,)).
 
-    One column reduction of v; row 0 of gamma^{-1} is then v.
+    gamma is U^T for the HNF U * v^T = e_1^T of the column v^T, with its
+    last column negated when det U = -1; row 0 of gamma^{-1} is then v.
     """
     v = tuple(int(x) for x in v)
     if content(v) != 1:
         raise ValueError(f"{v} is not primitive")
     n = len(v)
-    w = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    cur = list(v)
-
-    def colop(j1, j2, x, y, z, t):
-        for r in [cur, *w]:
-            r[j1], r[j2] = x * r[j1] + y * r[j2], z * r[j1] + t * r[j2]
-
-    for j in range(1, n):
-        if cur[j] == 0:
-            continue
-        e1, e2, e3, e4 = _elim_block(cur[0], cur[j])
-        colop(0, j, e1, e2, e3, e4)
-    if cur[0] == -1:
-        cur[0] = 1
-        for r in w:
-            r[0] = -r[0]
-    if cur != [1] + [0] * (n - 1):
-        raise InternalCheckError(f"column reduction of {v} did not reach e_1")
-    if det(freeze(w)) == -1:  # v * (last column) = 0, so negating it keeps v * w = e_1
+    h, u = hnf(tuple((x,) for x in v))
+    if h != ((1,),) + ((0,),) * (n - 1):
+        raise InternalCheckError(f"the HNF of the column {v} is not e_1")
+    if det(u) == -1:  # v * (last column) = 0, so negating it keeps v * gamma = e_1
         if n == 1:  # the last column is the first: SL(1,Z) = {1}
             raise ValueError(f"no gamma in SL(1,Z) has {v} * gamma = e_1")
-        for r in w:
-            r[-1] = -r[-1]
-    return freeze(w)
+        u = u[:-1] + (tuple(-x for x in u[-1]),)
+    return tuple(zip(*u))
 
 
 # ---------------------------------------------------------------------------

@@ -625,13 +625,17 @@ def cells_from_json(text: str) -> CellComplexTable:
     """Read a cell table back, checking each record against recomputation.
 
     The dimensions must be n-1 .. n(n+1)/2 - 1, each with at least one
-    record.  Stabilizer orders are recomputed, the facets of every
-    representative are rebuilt, and no two representatives of one
-    dimension may be SL(n,Z)-equivalent (`equivalent_cells`); the first
-    record that disagrees raises ValueError.
+    record.  Before any geometry runs, n, every vertex, stabilizer order,
+    orbit and sign, and every gamma must be JSON ints of the right shape.
+    Stabilizer orders are recomputed, the facets of every representative
+    are rebuilt, and no two representatives of one dimension may be
+    SL(n,Z)-equivalent (`equivalent_cells`); the first record that
+    disagrees raises ValueError.
     """
     doc = json.loads(text)
     n = doc["n"]
+    if not _int_array(n, ()):
+        raise ValueError(f"cell table n = {n!r} is not an int")
     dims = {int(d): recs for d, recs in doc["dimensions"].items()}
     top = n * (n + 1) // 2 - 1
     if sorted(dims) != list(range(n - 1, top + 1)):
@@ -639,6 +643,17 @@ def cells_from_json(text: str) -> CellComplexTable:
     for d, recs in dims.items():
         if not recs:
             raise ValueError(f"cell table dimension {d} has no cell")
+        for rec in recs:
+            if not all(_int_array(v, (n,)) for v in rec["vertices"]):
+                raise ValueError(f"a dimension-{d} vertex in {rec['vertices']} is not {n} ints")
+            orders = (rec["stabilizer_order"], rec["sl_stabilizer_order"])
+            if not all(_int_array(x, ()) for x in orders):
+                raise ValueError(f"cached stabilizer orders {orders} are not ints")
+            for fr in rec["facets"]:
+                if not (_int_array(fr["orbit"], ()) and _int_array(fr["sign"], ())
+                        and _int_array(fr["gamma"], (n, n))):
+                    raise ValueError(f"facet record {fr} is not an int orbit and sign "
+                                     f"and an {n} x {n} int gamma")
     reps = {
         d: [VoronoiCell(n, tuple(tuple(v) for v in rec["vertices"])) for rec in recs]
         for d, recs in dims.items()
@@ -659,6 +674,14 @@ def cells_from_json(text: str) -> CellComplexTable:
     return CellComplexTable(n, {d: tuple(orbs) for d, orbs in orbits.items()})
 
 
+def _int_array(x, shape: tuple[int, ...]) -> bool:
+    """x is a JSON int for shape (), else a list of shape[0] arrays of
+    shape[1:]; floats, strings and bools are not ints."""
+    if not shape:
+        return type(x) is int
+    return type(x) is list and len(x) == shape[0] and all(_int_array(y, shape[1:]) for y in x)
+
+
 def _checked_facets(cell: VoronoiCell, records, targets) -> list:
     """FacetRecords of cell from its cached records, one per facet.
 
@@ -673,7 +696,7 @@ def _checked_facets(cell: VoronoiCell, records, targets) -> list:
         orbit, gamma = rec["orbit"], la.freeze(rec["gamma"])
         if not 0 <= orbit < len(targets):
             raise ValueError(f"facet record names orbit {orbit} of {len(targets)}")
-        if [len(row) for row in gamma] != [n] * n or la.det(gamma) != 1:
+        if la.det(gamma) != 1:
             raise ValueError(f"facet record gamma {gamma} is not in SL({n}, Z)")
         image = VoronoiCell.from_vectors(n, [la.vec_mat(v, gamma) for v in targets[orbit].vertices])
         if image.vertices not in facets:

@@ -100,18 +100,28 @@ class TestExitCodes:
         assert "Traceback" not in out.stderr
 
     @pytest.mark.parametrize("edit", [
-        ("sign", 5),
-        ("gamma", [[1, 1], [0, 1]]),
-        ("orbit", 7),
-        ("gamma", [[2, 0], [0, 1]]),
-        ("stabilizer_order", 5),
-    ], ids=["sign", "gamma-off-facet", "orbit-out-of-range", "gamma-det-2", "stabilizer-order"])
+        ("2", "sign", 5),
+        ("2", "gamma", [[1, 1], [0, 1]]),
+        ("2", "orbit", 7),
+        ("2", "gamma", [[2, 0], [0, 1]]),
+        ("2", "stabilizer_order", 5),
+        ("1", "vertices", [[1, -1], [1, 0, 0]]),
+        ("2", "gamma", [[1.5, 0], [0, 1]]),
+        ("2", "gamma", [["1", 0], [0, 1]]),
+        ("2", "gamma", [[True, 0], [0, 1]]),
+        ("2", "sign", 1.0),
+        ("1", "stabilizer_order", 8.0),
+    ], ids=["sign", "gamma-off-facet", "orbit-out-of-range", "gamma-det-2", "stabilizer-order",
+            "vertex-of-3-ints", "gamma-float", "gamma-string", "gamma-bool", "sign-float",
+            "stabilizer-order-float"])
     def test_corrupted_cell_cache_exit_1(self, run_cli, tmp_path, table2, edit):
-        # one field of the top orbit or of its first facet record; read
-        # unchecked, the first two give H0=2, H1=0 with exit 0
-        key, value = edit
+        # one field of an orbit of the given dimension or of its first
+        # facet record; read unchecked, the first two give H0=2, H1=0 with
+        # exit 0, the vertex of 3 ints exits 4 in `det`, and a float,
+        # string or bool that int() maps to the right value exits 0
+        dim, key, value = edit
         doc = json.loads(cells_to_json(table2))
-        orbit = doc["dimensions"]["2"][0]
+        orbit = doc["dimensions"][dim][0]
         (orbit if key in orbit else orbit["facets"][0])[key] = value
         (tmp_path / "cells-n2.json").write_text(json.dumps(doc))
         out = run_cli(["homology", "--n", "2", "--level", "11"])

@@ -197,6 +197,13 @@ class TestHnf:
 class TestSnf:
     def test_diag(self):
         assert la.snf(la.freeze([[1, 0], [0, 2]])) == (1, 2)
+        # a negative, a zero or an out-of-order pair on the diagonal, which
+        # the divisor ordering must fix
+        assert la.snf(((-2, 0), (0, 3))) == (1, 6)
+        assert la.snf(((4, 0), (0, 6))) == (2, 12)
+        assert la.snf(((6, 0, 0), (0, 0, 0), (0, 0, 10))) == (2, 30)
+        assert la.snf(((0, 2),)) == (2,)
+        assert la.snf(((0, 0), (0, -5))) == (5,)
 
     def test_small(self):
         # gcd of entries 1, determinant 3

@@ -180,3 +180,16 @@ def test_intlinalg_imports_nothing_from_fractions():
             modules.add(node.module)
     assert "math" in modules  # the scan does find the module's imports
     assert "fractions" not in modules
+
+
+def test_hnf_is_the_only_unimodular_elimination():
+    # snf and reduce_to_e1 read their results off hnf; a second loop of
+    # _elim_block steps would be a second elimination to keep in step
+    callers = {
+        node.name
+        for node in ast.walk(TREES["intlinalg.py"])
+        if isinstance(node, ast.FunctionDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_elim_block"
+    }
+    assert callers == {"hnf"}, f"_elim_block called by {sorted(callers)}"
