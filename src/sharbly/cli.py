@@ -357,7 +357,10 @@ def _random_gamma0(rng, n_mod):
     return g
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process on first use: parse_args
+    reads it and leaves it unchanged, so every `main` call can share it."""
     p = argparse.ArgumentParser(
         prog="sharbly",
         description="Exact Voronoi-cell homology of congruence subgroups with Hecke operators",

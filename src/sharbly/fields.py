@@ -1,9 +1,13 @@
 """Coefficient fields (Q and F_p, p odd) and exact sparse field linear algebra.
 
-A field element is a Fraction over Q and an int in [0, p) over F_p.  A field
-has no arithmetic of its own: elements are combined with Python's operators
-and the result goes through one conversion, the call f(x), which takes ints
-and Fractions only.  So a + b*c is f(a + b * c) and -a/2 is f(Fraction(-a, 2))
+A field element is an int in [0, p) over F_p.  Over Q it is an int when it
+is integral and a Fraction only when its denominator is not 1; Python's
+numeric tower gives 3 and Fraction(3) the same ==, hash and order, so the
+int form changes no result and only makes the arithmetic cheaper.  Code
+here builds a Fraction only for a denominator that is not 1.  A field has no
+arithmetic of its own: elements are combined with Python's operators and the
+result goes through one conversion, the call f(x), which takes ints and
+Fractions only.  So a + b*c is f(a + b * c) and -a/2 is f(Fraction(-a, 2))
 over either field.
 """
 
@@ -50,21 +54,25 @@ def _is_prime(p: int) -> bool:
 
 
 class Rationals:
-    """The field Q.  An element is a Fraction; arithmetic is Python's, and
-    the call QQ(x) converts an int or a Fraction, and nothing else."""
+    """The field Q.  An element is in canonical form: an int when it is
+    integral, a Fraction only when its denominator is not 1.  Arithmetic is
+    Python's, and the call QQ(x) puts an int or a Fraction in that form, and
+    takes nothing else."""
 
     name = "Q"
     char = 0
 
-    def __call__(self, x) -> Fraction:
-        if type(x) is Fraction:
+    def __call__(self, x) -> int | Fraction:
+        if type(x) is int:
             return x
-        if type(x) is int or isinstance(x, (int, Fraction)):
-            return Fraction(x)
+        if isinstance(x, Fraction):
+            return x.numerator if x.denominator == 1 else x
+        if isinstance(x, int):
+            return int(x)
         raise TypeError(f"Q converts ints and Fractions, not {type(x).__name__}")
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -131,17 +139,15 @@ def parse_field(spec: str) -> Field:
 def coeff_str(x) -> str:
     """An exact field element as text: "a" or "a/b" over Q, and over F_p
     the int in [0, p) that represents it."""
-    fr = Fraction(x)
-    return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 @dataclass(frozen=True)
 class SparseFieldMatrix:
     """Triplet-style sparse matrix over Q or F_p; no stored zeros.
 
-    An entry is a field element, except that over Q it may also be an int
-    (as in the boundaries of `homology.build_complex`): every reader here
-    combines entries with Python's operators and converts the result, and
+    An entry is a nonzero field element: every reader here combines
+    entries with Python's operators and converts the result, and
     `LinearSpan` clears ints and Fractions alike.
     """
 
@@ -281,9 +287,9 @@ class LinearSpan:
         stored rows: equal to vec modulo the span, and zero at every pivot."""
         v, d = self._clear(vec)
         d *= self._eliminate(v)
-        if self._p:
+        if self._p or d == 1:
             return v
-        return {c: Fraction(x, d) for c, x in v.items()}
+        return {c: _ratio(x, d) for c, x in v.items()}
 
     def add(self, vec: dict) -> bool:
         """Add the sparse vector {col: field element} to the span; True if
@@ -307,7 +313,7 @@ class LinearSpan:
         `col`."""
         row = self.rows[pivot]
         x = row.get(col, 0)
-        return x if self._p else Fraction(x, row[pivot])
+        return x if self._p else _ratio(x, row[pivot])
 
     def kernel_vectors(self, columns, ncols: int) -> list:
         """The kernel vectors of the span at the free columns `columns`, in
@@ -401,7 +407,7 @@ def charpoly(field, dense_rows):
     d = lcm(*(x.denominator for row in rows for x in row))
     lead_first = _berkowitz([_clear(d, row) for row in rows], None)
     # entry k of lead_first is the coefficient of x^(n-k): divide it by d^k
-    return tuple(reversed([Fraction(c, d**k) for k, c in enumerate(lead_first)]))
+    return tuple(reversed([_ratio(c, d**k) for k, c in enumerate(lead_first)]))
 
 
 def _berkowitz(a, p: int | None):
@@ -454,8 +460,8 @@ def eigenvalues(field, poly):
     as it is a root before the scan moves on.  So one pass finds every
     root: each later polynomial divides the one a candidate was last tested
     on, and a candidate that is not a root of it is not a root of any later
-    one.  Fractions are built only for the roots y/D and the remainder over
-    Q, which keeps f's leading coefficient.
+    one.  Over Q the roots y/D and the remainder, which keeps f's leading
+    coefficient, are put in canonical form by `_ratio`.
     """
     ints = _int_poly(field, poly)
     if isinstance(field, PrimeField):
@@ -474,12 +480,12 @@ def eigenvalues(field, poly):
             roots.append((y, mult))
     if p:
         return roots, tuple(h) if len(h) > 1 else None
-    roots = [(Fraction(y, d), mult) for y, mult in roots]
+    roots = [(_ratio(y, d), mult) for y, mult in roots]
     if len(h) < 2:
         return roots, None
     # f = lead * D^-m r(Dx) * prod (x - y_i/D), r = the deflated h, of degree m
     lead, m = poly[-1], len(h) - 1
-    return roots, tuple(Fraction(lead.numerator * c, lead.denominator * d ** (m - j))
+    return roots, tuple(_ratio(lead.numerator * c, lead.denominator * d ** (m - j))
                         for j, c in enumerate(h))
 
 
@@ -608,6 +614,12 @@ def _int_poly(field, poly):
     if isinstance(field, PrimeField):
         return [field(c) for c in poly]
     return _clear(lcm(*(c.denominator for c in poly)), poly)
+
+
+def _ratio(x: int, d: int):
+    """The element x/d of Q in canonical form: the int x // d when d divides
+    x, else the Fraction."""
+    return x // d if x % d == 0 else Fraction(x, d)
 
 
 def _clear(d: int, values) -> list:

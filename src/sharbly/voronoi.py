@@ -373,7 +373,7 @@ def _facet_normals(p: PerfectForm):
         # v R v^T = sym_coords(v) . u with u_ii = R_ii and u_ij = 2 R_ij
         r_rows = [[Fraction(0)] * n for _ in range(n)]
         for (i, j), coeff in zip(pairs, u):
-            r_rows[i][j] = r_rows[j][i] = coeff if i == j else coeff / 2
+            r_rows[i][j] = r_rows[j][i] = coeff if i == j else Fraction(coeff, 2)
         normals.add(_primitive_integer_sym(r_rows))
     return sorted(normals)
 

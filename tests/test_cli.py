@@ -302,3 +302,19 @@ class TestDeterminismAndCache:
         assert cli.main(args) == 1
         assert len(reads) == 2
         assert "not a cell table" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_one_parser_per_process(self, monkeypatch):
+        # every `main` call shares one parser, and no call's values leak
+        # into the next one's defaults
+        seen = []
+        monkeypatch.setattr(cli, "cmd_hecke", lambda args: seen.append(args.k) or 0)
+        cli.build_parser.cache_clear()
+        assert cli.main(["hecke", "--ell", "2", "--k", "2"]) == 0
+        assert cli.main(["hecke", "--ell", "2"]) == 0
+        assert seen == [2, 1]
+        assert cli.main(["hecke", "--bogus"]) == 1
+        assert cli.main(["hecke", "--ell", "3"]) == 0
+        assert seen == [2, 1, 1]
+        assert cli.build_parser.cache_info().misses == 1

@@ -37,6 +37,12 @@ small_mats = st.integers(min_value=1, max_value=4).flatmap(
 )
 
 
+def _canonical_q(x) -> bool:
+    """x is an element of Q in canonical form: an int, or a Fraction whose
+    denominator is not 1."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
 def _minus(f, row, a, pivot):
     """row - a * pivot, densely."""
     if a == f.zero:
@@ -371,7 +377,7 @@ class TestFields:
                 )
                 cp = charpoly(QQ, rows)
                 assert cp == _charpoly(QQ, rows)
-                assert all(type(c) is Fraction for c in cp)
+                assert all(_canonical_q(c) for c in cp)
 
     def test_charpoly_over_fp_matches_the_oracle_mod_p(self):
         """det(xI - A) of an int matrix reduces mod p coefficientwise, so the
@@ -443,9 +449,9 @@ class TestFields:
             got = eigenvalues(f, cp)
             assert got == _reference_eigenvalues(f, cp)
             roots, rem = got
-            kind = int if isinstance(f, PrimeField) else Fraction
-            assert all(type(x) is kind for x, _ in roots)
-            assert rem is None or all(type(c) is kind for c in rem)
+            canonical = (lambda x: type(x) is int) if isinstance(f, PrimeField) else _canonical_q
+            assert all(canonical(x) for x, _ in roots)
+            assert rem is None or all(canonical(c) for c in rem)
             multiple += any(m > 1 for _, m in roots)
         assert multiple >= 5
 
@@ -637,7 +643,7 @@ class TestFields:
                     left = _minus(f, left, left[q], r)
                 got = span.reduce(dict(enumerate(vec)))
                 assert got == {j: x for j, x in enumerate(left) if x}
-                assert all(type(x) is (int if p else Fraction) for x in got.values())
+                assert all(type(x) is int if p else _canonical_q(x) for x in got.values())
                 compared += len(got)
 
                 for rhs in ([draw() for _ in range(m.nrows)], m.matvec(vec)):
@@ -688,11 +694,28 @@ class TestFields:
             with pytest.raises(ValueError):
                 m.matvec(v)
 
+    def test_qq_is_canonical_and_idempotent(self):
+        """QQ(x) is an int exactly when x is integral, equals x, and maps
+        its own output to itself."""
+        from sharbly.fields import QQ
+
+        rng = random.Random(5)
+        integral = 0
+        for _ in range(400):
+            x = Fraction(rng.randrange(-30, 31), rng.randrange(1, 7))
+            q = QQ(x)
+            assert q == x and hash(q) == hash(x) and QQ(q) is q
+            assert (type(q) is int) == (x.denominator == 1) and _canonical_q(q)
+            integral += x.denominator == 1
+        assert integral > 50
+        assert QQ.zero == 0 and type(QQ.zero) is int and QQ.one == 1 and type(QQ.one) is int
+
     def test_conversion_takes_ints_and_fractions_only(self):
         from sharbly.fields import QQ, PrimeField
 
         f7 = PrimeField(7)
-        assert type(QQ(3)) is Fraction and QQ(Fraction(-1, 2)) == Fraction(-1, 2)
+        assert type(QQ(3)) is int and type(QQ(Fraction(-1, 2))) is Fraction
+        assert QQ(Fraction(-1, 2)) == Fraction(-1, 2) and type(QQ(True)) is int
         assert f7(-1) == 6 and f7(Fraction(1, 2)) == 4 and type(f7(True)) is int
         for f in (QQ, f7):
             for x in (2.7, 2.0, "1/2", "3", None):

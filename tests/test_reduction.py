@@ -12,8 +12,8 @@ from sharbly.errors import InternalCheckError, PreconditionError
 from sharbly.fields import PrimeField, QQ, solve
 from sharbly.hecke import hecke_cosets, hecke_on_h0, theta_s, w0_orbit, w0_transport
 from sharbly.homology import (
-    _cell_coordinate, build_complex, chain_to_w, homology, is_voronoi_supported,
-    theta_lift,
+    _cell_coordinate, build_complex, chain_to_w, express_cycle, homology,
+    is_voronoi_supported, theta_lift,
 )
 from sharbly.voronoi import VoronoiCell, _vertex_maps, cell_stabilizer, equivalent_cells
 
@@ -487,3 +487,43 @@ class TestLevelFreeCaches:
         for rep, cell in searched[0]:
             found = rd._class_map(rep, cell)
             assert found is None or type(found) is tuple
+
+
+def _canonical_q(x) -> bool:
+    """x is an element of Q in canonical form: an int, or a Fraction whose
+    denominator is not 1."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+class TestCanonicalRationals:
+    @pytest.mark.parametrize("level", [11, 15])
+    def test_every_value_over_q_is_canonical(self, table2, level):
+        # an element of Q is an int when it is integral, all the way from
+        # the homology reps through the Hecke reports to the certificates
+        cx = build_complex(2, level, QQ, table=table2)
+        op = hecke_cosets(2, 2, 1)
+        values = []
+        for k in (0, 1):
+            h = homology(cx, k)
+            for rep in h.homology_reps:
+                values += rep
+                coords, witness = express_cycle(h, rep, want_witness=True)
+                values += [*coords, *witness]
+        for report in (hecke_on_h0(2, level, QQ, 2, 1, cx=cx),
+                       rd.hecke_on_h1_n2(level, QQ, 2, cx=cx)):
+            values += [x for row in report.matrix for x in row]
+            values += [*report.charpoly, *(root for root, _ in report.eigen)]
+            values += report.remainder or ()
+        x = homology(cx, 1).homology_reps[0]
+        wit = rd.verify_eigen_chain(cx, x, op, 3)
+        assert isinstance(wit, rd.Witness)
+        chains = [wit.x_chain, wit.s_chain, wit.y, *(chain for _gamma, chain in wit.u)]
+        values.append(wit.a)
+        result = rd.one_sharbly_reduce_n2(cx, wit.s_chain)
+        assert isinstance(result, rd.ReductionResult)
+        chains += [result.reduced, result.homotopy, *(chain for _gamma, chain in result.bar_terms)]
+        values += result.w1_coords
+        for chain in chains:
+            values += chain.coeffs.values()
+        assert len(values) > 100
+        assert [x for x in values if not _canonical_q(x)] == []
