@@ -445,4 +445,5 @@ def complex_to_json(cx: GammaComplex) -> str:
         },
         "betti": {str(k): b for k, b in betti_numbers(cx).items()},
     }
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    # compact separators keep json on its C encoder, which indent=1 would bypass
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

@@ -95,8 +95,12 @@ def first_column_cofactors(a: Mat) -> Vec:
 
 
 def adjugate(a: Mat) -> Mat:
-    """adj(a) with a * adj(a) = det(a) * I."""
+    """adj(a) with a * adj(a) = det(a) * I: the closed form at 2 x 2, else
+    the transposed cofactors."""
     n = len(a)
+    if n == 2:
+        (p, q), (r, s) = a
+        return ((s, -q), (-r, p))
     cof = [
         [(-1) ** (i + j) * det(_minor(a, i, j)) for j in range(n)] for i in range(n)
     ]

@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 
 from . import intlinalg as la
 from .errors import InternalCheckError, UnsupportedError
@@ -167,61 +168,77 @@ def _adj_and_det(cell: VoronoiCell):
     return la.adjugate(g), la.det(g)
 
 
-def _pair_product(cell, adj, i, j):
-    vi, vj = cell.vertices[i], cell.vertices[j]
-    return sum(vi[a] * adj[a][b] * vj[b] for a in range(cell.n) for b in range(cell.n))
+@lru_cache(maxsize=None)
+def _pairing_table(cell: VoronoiCell) -> Mat:
+    """P[i][j] = v_i * adj(g) * v_j^T for the vertices v of the cell and
+    g = `barycenter_form(cell)`; symmetric, since adj(g) is."""
+    adj, _ = _adj_and_det(cell)
+    rows = [la.vec_mat(v, adj) for v in cell.vertices]
+    return tuple(tuple(sum(map(mul, row, w)) for w in cell.vertices) for row in rows)
 
 
 @lru_cache(maxsize=None)
 def cell_signature(cell: VoronoiCell):
-    """SL-invariant fingerprint used to pre-filter equivalence tests."""
-    adj, d = _adj_and_det(cell)
-    m = len(cell.vertices)
-    diag = sorted(_pair_product(cell, adj, i, i) for i in range(m))
-    off = sorted(abs(_pair_product(cell, adj, i, j)) for i in range(m) for j in range(i))
+    """GL(n,Z)-invariant fingerprint used to pre-filter equivalence tests.
+
+    A gamma in GL(n,Z) with {+-c} * gamma = {+-c'} carries g(c) to
+    gamma^T g(c) gamma = g(c'), so it keeps det g and, vertex by vertex,
+    the pairing table up to the signs s_i s_j: its diagonal and the
+    |off-diagonal| entries are invariants.  That is why the signature
+    also pre-filters `cell_stabilizer`'s det -1 maps.
+    """
+    _, d = _adj_and_det(cell)
+    p = _pairing_table(cell)
+    m = len(p)
+    diag = sorted(p[i][i] for i in range(m))
+    off = sorted(abs(p[i][j]) for i in range(m) for j in range(i))
     return (cell.n, m, cell_dim(cell), d, tuple(diag), tuple(off))
 
 
 @lru_cache(maxsize=None)
-def _pivot_indices(cell: VoronoiCell) -> tuple:
-    """Indices of the first n vertices forming a basis of Q^n."""
-    idx = _first_independent(cell.vertices, cell.n)
-    if idx is None:
+def _frame(cell: VoronoiCell):
+    """(pivots, adj(S), det S): the indices of the first n vertices forming
+    a basis of Q^n, and the adjugate and determinant of their matrix S."""
+    pivots = _first_independent(cell.vertices, cell.n)
+    if pivots is None:
         raise ValueError("degenerate cell has no vertex basis")
-    return idx
+    s = la.freeze([cell.vertices[i] for i in pivots])
+    return pivots, la.adjugate(s), la.det(s)
 
 
 def _vertex_maps(src: VoronoiCell, dst: VoronoiCell, dets, limit=None):
     """All gamma with {+-src} * gamma = {+-dst} setwise and det gamma in dets.
 
-    Backtracks over signed images of a vertex basis of src, pruning with the
-    barycenter-adjugate pairing, which any such gamma must preserve.
+    Backtracks over signed images s * w_i of src's pivot vertices (`_frame`),
+    destination vertices in sorted order and s = +1 before -1.  Any such
+    gamma keeps the pairing table up to the signs, so a candidate is pruned
+    by comparing s_u * s * P_dst[i_u][i] with P_src at the pivots
+    (`_pairing_table` of each cell, cached).  A full choice of images gives
+    gamma = S^-1 * (images), kept when it is integral, its det is in dets
+    and it carries the vertex set of src onto that of dst.
     """
     if cell_signature(src) != cell_signature(dst):
         return
+    pivots, adj_s, det_s = _frame(src)
+    p_src = _pairing_table(src)
+    p_dst = _pairing_table(dst)
     n = src.n
-    adj_s, _ = _adj_and_det(src)
-    adj_d, _ = _adj_and_det(dst)
-    pivots = _pivot_indices(src)
-    signed = [tuple(s * x for x in v) for v in dst.vertices for s in (1, -1)]
-    src_prod = [[_pair_product(src, adj_s, i, j) for j in pivots] for i in pivots]
-
-    def dprod(u, w):
-        return sum(u[a] * adj_d[a][b] * w[b] for a in range(n) for b in range(n))
-
+    want = [[p_src[a][b] for b in pivots] for a in pivots]
+    candidates = [
+        [(i, s) for i in range(len(p_dst)) if p_dst[i][i] == want[t][t] for s in (1, -1)]
+        for t in range(n)
+    ]
     dst_set = set(dst.vertices)
-    s_mat = la.freeze([src.vertices[i] for i in pivots])
-    det_s = la.det(s_mat)
-    adj_sm = la.adjugate(s_mat)
     emitted = 0
-    picked: list = []
+    picked: list = []  # (destination index, sign) per pivot chosen so far
 
     def extend(t):
         nonlocal emitted
         if limit is not None and emitted >= limit:
             return
         if t == n:
-            num = la.mat_mul(adj_sm, la.freeze(picked))
+            images = [tuple(s * x for x in dst.vertices[i]) for i, s in picked]
+            num = la.mat_mul(adj_s, images)
             if any(x % det_s for row in num for x in row):
                 return
             gamma = tuple(tuple(x // det_s for x in row) for row in num)
@@ -233,12 +250,10 @@ def _vertex_maps(src: VoronoiCell, dst: VoronoiCell, dets, limit=None):
             emitted += 1
             yield gamma
             return
-        for w in signed:
-            if dprod(w, w) != src_prod[t][t]:
+        for i, s in candidates[t]:
+            if any(s_u * s * p_dst[i_u][i] != want[u][t] for u, (i_u, s_u) in enumerate(picked)):
                 continue
-            if any(dprod(picked[u], w) != src_prod[u][t] for u in range(t)):
-                continue
-            picked.append(w)
+            picked.append((i, s))
             yield from extend(t + 1)
             picked.pop()
 

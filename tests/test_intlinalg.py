@@ -267,6 +267,30 @@ class TestDetAdj:
             tuple(d if i == j else 0 for j in range(len(a))) for i in range(len(a))
         )
 
+    @staticmethod
+    def _cofactor_adjugate(a):
+        """adj(a)[i][j] = (-1)^(i+j) det(a without row j and column i)."""
+        n = len(a)
+        return tuple(
+            tuple((-1) ** (i + j) * la.det(la._minor(a, j, i)) for j in range(n))
+            for i in range(n)
+        )
+
+    def test_adjugate_2x2_closed_form(self):
+        for entries in itertools.product(range(-3, 4), repeat=4):
+            a = (entries[:2], entries[2:])
+            adj = la.adjugate(a)
+            assert adj == self._cofactor_adjugate(a)
+            d = la.det(a)
+            assert la.mat_mul(a, adj) == ((d, 0), (0, d))
+
+    def test_adjugate_1x1_and_3x3_are_cofactors(self):
+        assert la.adjugate(((5,),)) == ((1,),)
+        rng = random.Random(2)
+        for _ in range(50):
+            a = la.freeze([[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)])
+            assert la.adjugate(a) == self._cofactor_adjugate(a)
+
 
 class TestReduceToE1:
     @given(

@@ -8,9 +8,13 @@ from pathlib import Path
 import pytest
 
 from sharbly import intlinalg as la
+from sharbly import reduction as rd
 from sharbly import sharbly as sh
 from sharbly import voronoi as vo
 from sharbly.errors import InternalCheckError, UnsupportedError
+from sharbly.fields import QQ
+from sharbly.hecke import hecke_cosets, theta_s
+from sharbly.homology import build_complex, homology
 
 
 class TestMinimalVectors:
@@ -309,6 +313,130 @@ class TestEquivalence:
                         assert related[i, k]  # transitive
         # and the two orbits really are distinct
         assert not related[0, 3]
+
+
+def naive_vertex_maps(src, dst, dets):
+    """Reference for `vo._vertex_maps`, with no pruning.
+
+    Tries every ordered n-tuple of signed destination vertices as the images
+    of src's first vertex basis (the lexicographically first n vertices with
+    nonzero det), vertices in sorted order and +1 before -1, and keeps the
+    gamma = S^-1 * images that is integral, has det in dets and carries the
+    vertex set of src onto that of dst.
+    """
+    n = src.n
+    pivots = next(
+        idx for idx in itertools.combinations(range(len(src.vertices)), n)
+        if la.det([src.vertices[i] for i in idx]) != 0
+    )
+    s_mat = la.freeze([src.vertices[i] for i in pivots])
+    det_s = la.det(s_mat)
+    signed = [tuple(s * x for x in v) for v in dst.vertices for s in (1, -1)]
+    out = []
+    for images in itertools.product(signed, repeat=n):
+        num = la.mat_mul(la.adjugate(s_mat), images)
+        if any(x % det_s for row in num for x in row):
+            continue
+        gamma = tuple(tuple(x // det_s for x in row) for row in num)
+        if la.det(gamma) not in dets:
+            continue
+        if {la.sign_normalize(la.vec_mat(v, gamma)) for v in src.vertices} == set(dst.vertices):
+            out.append(gamma)
+    return out
+
+
+def old_signature(cell):
+    """`vo.cell_signature` as the sum over n x n terms it was first written as."""
+    g = [[sum(v[a] * v[b] for v in cell.vertices) for b in range(cell.n)] for a in range(cell.n)]
+    adj = la.adjugate(la.freeze(g))
+
+    def pair(i, j):
+        vi, vj = cell.vertices[i], cell.vertices[j]
+        return sum(vi[a] * adj[a][b] * vj[b] for a in range(cell.n) for b in range(cell.n))
+
+    m = len(cell.vertices)
+    diag = sorted(pair(i, i) for i in range(m))
+    off = sorted(abs(pair(i, j)) for i in range(m) for j in range(i))
+    return (cell.n, m, vo.cell_dim(cell), la.det(la.freeze(g)), tuple(diag), tuple(off))
+
+
+@pytest.fixture(scope="module")
+def table_pairs(table2, table3):
+    """Every ordered pair of same-dimension representatives, n = 2 and 3."""
+    return [
+        (a.representative, b.representative)
+        for table in (table2, table3)
+        for orbs in table.orbits.values()
+        for a in orbs
+        for b in orbs
+    ]
+
+
+@pytest.fixture(scope="module")
+def placed_pairs(table2):
+    """Every (rep, key) pair the support system's `_place` tries at
+    N in {11, 15, 17}, over two growth rounds of a T(2,1) witness search."""
+    pairs = []
+    real = rd._class_map
+
+    def record(rep, cell):
+        pairs.append((rep, cell))
+        return real(rep, cell)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rd, "_class_map", record)
+        for level in (11, 15, 17):
+            cx = build_complex(2, level, QQ, table=table2)
+            x = homology(cx, 1).homology_reps[0]
+            x_chain, s_chain = theta_s(cx, 1, hecke_cosets(2, 2, 1), x)
+            system = rd._SupportSystem(cx, [x_chain, s_chain], with_w1=True)
+            for _round in range(2):
+                system.grow()
+    return list(dict.fromkeys(pairs))
+
+
+class TestVertexMaps:
+    @pytest.mark.parametrize("dets", [(1,), (1, -1)])
+    def test_table_pairs_match_the_unpruned_reference(self, table_pairs, dets):
+        found = 0
+        for src, dst in table_pairs:
+            maps = list(vo._vertex_maps(src, dst, dets=dets))
+            assert maps == naive_vertex_maps(src, dst, dets)
+            found += bool(maps)
+        assert found == sum(src == dst for src, dst in table_pairs)  # self pairs only
+
+    @pytest.mark.parametrize("dets", [(1,), (1, -1)])
+    def test_placed_pairs_match_the_unpruned_reference(self, placed_pairs, dets):
+        found = 0
+        for rep, key in placed_pairs:
+            maps = list(vo._vertex_maps(rep, key, dets=dets))
+            assert maps == naive_vertex_maps(rep, key, dets)
+            if dets == (1,) and maps:
+                assert vo.equivalent_cells(rep, key) == maps[0]
+            found += bool(maps)
+        assert found
+
+    def test_pairing_table_is_the_defining_sum(self, table_pairs, placed_pairs):
+        for cell in {c for pair in table_pairs + placed_pairs for c in pair}:
+            adj = la.adjugate(vo.barycenter_form(cell))
+            p = vo._pairing_table(cell)
+            for i, vi in enumerate(cell.vertices):
+                for j, vj in enumerate(cell.vertices):
+                    assert p[i][j] == sum(
+                        vi[a] * adj[a][b] * vj[b] for a in range(cell.n) for b in range(cell.n)
+                    )
+                    assert p[i][j] == p[j][i]
+            assert vo.cell_signature(cell) == old_signature(cell)
+
+    def test_signature_is_gl_invariant(self, table3):
+        rng = random.Random(3)
+        flip = ((-1, 0, 0), (0, 1, 0), (0, 0, 1))
+        for orbs in table3.orbits.values():
+            for orb in orbs:
+                rep = orb.representative
+                g = la.mat_mul(flip, _random_sl(rng, 3))
+                moved = vo.VoronoiCell.from_vectors(3, [la.vec_mat(v, g) for v in rep.vertices])
+                assert vo.cell_signature(moved) == vo.cell_signature(rep)
 
 
 def _random_sl(rng, n):
