@@ -210,8 +210,9 @@ class LinearSpan:
     """A row space over Q or F_p, kept as int multiples of its reduced row
     echelon form (RREF).
 
-    This is the one elimination routine of the package, and it runs on ints
-    only (fraction-free, as in Bareiss, Math. Comp. 22, 1968).  `rows` maps
+    This is the one field elimination routine of the package (the one
+    elimination over Z is `intlinalg.hnf`), and it runs on ints only
+    (fraction-free, as in Bareiss, Math. Comp. 22, 1968).  `rows` maps
     each pivot column to its sparse int row {col: int}: the pivot is the
     row's least column, and no other row has an entry in a pivot column.
     Over Q a row is primitive (its entries have gcd 1) with a positive

@@ -15,17 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from . import intlinalg as la
 from .errors import InternalCheckError, UnsupportedError
-from .fields import QQ, LinearSpan, SparseFieldMatrix, rank_kernel
 from .intlinalg import Mat, Vec
 
 
 # ---------------------------------------------------------------------------
-# Symmetric-space coordinates and exact rational helpers
+# Symmetric-space coordinates and ranks, pivots and kernels on the HNF
 # ---------------------------------------------------------------------------
 
 def sym_coords(v: Vec) -> tuple:
@@ -35,30 +34,23 @@ def sym_coords(v: Vec) -> tuple:
 
 
 def _rank_of_rows(rows) -> int:
-    """Rank over Q of a list of integer row vectors."""
-    span = LinearSpan(QQ)
-    for row in rows:
-        span.add(dict(enumerate(row)))
-    return span.rank
+    """Rank over Q of a list of integer row vectors: the number of nonzero
+    rows of their HNF."""
+    return sum(1 for row in la.hnf(rows)[0] if any(row))
 
 
-def _first_independent(rows, count: int):
-    """Indices of the first `count` rows independent over Q, taken greedily:
-    a row is kept when it grows the span of the rows kept before it.  None
-    when the rows span less than `count` dimensions."""
-    span = LinearSpan(QQ)
-    picked = []
-    for i, row in enumerate(rows):
-        if span.add(dict(enumerate(row))):
-            picked.append(i)
-            if len(picked) == count:
-                return tuple(picked)
-    return None
+def _independent_rows(rows):
+    """(pivots, kernel) of a nonempty list of integer row vectors, read off
+    the HNF U * rows^T = H of the transpose.
 
-
-def _kernel_of_rows(rows):
-    """Basis of the right kernel of a rational row matrix."""
-    return rank_kernel(SparseFieldMatrix.from_dense(QQ, rows))[1]
+    The pivot columns of H are the indices of the rows that grow the span
+    of the rows before them, in order; the rows of U below the rank span
+    the right kernel of `rows` over Z (Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4).
+    """
+    h, u = la.hnf(tuple(zip(*rows)))
+    pivots = tuple(next(j for j, x in enumerate(row) if x) for row in h if any(row))
+    return pivots, u[len(pivots):]
 
 
 def _cone_facets(gens):
@@ -70,7 +62,7 @@ def _cone_facets(gens):
     """
     facets = {}
     for subset in combinations(range(len(gens)), len(gens[0]) - 1):
-        kernel = _kernel_of_rows([gens[i] for i in subset])
+        kernel = _independent_rows([gens[i] for i in subset])[1]
         if len(kernel) != 1:
             continue
         normal = kernel[0]
@@ -81,19 +73,6 @@ def _cone_facets(gens):
             continue
         facets.setdefault(tuple(i for i, x in enumerate(values) if x == 0), normal)
     return facets
-
-
-def _cleared(rows):
-    """(den, integer rows): rational rows times den, the positive lcm of
-    their denominators."""
-    den = lcm(*(x.denominator for row in rows for x in row))
-    return den, la.freeze([[int(x * den) for x in row] for row in rows])
-
-
-def _det_sign(rows) -> int:
-    """Sign of the determinant of a square rational matrix."""
-    d = la.det(_cleared(rows)[1])
-    return (d > 0) - (d < 0)
 
 
 def _perm_sign(perm) -> int:
@@ -142,7 +121,7 @@ def cell_dim(cell: VoronoiCell) -> int:
 @lru_cache(maxsize=None)
 def is_degenerate(cell: VoronoiCell) -> bool:
     """True iff the vertices do not span Q^n (the cell lies in the boundary)."""
-    return _rank_of_rows(list(cell.vertices)) < cell.n
+    return _rank_of_rows(cell.vertices) < cell.n
 
 
 @lru_cache(maxsize=None)
@@ -199,8 +178,8 @@ def cell_signature(cell: VoronoiCell):
 def _frame(cell: VoronoiCell):
     """(pivots, adj(S), det S): the indices of the first n vertices forming
     a basis of Q^n, and the adjugate and determinant of their matrix S."""
-    pivots = _first_independent(cell.vertices, cell.n)
-    if pivots is None:
+    pivots = _independent_rows(cell.vertices)[0]
+    if len(pivots) < cell.n:
         raise ValueError("degenerate cell has no vertex basis")
     s = la.freeze([cell.vertices[i] for i in pivots])
     return pivots, la.adjugate(s), la.det(s)
@@ -282,10 +261,22 @@ def cell_stabilizer(cell: VoronoiCell):
 @lru_cache(maxsize=None)
 def orientation_basis(cell: VoronoiCell) -> tuple:
     """First dim+1 sorted vertices whose rank-1 forms are independent."""
-    idx = _first_independent([sym_coords(v) for v in cell.vertices], cell_dim(cell) + 1)
-    if idx is None:
+    idx = _independent_rows([sym_coords(v) for v in cell.vertices])[0]
+    if len(idx) != cell_dim(cell) + 1:
         raise InternalCheckError("cell rank dropped while extracting a basis")
     return tuple(cell.vertices[i] for i in idx)
+
+
+@lru_cache(maxsize=None)
+def _orientation_minor(cell: VoronoiCell):
+    """(J, det B_J, K) for the rank-1 forms B of cell's orientation basis:
+    the first columns J on which they are independent, the determinant of
+    B restricted to J, and a basis K of the right kernel of B.  A form lies
+    in the span of B iff K annihilates it."""
+    basis = [sym_coords(v) for v in orientation_basis(cell)]
+    cols = _independent_rows(list(zip(*basis)))[0]
+    minor = la.det([[row[j] for j in cols] for row in basis])
+    return cols, minor, _independent_rows(basis)[1]
 
 
 def orientation_char(cell: VoronoiCell, gamma: Mat) -> int:
@@ -321,29 +312,18 @@ def _geometric_incidence_sign(cell: VoronoiCell, facet: VoronoiCell) -> int:
 
 
 def _sign_in_basis(cell: VoronoiCell, rows, failure: str) -> int:
-    """Sign of the determinant of the coordinates of `rows` in the rank-1
-    forms of cell's orientation basis."""
-    coords = _solve_in_basis(cell, rows)
-    if coords is None:
-        raise InternalCheckError(failure)
-    return _det_sign(coords)
+    """Sign of the determinant of the coordinates C of `rows` in the rank-1
+    forms B of cell's orientation basis; InternalCheckError(failure) when a
+    row lies outside their span.
 
-
-def _solve_in_basis(cell, targets):
-    """Coordinates of each target row in the rank-1 forms of cell's
-    orientation basis, or None if some target lies outside their span.
-
-    One elimination of the columns [basis | targets]: the basis columns are
-    the pivots, and each target column of the RREF holds its coordinates.
+    rows = C * B, so on the columns J of `_orientation_minor` the minors
+    satisfy det rows_J = det C * det B_J, and no coordinate is solved for.
     """
-    basis_rows = [sym_coords(v) for v in orientation_basis(cell)]
-    r = len(basis_rows)
-    span = LinearSpan(QQ)
-    for row in zip(*basis_rows, *targets):
-        span.add(dict(enumerate(row)))
-    if any(p >= r for p in span.rows):
-        return None
-    return [[span.entry(i, r + k) for i in range(r)] for k in range(len(targets))]
+    cols, minor, kernel = _orientation_minor(cell)
+    if any(sum(map(mul, row, k)) for row in rows for k in kernel):
+        raise InternalCheckError(failure)
+    d = la.det([[row[j] for j in cols] for row in rows]) * minor
+    return (d > 0) - (d < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +350,9 @@ def perfection_rank(p: PerfectForm) -> int:
 
 
 def _primitive_integer_sym(rows) -> Mat:
-    """Scale a rational symmetric matrix to a primitive integer one."""
-    ints = _cleared(rows)[1]
-    g = gcd(*(x for row in ints for x in row))
-    return la.freeze([[x // g for x in row] for row in ints])
+    """Divide an integer symmetric matrix by the gcd of its entries."""
+    g = gcd(*(x for row in rows for x in row))
+    return la.freeze([[x // g for x in row] for row in rows])
 
 
 def _facet_normals(p: PerfectForm):
@@ -386,15 +365,19 @@ def _facet_normals(p: PerfectForm):
     normals = set()
     for u in _cone_facets([sym_coords(v) for v in p.min_vectors]).values():
         # v R v^T = sym_coords(v) . u with u_ii = R_ii and u_ij = 2 R_ij
-        r_rows = [[Fraction(0)] * n for _ in range(n)]
+        r2 = [[0] * n for _ in range(n)]
         for (i, j), coeff in zip(pairs, u):
-            r_rows[i][j] = r_rows[j][i] = coeff if i == j else Fraction(coeff, 2)
-        normals.add(_primitive_integer_sym(r_rows))
+            r2[i][j] = r2[j][i] = 2 * coeff if i == j else coeff
+        normals.add(_primitive_integer_sym(r2))
     return sorted(normals)
 
 
 def _neighbor_form(p: PerfectForm, direction: Mat) -> PerfectForm:
-    """Walk P + t * R across a facet to the contiguous perfect form."""
+    """Walk P + t * R across a facet to the contiguous perfect form.
+
+    For t = a/b in lowest terms the walk works with the int form
+    b * P + a * R, which has the short vectors of P + t * R at bound b * m.
+    """
     n = len(p.gram)
     m = p.minimum
 
@@ -407,21 +390,21 @@ def _neighbor_form(p: PerfectForm, direction: Mat) -> PerfectForm:
     t_bad = None  # some t where P + t*R stopped being positive definite
     t = Fraction(1)
     while True:
-        q_rows = [[p.gram[i][j] + t * direction[i][j] for j in range(n)] for i in range(n)]
-        den, q_int = _cleared(q_rows)
-        if not la.is_positive_definite(q_int):
+        a, b = t.numerator, t.denominator
+        q = la.freeze([[b * p.gram[i][j] + a * direction[i][j] for j in range(n)] for i in range(n)])
+        if not la.is_positive_definite(q):
             t_bad = t
             t = t / 2
             continue
-        shorts = la.short_vectors(q_int, m * den)
-        below = [v for v in shorts if Fraction(pval(v)) + t * rval(v) < m]
+        shorts = la.short_vectors(q, m * b)
+        below = [v for v in shorts if la.quadratic_value(q, v) < m * b]
         if below:
             t = min(Fraction(m - pval(v), rval(v)) for v in below)
             if t <= 0:  # a minimal vector of P loses value along the direction
                 raise InternalCheckError("direction is not an inward facet normal")
             continue
-        if any(pval(v) + t * rval(v) == m and pval(v) != m for v in shorts):
-            g = _primitive_integer_sym(q_rows)
+        if any(la.quadratic_value(q, v) == m * b and pval(v) != m for v in shorts):
+            g = _primitive_integer_sym(q)
             return PerfectForm(g, *minimal_vectors(g))
         t = 2 * t if t_bad is None else (t + t_bad) / 2
 
@@ -502,9 +485,11 @@ def _facet_cells(cell: VoronoiCell):
             if not is_degenerate(f):
                 out.append((f, (-1) ** i))
         return out
-    # non-simplex: the facets of the cone in coordinates of its span
-    coords = _solve_in_basis(cell, [sym_coords(v) for v in cell.vertices])
-    for on_facet in sorted(_cone_facets(coords)):
+    # non-simplex: the facets of the cone on the columns J of its orientation
+    # minor, a projection that is one-to-one on the cone's span
+    cols = _orientation_minor(cell)[0]
+    gens = [[row[j] for j in cols] for row in map(sym_coords, cell.vertices)]
+    for on_facet in sorted(_cone_facets(gens)):
         f = VoronoiCell(cell.n, tuple(cell.vertices[i] for i in on_facet))
         if not is_degenerate(f):
             out.append((f, _geometric_incidence_sign(cell, f)))

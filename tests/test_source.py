@@ -193,3 +193,25 @@ def test_hnf_is_the_only_unimodular_elimination():
         if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_elim_block"
     }
     assert callers == {"hnf"}, f"_elim_block called by {sorted(callers)}"
+
+
+def test_voronoi_geometry_imports_nothing_from_fields():
+    # ranks, pivots and kernels of the cell geometry are read off
+    # intlinalg.hnf; the neighbor walk keeps only its step t = a/b as a
+    # Fraction, and every form it builds is an int matrix
+    tree = TREES["voronoi.py"]
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+    assert "intlinalg" in modules  # the scan does find the module's imports
+    assert "fields" not in modules
+
+    def fraction_names(node):
+        return sum(isinstance(sub, ast.Name) and sub.id == "Fraction" for sub in ast.walk(node))
+
+    walk = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_neighbor_form"]
+    assert len(walk) == 1 and fraction_names(walk[0])
+    assert fraction_names(tree) == fraction_names(walk[0]), "Fraction used outside _neighbor_form"

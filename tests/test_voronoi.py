@@ -3,6 +3,7 @@ import itertools
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from sharbly import reduction as rd
 from sharbly import sharbly as sh
 from sharbly import voronoi as vo
 from sharbly.errors import InternalCheckError, UnsupportedError
-from sharbly.fields import QQ
+from sharbly.fields import QQ, LinearSpan
 from sharbly.hecke import hecke_cosets, theta_s
 from sharbly.homology import build_complex, homology
 
@@ -536,3 +537,138 @@ class TestN4:
         assert _table_digest(tab).startswith("298cfc16906df95d")
         # the geometric incidence signs around the non-simplex cell cancel
         _dd_zero_on_representatives(tab)
+
+
+def greedy_pivots(rows):
+    """Indices of the rows that grow the Q-span of the rows before them."""
+    span = LinearSpan(QQ)
+    return tuple(i for i, row in enumerate(rows) if span.add(dict(enumerate(row))))
+
+
+def span_rank(rows) -> int:
+    span = LinearSpan(QQ)
+    for row in rows:
+        span.add(dict(enumerate(row)))
+    return span.rank
+
+
+def fraction_sign_in_basis(cell, rows) -> int:
+    """Sign of det C for rows = C * B, B the rank-1 forms of cell's
+    orientation basis, by the coordinate solve it was first written as:
+    the RREF of the columns [B | rows] holds C, whose determinant is then
+    taken by Fraction elimination."""
+    basis = [vo.sym_coords(v) for v in vo.orientation_basis(cell)]
+    r = len(basis)
+    span = LinearSpan(QQ)
+    for col in zip(*basis, *rows):
+        span.add(dict(enumerate(col)))
+    assert all(p < r for p in span.rows), "a row lies outside the span"
+    m = [[Fraction(span.entry(i, r + k)) for i in range(r)] for k in range(len(rows))]
+    sign = 1
+    for k in range(r):
+        pivot = next((i for i in range(k, r) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        if m[k][k] < 0:
+            sign = -sign
+        for i in range(k + 1, r):
+            f = m[i][k] / m[k][k]
+            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return sign
+
+
+@pytest.fixture(scope="module")
+def table4():
+    return vo.enumerate_cells(4, nonsimplex_backend=True)
+
+
+@pytest.fixture(scope="module")
+def geometry_rows(table2, table3, table4):
+    """(rows, ncols): the vertex rows and rank-1 forms of every table
+    representative at n = 2, 3 and 4, the minimal vectors of every perfect
+    form, and seeded random matrices with entries in -4..4, among them
+    zero, repeated and negated rows."""
+    cases = []
+    for table in (table2, table3, table4):
+        for orbs in table.orbits.values():
+            for orb in orbs:
+                verts = orb.representative.vertices
+                cases.append((list(verts), table.n))
+                cases.append(([vo.sym_coords(v) for v in verts], table.n * (table.n + 1) // 2))
+    for n in (2, 3, 4):
+        for form in vo.perfect_forms(n):
+            cases.append((list(form.min_vectors), n))
+    rng = random.Random(36)
+    for _ in range(400):
+        nrows, ncols = rng.randint(0, 6), rng.randint(1, 6)
+        rows = []
+        for _ in range(nrows):
+            kind = rng.random()
+            if rows and kind < 0.2:
+                rows.append(tuple(-x for x in rng.choice(rows)))
+            elif kind < 0.3:
+                rows.append((0,) * ncols)
+            else:
+                rows.append(tuple(rng.randint(-4, 4) for _ in range(ncols)))
+        cases.append((rows, ncols))
+    return cases
+
+
+class TestHnfGeometry:
+    def test_cases_include_rank_deficient_and_empty(self, geometry_rows):
+        deficient = [rows for rows, ncols in geometry_rows if span_rank(rows) < min(len(rows), ncols)]
+        assert len(deficient) > 50
+        assert any(not rows for rows, _ in geometry_rows)
+
+    def test_pivots_are_the_greedy_pick(self, geometry_rows):
+        for rows, _ in geometry_rows:
+            assert vo._independent_rows(rows)[0] == greedy_pivots(rows), rows
+
+    def test_rank_is_the_span_rank(self, geometry_rows):
+        for rows, _ in geometry_rows:
+            assert vo._rank_of_rows(rows) == span_rank(rows), rows
+
+    def test_kernel_is_a_basis_of_the_right_kernel(self, geometry_rows):
+        # an empty list of rows carries no column count, so its kernel is
+        # not defined; every caller hands in at least one row
+        for rows, ncols in geometry_rows:
+            if not rows:
+                continue
+            kernel = vo._independent_rows(rows)[1]
+            assert all(len(k) == ncols for k in kernel)
+            assert all(sum(a * b for a, b in zip(row, k)) == 0 for row in rows for k in kernel)
+            assert span_rank(kernel) == len(kernel) == ncols - span_rank(rows), rows
+
+    def test_signs_match_the_fraction_reference(self, table4):
+        cell = next(
+            orb.representative
+            for orbs in table4.orbits.values()
+            for orb in orbs
+            if not vo.is_simplex(orb.representative)
+        )
+        facets = vo._facet_cells(cell)
+        assert len(facets) > len(vo.orientation_basis(cell))  # not a simplex
+        for facet, incidence in facets:
+            off = [v for v in cell.vertices if v not in facet.vertices]
+            w = [sum(col) for col in zip(*(vo.sym_coords(v) for v in off))]
+            rows = [w] + [vo.sym_coords(v) for v in vo.orientation_basis(facet)]
+            assert vo._sign_in_basis(cell, rows, "off the span") == incidence
+            assert fraction_sign_in_basis(cell, rows) == incidence
+        for gamma in vo.cell_stabilizer(cell)[1]:
+            images = [vo.sym_coords(la.vec_mat(v, gamma)) for v in vo.orientation_basis(cell)]
+            sign = vo._sign_in_basis(cell, images, "off the span")
+            assert sign in (-1, 1)
+            assert sign == fraction_sign_in_basis(cell, images)
+
+    def test_rows_off_the_span_are_caught(self, table4):
+        top = table4.orbits[table4.top_dim()]
+        cell = next(orb.representative for orb in top if not vo.is_simplex(orb.representative))
+        facet = vo._facet_cells(cell)[0][0]
+        off = next(v for v in cell.vertices if v not in facet.vertices)
+        rows = [vo.sym_coords(v) for v in (off,) + vo.orientation_basis(facet)[1:]]
+        assert span_rank([vo.sym_coords(v) for v in facet.vertices] + rows) > len(rows)
+        with pytest.raises(InternalCheckError, match="left the span"):
+            vo._sign_in_basis(facet, rows, "left the span")
