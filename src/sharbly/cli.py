@@ -1,9 +1,10 @@
 """Command-line front end: cells, homology, hecke, oracle, verify, nofake.
 
-Exit codes: 0 success, 1 invalid configuration (an argument, field spec or
-cache file that cannot be parsed, a cell cache that disagrees with
-recomputation, or a file error), 2 precondition rejection, 3 undetermined
-result, 4 internal failure (always a bug).
+Exit codes: 0 success, 1 invalid configuration (an argument or field spec
+that cannot be parsed, or a file error), 2 precondition rejection,
+3 undetermined result, 4 internal failure (always a bug).
+The cell table is computed by every process; the files a command writes
+to the cache directory are exports that no command reads.
 Reports are deterministic given the configuration; the seed only feeds
 redundant randomized self-checks inside `verify`.
 """
@@ -36,7 +37,7 @@ from .homology import (
     homology,
 )
 from .reduction import Undetermined, check_budget, hecke_on_h1_n2, verify_eigen_chain
-from .voronoi import cell_dim, cells_from_json, cells_to_json, enumerate_cells, is_simplex
+from .voronoi import cell_dim, cells_to_json, enumerate_cells, is_simplex
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
@@ -87,44 +88,37 @@ def format_factored(eigen, remainder) -> str:
     return "".join(terms) if terms else "1"
 
 
-def _load_or_build_cells(n: int, cache: Path):
-    """The cell table of `cache`/cells-n{n}.json, written first when it is
-    missing.  The file is read on every call; `_read_cells` checks each
-    text once."""
-    path = cache / f"cells-n{n}.json"
-    if path.exists():
-        return _read_cells(n, path, path.read_text())
-    table = enumerate_cells(n)
+def _write(path: Path, text: str) -> None:
+    """Write `text` to `path`, making its parent directory first."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(cells_to_json(table))
-    return table
+    path.write_text(text)
 
 
 @lru_cache(maxsize=8)
-def _read_cells(n: int, path: Path, text: str):
-    """The checked cell table of the text read from `path`.
+def _cell_table(n: int, cache: Path):
+    """`enumerate_cells(n)`, one table object per (n, cache directory).
 
-    Byte-identical text at the same path returns the same table object, so
-    the commands of one process share its complexes (`homology` keys them
-    by the table's identity); a changed file is parsed and checked again.
+    The commands of one process (`main`) that share a cache directory share
+    the table, and so one build of each level (`homology` keys the level's
+    complex by the table's identity); another directory gets a fresh table.
     """
-    try:
-        table = cells_from_json(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"cell cache {path} is not valid JSON: {exc}") from None
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"cell cache {path} is not a cell table: {exc!r}") from None
-    if table.n != n:
-        raise ConfigError(f"cell cache {path} holds a table for n = {table.n}, not n = {n}")
+    return enumerate_cells(n)
+
+
+def _exported_cells(n: int, cache: Path):
+    """`_cell_table(n, cache)`, exported to `cache`/cells-n{n}.json first
+    when that file is missing.  No command reads the file."""
+    table = _cell_table(n, cache)
+    path = cache / f"cells-n{n}.json"
+    if not path.exists():
+        _write(path, cells_to_json(table))
     return table
 
 
 def cmd_cells(args: argparse.Namespace) -> int:
-    table = enumerate_cells(args.n)
-    text = cells_to_json(table)
+    table = _cell_table(args.n, _cache_dir(args))
     out = Path(args.out) if args.out else _cache_dir(args) / f"cells-n{args.n}.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text)
+    _write(out, cells_to_json(table))
     counts = {d: len(table.orbits[d]) for d in sorted(table.orbits)}
     print(f"cells n={args.n}: orbits by dimension {counts}")
     print(f"wrote {out}")
@@ -133,13 +127,12 @@ def cmd_cells(args: argparse.Namespace) -> int:
 
 def cmd_homology(args: argparse.Namespace) -> int:
     field = _field(args)
-    table = _load_or_build_cells(args.n, _cache_dir(args))
+    table = _exported_cells(args.n, _cache_dir(args))
     cx = build_complex(args.n, args.level, field, table=table)
     betti = betti_numbers(cx)
     line = ", ".join(f"H{k}={betti[k]}" for k in sorted(betti))
     print(line)
-    cache_file = _cache_dir(args) / complex_cache_name(args.n, args.level, field)
-    cache_file.write_text(complex_to_json(cx))
+    _write(_cache_dir(args) / complex_cache_name(args.n, args.level, field), complex_to_json(cx))
     doc = {
         "n": args.n,
         "level": args.level,
@@ -148,7 +141,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
         "betti": {str(k): betti[k] for k in sorted(betti)},
     }
     if args.out:
-        Path(args.out).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        _write(Path(args.out), json.dumps(doc, sort_keys=True, indent=1) + "\n")
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -177,7 +170,7 @@ def _eigen_csv(report) -> str:
 def cmd_hecke(args: argparse.Namespace) -> int:
     check_budget(args.budget)  # degree 0 runs no certificate search
     field = _field(args)
-    table = _load_or_build_cells(args.n, _cache_dir(args))
+    table = _exported_cells(args.n, _cache_dir(args))
     cx = build_complex(args.n, args.level, field, table=table)
     if args.degree == 0:
         report = hecke_on_h0(args.n, args.level, field, args.ell, args.k, cx=cx)
@@ -196,7 +189,7 @@ def cmd_hecke(args: argparse.Namespace) -> int:
     print(f"char poly: {format_factored(report.eigen, report.remainder)}")
     sys.stdout.write(text)
     if args.out:
-        Path(args.out).write_text(text)
+        _write(Path(args.out), text)
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -218,7 +211,7 @@ def cmd_nofake(args: argparse.Namespace) -> int:
     field = _field(args)
     if args.n != 2:
         raise UnsupportedError("the chain-level verification runs for n = 2")
-    table = _load_or_build_cells(2, _cache_dir(args))
+    table = _exported_cells(2, _cache_dir(args))
     cx = build_complex(2, args.level, field, table=table)
     h1 = homology(cx, 1)
     if h1.dimension == 0:

@@ -116,8 +116,8 @@ def _integral_complex(table: CellComplexTable, level: int) -> IntegralComplex:
     else built and put there.
 
     The slot is keyed by the table's identity, not its value: an equal
-    table read again (a rewritten cell cache, a fresh `enumerate_cells`)
-    is built again, and the slot lives as long as the space does.
+    table from a fresh `enumerate_cells` (the CLI's table for another cache
+    directory) is built again, and the slot lives as long as the space does.
 
     The generators and stabilizer orders are read from each cell orbit's
     `congruence.split_orbits`, and the boundary entries from its label

@@ -592,7 +592,7 @@ def enumerate_cells(n: int, nonsimplex_backend: bool = False) -> CellComplexTabl
 
 
 # ---------------------------------------------------------------------------
-# JSON cache (cells-n{n}.json)
+# JSON export (cells-n{n}.json)
 # ---------------------------------------------------------------------------
 
 def cells_to_json(table: CellComplexTable) -> str:
@@ -622,88 +622,14 @@ def cells_to_json(table: CellComplexTable) -> str:
 
 
 def cells_from_json(text: str) -> CellComplexTable:
-    """Read a cell table back, checking each record against recomputation.
-
-    The dimensions must be n-1 .. n(n+1)/2 - 1, each with at least one
-    record.  Before any geometry runs, n, every vertex, stabilizer order,
-    orbit and sign, and every gamma must be JSON ints of the right shape.
-    Stabilizer orders are recomputed, the facets of every representative
-    are rebuilt, and no two representatives of one dimension may be
-    SL(n,Z)-equivalent (`equivalent_cells`); the first record that
-    disagrees raises ValueError.
-    """
+    """`enumerate_cells(n)` for the n of `text`, which must be 2 or 3 and
+    `text` exactly `cells_to_json` of that table; any other text raises
+    ValueError.  The CLI computes its table and only writes the file."""
     doc = json.loads(text)
-    n = doc["n"]
-    if not _int_array(n, ()):
-        raise ValueError(f"cell table n = {n!r} is not an int")
-    dims = {int(d): recs for d, recs in doc["dimensions"].items()}
-    top = n * (n + 1) // 2 - 1
-    if sorted(dims) != list(range(n - 1, top + 1)):
-        raise ValueError(f"cell table dimensions {sorted(dims)} are not {n - 1}..{top}")
-    for d, recs in dims.items():
-        if not recs:
-            raise ValueError(f"cell table dimension {d} has no cell")
-        for rec in recs:
-            if not all(_int_array(v, (n,)) for v in rec["vertices"]):
-                raise ValueError(f"a dimension-{d} vertex in {rec['vertices']} is not {n} ints")
-            orders = (rec["stabilizer_order"], rec["sl_stabilizer_order"])
-            if not all(_int_array(x, ()) for x in orders):
-                raise ValueError(f"cached stabilizer orders {orders} are not ints")
-            for fr in rec["facets"]:
-                if not (_int_array(fr["orbit"], ()) and _int_array(fr["sign"], ())
-                        and _int_array(fr["gamma"], (n, n))):
-                    raise ValueError(f"facet record {fr} is not an int orbit and sign "
-                                     f"and an {n} x {n} int gamma")
-    reps = {
-        d: [VoronoiCell(n, tuple(tuple(v) for v in rec["vertices"])) for rec in recs]
-        for d, recs in dims.items()
-    }
-    orbits = {}
-    for d, recs in dims.items():
-        orbits[d] = []
-        for index, (rep, rec) in enumerate(zip(reps[d], recs)):
-            facets = _checked_facets(rep, rec["facets"], reps.get(d - 1, []))
-            orders = (rec["stabilizer_order"], rec["sl_stabilizer_order"])
-            if orders != tuple(map(len, cell_stabilizer(rep))):
-                raise ValueError(f"cached stabilizer orders {orders} disagree with recomputation")
-            orbits[d].append(CellOrbit(d, index, rep, tuple(facets)))
-    for d, cells in reps.items():
-        for (i, a), (j, b) in combinations(enumerate(cells), 2):
-            if equivalent_cells(a, b) is not None:
-                raise ValueError(f"cells {i} and {j} of dimension {d} are one SL({n}, Z) orbit")
-    return CellComplexTable(n, {d: tuple(orbs) for d, orbs in orbits.items()})
-
-
-def _int_array(x, shape: tuple[int, ...]) -> bool:
-    """x is a JSON int for shape (), else a list of shape[0] arrays of
-    shape[1:]; floats, strings and bools are not ints."""
-    if not shape:
-        return type(x) is int
-    return type(x) is list and len(x) == shape[0] and all(_int_array(y, shape[1:]) for y in x)
-
-
-def _checked_facets(cell: VoronoiCell, records, targets) -> list:
-    """FacetRecords of cell from its cached records, one per facet.
-
-    A record is kept only if its orbit indexes `targets`, its gamma is in
-    SL(n,Z) and carries that orbit's representative onto a facet, and its
-    sign is the incidence sign times the transport sign.
-    """
-    n = cell.n
-    facets = {f.vertices: (f, incidence) for f, incidence in _facet_cells(cell)}
-    out = []
-    for rec in records:
-        orbit, gamma = rec["orbit"], la.freeze(rec["gamma"])
-        if not 0 <= orbit < len(targets):
-            raise ValueError(f"facet record names orbit {orbit} of {len(targets)}")
-        if la.det(gamma) != 1:
-            raise ValueError(f"facet record gamma {gamma} is not in SL({n}, Z)")
-        image = VoronoiCell.from_vectors(n, [la.vec_mat(v, gamma) for v in targets[orbit].vertices])
-        if image.vertices not in facets:
-            raise ValueError(f"facet record gamma {gamma} carries orbit {orbit} onto no facet")
-        out.append(_facet_record(*facets.pop(image.vertices), orbit, gamma, targets))
-        if out[-1].sign != rec["sign"]:
-            raise ValueError(f"facet record sign {rec['sign']} is not {out[-1].sign}")
-    if facets:
-        raise ValueError(f"{len(facets)} facets of {cell} have no record")
-    return out
+    n = doc.get("n") if isinstance(doc, dict) else None
+    if type(n) is not int or n not in (2, 3):
+        raise ValueError(f"cell table n = {n!r} is not the int 2 or 3")
+    table = enumerate_cells(n)
+    if cells_to_json(table) != text:
+        raise ValueError(f"text is not the n = {n} cell table as cells_to_json writes it")
+    return table

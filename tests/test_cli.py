@@ -4,7 +4,9 @@ import json
 import pytest
 
 from sharbly import cli
-from sharbly.voronoi import cells_from_json, cells_to_json
+from sharbly import congruence as cg
+from sharbly.homology import build_complex
+from sharbly.voronoi import cells_to_json
 
 
 class TestCommands:
@@ -77,73 +79,6 @@ class TestExitCodes:
         out = run_cli(["nofake", "--n", "2", "--level", "11", "--ell", "2", "--a", a])
         assert out.returncode == 1, out.stderr
         assert "invalid configuration" in out.stderr
-
-    def test_unparsable_cell_cache_exit_1(self, run_cli, tmp_path):
-        (tmp_path / "cells-n2.json").write_text("{")
-        out = run_cli(["homology", "--n", "2", "--level", "11"])
-        assert out.returncode == 1, out.stderr
-        assert "not valid JSON" in out.stderr
-
-    @pytest.mark.parametrize("doc", ["{}", '{"n": 2, "dimensions": []}', "[2]"])
-    def test_wrong_shape_cell_cache_exit_1(self, run_cli, tmp_path, doc):
-        (tmp_path / "cells-n2.json").write_text(doc)
-        out = run_cli(["homology", "--n", "2", "--level", "11"])
-        assert out.returncode == 1, out.stderr
-        assert "invalid configuration" in out.stderr and "not a cell table" in out.stderr
-        assert "Traceback" not in out.stderr
-
-    def test_cell_cache_for_another_n_exit_1(self, run_cli, tmp_path, table3):
-        (tmp_path / "cells-n2.json").write_text(cells_to_json(table3))
-        out = run_cli(["homology", "--n", "2", "--level", "11"])
-        assert out.returncode == 1, out.stderr
-        assert "invalid configuration" in out.stderr and "not n = 2" in out.stderr
-        assert "Traceback" not in out.stderr
-
-    @pytest.mark.parametrize("edit", [
-        ("2", "sign", 5),
-        ("2", "gamma", [[1, 1], [0, 1]]),
-        ("2", "orbit", 7),
-        ("2", "gamma", [[2, 0], [0, 1]]),
-        ("2", "stabilizer_order", 5),
-        ("1", "vertices", [[1, -1], [1, 0, 0]]),
-        ("2", "gamma", [[1.5, 0], [0, 1]]),
-        ("2", "gamma", [["1", 0], [0, 1]]),
-        ("2", "gamma", [[True, 0], [0, 1]]),
-        ("2", "sign", 1.0),
-        ("1", "stabilizer_order", 8.0),
-    ], ids=["sign", "gamma-off-facet", "orbit-out-of-range", "gamma-det-2", "stabilizer-order",
-            "vertex-of-3-ints", "gamma-float", "gamma-string", "gamma-bool", "sign-float",
-            "stabilizer-order-float"])
-    def test_corrupted_cell_cache_exit_1(self, run_cli, tmp_path, table2, edit):
-        # one field of an orbit of the given dimension or of its first
-        # facet record; read unchecked, the first two give H0=2, H1=0 with
-        # exit 0, the vertex of 3 ints exits 4 in `det`, and a float,
-        # string or bool that int() maps to the right value exits 0
-        dim, key, value = edit
-        doc = json.loads(cells_to_json(table2))
-        orbit = doc["dimensions"][dim][0]
-        (orbit if key in orbit else orbit["facets"][0])[key] = value
-        (tmp_path / "cells-n2.json").write_text(json.dumps(doc))
-        out = run_cli(["homology", "--n", "2", "--level", "11"])
-        assert out.returncode == 1, out.stderr
-        assert "invalid configuration" in out.stderr and "Traceback" not in out.stderr
-
-    @pytest.mark.parametrize("edit", ["duplicate", "missing", "empty"])
-    def test_incomplete_or_redundant_cell_cache_exit_1(self, run_cli, tmp_path, table3, edit):
-        # read unchecked, a second copy of the top cell gives H3=6 (not 1)
-        # with exit 0, and a missing top dimension raises KeyError
-        doc = json.loads(cells_to_json(table3))
-        top = doc["dimensions"]["5"]
-        if edit == "duplicate":
-            top.append(top[0])
-        elif edit == "missing":
-            del doc["dimensions"]["5"]
-        else:
-            top.clear()
-        (tmp_path / "cells-n3.json").write_text(json.dumps(doc))
-        out = run_cli(["homology", "--n", "3", "--level", "5"])
-        assert out.returncode == 1, out.stderr
-        assert "not a cell table" in out.stderr and "Traceback" not in out.stderr
 
     def test_oracle_negative_ell_exit_2(self, run_cli):
         out = run_cli(["oracle", "--level", "11", "--ell", "-2"])
@@ -260,7 +195,7 @@ class TestDeterminismAndCache:
         report1 = (tmp_path / "report.json").read_bytes()
         cells1 = (tmp_path / "cells-n2.json").read_bytes()
         complex1 = (tmp_path / "complex-n2-N11-Q.json").read_bytes()
-        second = run_cli(args)  # now reads the cells cache
+        second = run_cli(args)  # the cells export exists now, and is not read
         assert second.returncode == 0, second.stderr
         assert first.stdout == second.stdout
         assert (tmp_path / "report.json").read_bytes() == report1
@@ -279,29 +214,51 @@ class TestDeterminismAndCache:
         assert "T(3,1)@n=2,N=11,Q" in a.stdout
         assert a.stdout == b.stdout
 
-    def test_commands_share_one_checked_cell_table(self, monkeypatch, tmp_path, table3, capsys):
-        # the cell cache is read by every command, and checked once per text
-        reads = []
+    def test_commands_share_one_table_per_cache_dir(self, monkeypatch, tmp_path, capsys):
+        # commands in one process with one --cache-dir share one table, so
+        # the second finds the level's integral complex; another directory
+        # gets a fresh table, and so a fresh build
+        tables = []
 
-        def counted(text):
-            reads.append(text)
-            return cells_from_json(text)
+        def recorded(*args, table):
+            tables.append(table)
+            return build_complex(*args, table=table)
 
-        monkeypatch.setattr(cli, "cells_from_json", counted)
-        text = cells_to_json(table3)
-        (tmp_path / "cells-n3.json").write_text(text)
-        args = ["homology", "--n", "3", "--level", "5", "--cache-dir", str(tmp_path)]
-        assert cli.main(args) == 0
-        assert cli.main(args) == 0
-        assert len(reads) == 1
-        assert capsys.readouterr().out == "H0=0, H1=0, H2=0, H3=1\n" * 2
-        # a rewritten cache is checked again: a second copy of the top cell
-        doc = json.loads(text)
-        doc["dimensions"]["5"].append(doc["dimensions"]["5"][0])
-        (tmp_path / "cells-n3.json").write_text(json.dumps(doc))
-        assert cli.main(args) == 1
-        assert len(reads) == 2
-        assert "not a cell table" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "build_complex", recorded)
+        space = cg.projective_space(2, 11)
+        builds = []
+        for cache in ("a", "a", "b"):
+            args = ["homology", "--n", "2", "--level", "11", "--cache-dir", str(tmp_path / cache)]
+            assert cli.main(args) == 0
+            builds.append(space.integral_complex)
+        assert capsys.readouterr().out == "H0=3, H1=1\n" * 3
+        assert tables[0] is tables[1] and tables[2] is not tables[0]
+        assert builds[0] is builds[1] and builds[0].table is tables[0]
+        assert builds[2] is not builds[0] and builds[2].table is tables[2]
+
+    def test_cell_cache_is_neither_read_nor_rewritten(self, run_cli, tmp_path, table2):
+        # a cell cache whose first top-cell facet sign is flipped: read
+        # unchecked it would change the complex; it is an export, so the
+        # report is the computed table's and the file stays as it is
+        doc = json.loads(cells_to_json(table2))
+        facet = doc["dimensions"]["2"][0]["facets"][0]
+        facet["sign"] = -facet["sign"]
+        path = tmp_path / "cells-n2.json"
+        path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        before = path.read_bytes()
+        out = run_cli(["homology", "--n", "2", "--level", "11"])
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[0] == "H0=3, H1=1"
+        assert path.read_bytes() == before
+
+    def test_out_into_a_missing_directory(self, run_cli, tmp_path):
+        report, csv_out = tmp_path / "nodir" / "r.json", tmp_path / "other" / "h.csv"
+        out = run_cli(["homology", "--n", "2", "--level", "11", "--out", str(report)])
+        assert out.returncode == 0, out.stderr
+        assert json.loads(report.read_text())["betti"] == {"0": 3, "1": 1}
+        out = run_cli(["hecke", "--n", "2", "--level", "11", "--ell", "2", "--out", str(csv_out)])
+        assert out.returncode == 0, out.stderr
+        assert "-2:2;3:1" in csv_out.read_text()
 
 
 class TestParser:

@@ -215,3 +215,20 @@ def test_voronoi_geometry_imports_nothing_from_fields():
     walk = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_neighbor_form"]
     assert len(walk) == 1 and fraction_names(walk[0])
     assert fraction_names(tree) == fraction_names(walk[0]), "Fraction used outside _neighbor_form"
+
+
+def test_no_module_reads_a_cell_table_back():
+    # the cell table is computed; cells-n{n}.json is an export that no
+    # command reads, and cells_from_json is kept for outside callers only
+    names = {
+        (name, node.lineno)
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if "cells_from_json" in (getattr(node, "id", None), getattr(node, "attr", None))
+        or isinstance(node, ast.ImportFrom) and any(a.name == "cells_from_json" for a in node.names)
+    }
+    defined = [
+        node.name for node in TREES["voronoi.py"].body if isinstance(node, ast.FunctionDef)
+    ]
+    assert "cells_from_json" in defined  # the scan looks where the name lives
+    assert not names, f"cells_from_json used at {sorted(names)}"

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import random
 import subprocess
 import sys
@@ -159,6 +160,81 @@ class TestCellTable:
                     b.representative
                 )
         assert vo.cells_to_json(back) == text
+
+
+
+def _canonical(doc) -> str:
+    """`doc` serialized as `cells_to_json` writes, so a rejection is due to
+    its content and not its formatting."""
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+class TestCellsFromJson:
+    # the table is computed; a text is accepted only when it is, byte for
+    # byte, cells_to_json of the computed table
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_the_unedited_doc_reserialized_is_accepted(self, n, table2, table3):
+        table = {2: table2, 3: table3}[n]
+        back = vo.cells_from_json(_canonical(json.loads(vo.cells_to_json(table))))
+        assert back.orbits == table.orbits
+
+    @pytest.mark.parametrize("text", ["{", "{}", '{"n": 2, "dimensions": []}', "[2]"],
+                             ids=["unparsable", "empty-object", "list-dimensions", "list"])
+    def test_unparsable_or_wrong_shape(self, text):
+        with pytest.raises(ValueError):
+            vo.cells_from_json(text)
+
+    @pytest.mark.parametrize("n", [2, 4, 1, "3", 3.0, True],
+                             ids=["other-n", "n4", "n1", "n-string", "n-float", "n-bool"])
+    def test_other_n(self, n, table3):
+        # the n = 3 records under another n, or n = 3 as a non-int
+        doc = json.loads(vo.cells_to_json(table3))
+        doc["n"] = n
+        with pytest.raises(ValueError):
+            vo.cells_from_json(_canonical(doc))
+
+    @pytest.mark.parametrize("edit", [
+        ("2", "sign", 5),
+        ("2", "gamma", [[1, 1], [0, 1]]),
+        ("2", "orbit", 7),
+        ("2", "gamma", [[2, 0], [0, 1]]),
+        ("2", "stabilizer_order", 5),
+        ("1", "vertices", [[1, -1], [1, 0, 0]]),
+        ("2", "gamma", [[1.5, 0], [0, 1]]),
+        ("2", "gamma", [["1", 0], [0, 1]]),
+        ("2", "gamma", [[True, 0], [0, 1]]),
+        ("2", "sign", 1.0),
+        ("1", "stabilizer_order", 8.0),
+    ], ids=["sign", "gamma-off-facet", "orbit-out-of-range", "gamma-det-2", "stabilizer-order",
+            "vertex-of-3-ints", "gamma-float", "gamma-string", "gamma-bool", "sign-float",
+            "stabilizer-order-float"])
+    def test_corrupted_field(self, table2, edit):
+        # one field of an orbit of the given dimension or of its first facet
+        # record; read unchecked, the first two give H0=2, H1=0 at N = 11,
+        # and a float, string or bool that int() maps to the right value
+        # gives the right table
+        dim, key, value = edit
+        doc = json.loads(vo.cells_to_json(table2))
+        orbit = doc["dimensions"][dim][0]
+        (orbit if key in orbit else orbit["facets"][0])[key] = value
+        with pytest.raises(ValueError):
+            vo.cells_from_json(_canonical(doc))
+
+    @pytest.mark.parametrize("edit", ["duplicate", "missing", "empty"])
+    def test_incomplete_or_redundant(self, table3, edit):
+        # read unchecked, a second copy of the top cell gives H3=6 (not 1)
+        # at N = 5, and a missing top dimension raises KeyError
+        doc = json.loads(vo.cells_to_json(table3))
+        top = doc["dimensions"]["5"]
+        if edit == "duplicate":
+            top.append(top[0])
+        elif edit == "missing":
+            del doc["dimensions"]["5"]
+        else:
+            top.clear()
+        with pytest.raises(ValueError):
+            vo.cells_from_json(_canonical(doc))
 
 
 def brute_force_stabilizer(cell, bound=2):
