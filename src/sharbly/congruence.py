@@ -100,9 +100,11 @@ class ProjectiveSpace:
         """Right action of gamma: points[i] * gamma is points[perm(gamma)[i]].
 
         Computed on all points at once: column j of gamma maps the points'
-        coordinate columns to the image column sum_i gamma_ij * xs_i
-        (coefficients = 0 mod N skipped), which is folded into the
-        mixed-radix codes that the table looks up.
+        coordinate columns to the image column sum_i gamma_ij * xs_i, which
+        is folded into the mixed-radix codes that the table looks up.  The
+        sum starts from its first term with gamma_ij != 0 mod N, taken as
+        xs_i itself when gamma_ij = 1 mod N; later such terms are added
+        without a product, and an all-zero column only shifts the codes.
         """
         p = self._perms.get(gamma)
         if p is None:
@@ -111,12 +113,21 @@ class ProjectiveSpace:
                 raise ValueError(f"{gamma} is not {n} x {n}")
             codes = [0] * len(self.points)
             for col in zip(*gamma):
-                image = [0] * len(self.points)
+                image = None
                 for g, xs in zip(col, self._coords):
                     g %= n_mod
-                    if g:
+                    if not g:
+                        continue
+                    if image is None:
+                        image = xs if g == 1 else [g * x for x in xs]
+                    elif g == 1:
+                        image = [y + x for y, x in zip(image, xs)]
+                    else:
                         image = [y + g * x for y, x in zip(image, xs)]
-                codes = [c * n_mod + y % n_mod for c, y in zip(codes, image)]
+                if image is None:
+                    codes = [c * n_mod for c in codes]
+                else:
+                    codes = [c * n_mod + y % n_mod for c, y in zip(codes, image)]
             table = self._table
             p = [table[c] for c in codes]
             if min(p) < 0:
@@ -129,10 +140,11 @@ class ProjectiveSpace:
         of the cell rep * h whose coset point is i, cached per rep.
 
         The label is the least point m that the orbit of i under the SL(n,Z)
-        stabilizer S of rep (`cell_stabilizer`) reaches, with the character
-        (`sl_orientation_chars`) of the elements that carry i to m.  They
-        form one coset of the fixer of m, so their characters agree unless
-        that fixer reverses orientation and kills the orbit; then it is 0.
+        stabilizer S of rep (`cell_stabilizer`) reaches, with the orientation
+        character (`voronoi.orientation_char`) of the elements that carry i
+        to m.  They form one coset of the fixer of m, so their characters
+        agree unless that fixer reverses orientation and kills the orbit;
+        then it is 0.
 
         Only the generators of S (`stabilizer_generators`) act.  Each orbit
         is one breadth-first search from its least point m, in increasing

@@ -5,13 +5,14 @@ correspond to the k-dimensional subspaces of F_l^n, one Schubert cell per
 set S of k pivot rows.  Each is represented by its lower-triangular Hermite
 form: diagonal l on S and 1 elsewhere, any entry in [0, l) at (i, j) with
 j < i, i in S and j not in S, and 0 everywhere else.  Their number is the
-Gaussian binomial, which `hecke_cosets` checks.  On H_0 the operator is
-read off one level-free list of pairs (c, h), `_h0_translates`, built from
-one unimodular reduction of each V * s; the Voronoi and sharbly complexes
-compute the same homology, so any reduction gives the same class in H_0.
-At n = 2 the list plays the role of Merel's Heilbronn matrices.  Its terms
-are read at their coset points in the unimodular orbit's label table
-(`w0_orbit`, `w0_transport`), a shortcut that only this module takes.
+Gaussian binomial, which `hecke_cosets` checks once per process.  On H_0
+the operator is read off one level-free list of pairs (c, h),
+`_h0_translates`, built from one unimodular reduction of each V * s; the
+Voronoi and sharbly complexes compute the same homology, so any reduction
+gives the same class in H_0.  At n = 2 the list plays the role of Merel's
+Heilbronn matrices.  Its terms are read at their coset points in the
+unimodular orbit's label table (`w0_orbit`, `w0_transport`), a shortcut
+that only this module takes.
 """
 
 from __future__ import annotations
@@ -49,8 +50,12 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
+@lru_cache(maxsize=None)
 def hecke_cosets(n: int, ell: int, k: int) -> HeckeOperator:
-    """Representatives s_i with Gamma s Gamma = union of s_i Gamma."""
+    """Representatives s_i with Gamma s Gamma = union of s_i Gamma.
+
+    They depend on no level, so the (frozen) operator is cached per
+    process; a bad argument raises PreconditionError on every call."""
     if not _is_prime(ell):
         raise PreconditionError(f"Hecke prime required, got {ell}")
     if not 1 <= k <= n:

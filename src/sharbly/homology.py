@@ -368,7 +368,9 @@ def _locate(cx: GammaComplex, d: int, cell: VoronoiCell):
     """(orbit, gamma) with orbit.representative * gamma = cell, or None when
     `cell` is no Voronoi cell of dimension d.
 
-    Each representative of dimension d is tried with `equivalent_cells`.
+    Each representative of dimension d is tried with `equivalent_cells`,
+    which caches every pair per process, so a cell located again costs no
+    search.
     """
     for orb in cx.table.orbits[d]:
         gamma = equivalent_cells(orb.representative, cell)

@@ -62,7 +62,7 @@ def _bad_pairs(key):
     out = []
     for i in range(len(key)):
         for j in range(i + 1, len(key)):
-            d = la.det(la.freeze((key[i], key[j])))
+            d = la.det((key[i], key[j]))
             if abs(d) > 1:
                 out.append((key[i], key[j], abs(d)))
     return out
@@ -76,7 +76,7 @@ def _cone_candidates(n, key) -> tuple:
     """Cone 2-sharblies subdividing each bad edge of a 1-sharbly."""
     out = []
     for u, v, _d in _bad_pairs(key):
-        z = sh._reducing_vector(la.freeze((u, v)), exclude=frozenset(key))
+        z = sh._reducing_vector((u, v), exclude=frozenset(key))
         if z is None:
             continue
         tau = sh.normalize(n, (z,) + tuple(key))

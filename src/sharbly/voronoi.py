@@ -34,8 +34,15 @@ def sym_coords(v: Vec) -> tuple:
 
 
 def _rank_of_rows(rows) -> int:
-    """Rank over Q of a list of integer row vectors: the number of nonzero
-    rows of their HNF."""
+    """Rank over Q of a list of integer row vectors.
+
+    With r = min(#rows, #columns), a nonzero leading r x r minor already
+    means rank r; only when it vanishes is the rank counted as the nonzero
+    rows of the HNF.
+    """
+    r = min(len(rows), len(rows[0])) if rows else 0
+    if la.det([row[:r] for row in rows[:r]]):
+        return r
     return sum(1 for row in la.hnf(rows)[0] if any(row))
 
 
@@ -195,6 +202,12 @@ def _vertex_maps(src: VoronoiCell, dst: VoronoiCell, dets, limit=None):
     (`_pairing_table` of each cell, cached).  A full choice of images gives
     gamma = S^-1 * (images), kept when it is integral, its det is in dets
     and it carries the vertex set of src onto that of dst.
+
+    For that last test only the non-pivot vertices are mapped.  A gamma
+    with det in dets is invertible and carries each pivot onto the
+    destination vertex picked for it, so src's vertices go to distinct
+    lines; the signature gives |src| = |dst|, so the vertex sets agree iff
+    every non-pivot image lies in dst.
     """
     if cell_signature(src) != cell_signature(dst):
         return
@@ -207,6 +220,7 @@ def _vertex_maps(src: VoronoiCell, dst: VoronoiCell, dets, limit=None):
         [(i, s) for i in range(len(p_dst)) if p_dst[i][i] == want[t][t] for s in (1, -1)]
         for t in range(n)
     ]
+    rest = [v for i, v in enumerate(src.vertices) if i not in pivots]
     dst_set = set(dst.vertices)
     emitted = 0
     picked: list = []  # (destination index, sign) per pivot chosen so far
@@ -223,8 +237,7 @@ def _vertex_maps(src: VoronoiCell, dst: VoronoiCell, dets, limit=None):
             gamma = tuple(tuple(x // det_s for x in row) for row in num)
             if la.det(gamma) not in dets:
                 return
-            image = {la.sign_normalize(la.vec_mat(v, gamma)) for v in src.vertices}
-            if image != dst_set:
+            if any(la.sign_normalize(la.vec_mat(v, gamma)) not in dst_set for v in rest):
                 return
             emitted += 1
             yield gamma
@@ -239,8 +252,11 @@ def _vertex_maps(src: VoronoiCell, dst: VoronoiCell, dets, limit=None):
     yield from extend(0)
 
 
+@lru_cache(maxsize=None)
 def equivalent_cells(c1: VoronoiCell, c2: VoronoiCell, dets=(1,)):
-    """A witness gamma (det in dets) with c1 * gamma = c2, or None."""
+    """A witness gamma (det in dets) with c1 * gamma = c2, or None: the first
+    map of `_vertex_maps`.  It depends on the cells alone, so it is cached
+    per process, and a pair asked for again is not searched again."""
     if c1.n != c2.n or len(c1) != len(c2) or cell_dim(c1) != cell_dim(c2):
         return None
     for gamma in _vertex_maps(c1, c2, dets=dets, limit=1):
@@ -456,9 +472,10 @@ class FacetRecord:
 
 @dataclass(frozen=True)
 class CellOrbit:
-    """One SL(n,Z)-orbit of cells.  Its stabilizers and their orientation
-    characters are read from the representative, by `cell_stabilizer` and
-    `sl_orientation_chars`, which cache them per cell."""
+    """One SL(n,Z)-orbit of cells.  Its stabilizers, and the generators with
+    their orientation characters, are read from the representative, by
+    `cell_stabilizer` and `stabilizer_generators`, which cache them per
+    cell."""
 
     dim: int
     index: int
@@ -503,34 +520,32 @@ def _facet_record(facet, incidence, orbit, gamma, reps) -> FacetRecord:
     return FacetRecord(orbit, gamma, incidence * eta)
 
 
-@lru_cache(maxsize=None)
-def sl_orientation_chars(rep: VoronoiCell) -> tuple:
-    """`orientation_char` of each element of rep's SL(n,Z) stabilizer, in
-    the order of `cell_stabilizer(rep)[1]`."""
-    return tuple(orientation_char(rep, g) for g in cell_stabilizer(rep)[1])
-
-
 def generating_subset(elements) -> tuple:
     """Indices of a generating set of the finite matrix group `elements`.
 
     Walks the elements in order and keeps one when it is not in the group
-    generated by those kept before it.  Raises InternalCheckError unless
-    the kept elements generate exactly the set of `elements`.
+    generated by those kept before it.  That group H is closed under the
+    earlier generators, so a new generator g grows it incrementally: first
+    H * g, then each element added times every kept generator, which
+    closes it as a set.  Raises InternalCheckError unless the kept elements
+    generate exactly the set of `elements`.
     """
     group = {la.identity(len(elements[0]))}
     kept = []
+    gens = []
     for i, g in enumerate(elements):
         if g in group:
             continue
         kept.append(i)
-        gens = [elements[j] for j in kept]
-        queue = list(group)
-        for a in queue:
+        gens.append(g)
+        new = [b for b in (la.mat_mul(a, g) for a in group) if b not in group]
+        group.update(new)
+        for a in new:
             for s in gens:
                 b = la.mat_mul(a, s)
                 if b not in group:
                     group.add(b)
-                    queue.append(b)
+                    new.append(b)
     if group != set(elements):
         raise InternalCheckError(
             f"{len(kept)} kept elements generate a group of order {len(group)}, "
@@ -543,10 +558,10 @@ def generating_subset(elements) -> tuple:
 def stabilizer_generators(rep: VoronoiCell) -> tuple:
     """(gamma, character) for a generating set of rep's SL(n,Z) stabilizer:
     the `generating_subset` of `cell_stabilizer(rep)[1]`, each element with
-    its `sl_orientation_chars` entry.  It does not depend on a level."""
+    its `orientation_char`, which is computed for these generators only.
+    It does not depend on a level."""
     sl = cell_stabilizer(rep)[1]
-    chars = sl_orientation_chars(rep)
-    return tuple((sl[i], chars[i]) for i in generating_subset(sl))
+    return tuple((sl[i], orientation_char(rep, sl[i])) for i in generating_subset(sl))
 
 
 def enumerate_cells(n: int, nonsimplex_backend: bool = False) -> CellComplexTable:

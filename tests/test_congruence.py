@@ -10,7 +10,7 @@ from sharbly import congruence as cg
 from sharbly import intlinalg as la
 from sharbly import manin
 from sharbly.voronoi import (
-    CellOrbit, VoronoiCell, cell_stabilizer, orientation_char, sl_orientation_chars,
+    CellOrbit, VoronoiCell, cell_stabilizer, orientation_char,
 )
 
 # Levels on which the labeller is compared with the all-elements scan.
@@ -75,8 +75,9 @@ def reference_orbit_labels(space, rep):
     """`ProjectiveSpace.orbit_labels` by a scan of every stabilizer element
     at every point: the least image of i, and the character of the elements
     reaching it, or 0 when two of them disagree."""
-    perms = [space.perm(s) for s in cell_stabilizer(rep)[1]]
-    chars = sl_orientation_chars(rep)
+    stabilizer = cell_stabilizer(rep)[1]
+    perms = [space.perm(s) for s in stabilizer]
+    chars = [orientation_char(rep, s) for s in stabilizer]
     labels = []
     for i in range(len(space)):
         best, char = len(space), 0

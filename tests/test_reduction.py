@@ -434,7 +434,7 @@ class TestLevelFreeCaches:
     per process across levels; no certificate may depend on what ran
     before it."""
 
-    CACHES = (rd._class_map, rd._cone_candidates, rd._tau_boundary)
+    CACHES = (rd._class_map, rd._cone_candidates, rd._tau_boundary, equivalent_cells)
 
     @staticmethod
     def _record(out):

@@ -156,9 +156,13 @@ class TestCellTable:
             for a, b in zip(table3.orbits[d], back.orbits[d]):
                 assert a.representative == b.representative
                 assert a.facets == b.facets
-                assert vo.sl_orientation_chars(a.representative) == vo.sl_orientation_chars(
-                    b.representative
-                )
+                assert [
+                    vo.orientation_char(a.representative, g)
+                    for g in vo.cell_stabilizer(a.representative)[1]
+                ] == [
+                    vo.orientation_char(b.representative, g)
+                    for g in vo.cell_stabilizer(b.representative)[1]
+                ]
         assert vo.cells_to_json(back) == text
 
 
@@ -311,10 +315,17 @@ class TestStabilizers:
                 for orb in orbs:
                     rep = orb.representative
                     sl = vo.cell_stabilizer(rep)[1]
-                    char = dict(zip(sl, vo.sl_orientation_chars(rep)))
+                    char = {g: vo.orientation_char(rep, g) for g in sl}
                     for a in sl:
                         for b in sl:
                             assert char[la.mat_mul(a, b)] == char[a] * char[b]
+
+    def test_generating_subset_keeps_the_reference_indices(self, table2, table3, table4):
+        for table in (table2, table3, table4):
+            for orbs in table.orbits.values():
+                for orb in orbs:
+                    sl = vo.cell_stabilizer(orb.representative)[1]
+                    assert vo.generating_subset(sl) == reclosing_generating_subset(sl)
 
     def test_generating_subset_rejects_a_non_group(self, table3):
         sl = vo.cell_stabilizer(table3.orbits[3][0].representative)[1]
@@ -322,6 +333,28 @@ class TestStabilizers:
         for drop in (0, len(sl) // 2, len(sl) - 1):
             with pytest.raises(InternalCheckError):
                 vo.generating_subset(sl[:drop] + sl[drop + 1:])
+
+
+def reclosing_generating_subset(elements) -> tuple:
+    """`vo.generating_subset` as it was first written: after each new
+    generator the whole group found so far is closed again under every
+    kept generator."""
+    group = {la.identity(len(elements[0]))}
+    kept = []
+    for i, g in enumerate(elements):
+        if g in group:
+            continue
+        kept.append(i)
+        gens = [elements[j] for j in kept]
+        queue = list(group)
+        for a in queue:
+            for s in gens:
+                b = la.mat_mul(a, s)
+                if b not in group:
+                    group.add(b)
+                    queue.append(b)
+    assert group == set(elements)
+    return tuple(kept)
 
 
 def _element_order(g):
@@ -492,6 +525,18 @@ class TestVertexMaps:
                 assert vo.equivalent_cells(rep, key) == maps[0]
             found += bool(maps)
         assert found
+
+    @pytest.mark.parametrize("n, verts", [
+        (2, [(0, 1), (1, 0), (1, 2), (2, -1)]),
+        (3, [(0, 1, -1), (1, -1, 0), (1, 1, 1), (1, 2, -1), (2, -1, -2)]),
+    ])
+    def test_non_pivot_vertices_decide(self, n, verts):
+        # vertex sets that are no Voronoi cells: some integral gamma carries
+        # the pivots onto vertices with the same pairings, but another
+        # vertex off the set, so the non-pivot test must reject it
+        cell = vo.VoronoiCell.from_vectors(n, verts)
+        for dets in ((1,), (1, -1)):
+            assert list(vo._vertex_maps(cell, cell, dets=dets)) == naive_vertex_maps(cell, cell, dets)
 
     def test_pairing_table_is_the_defining_sum(self, table_pairs, placed_pairs):
         for cell in {c for pair in table_pairs + placed_pairs for c in pair}:
@@ -706,6 +751,17 @@ class TestHnfGeometry:
     def test_rank_is_the_span_rank(self, geometry_rows):
         for rows, _ in geometry_rows:
             assert vo._rank_of_rows(rows) == span_rank(rows), rows
+
+    @pytest.mark.parametrize("rows, rank", [
+        ([(0, 0, 1), (0, 1, 0)], 2),  # leading minor 0, full rank
+        ([(0, 1, 0), (0, 0, 1), (1, 0, 0)], 3),  # square, leading minor 0, full rank
+        ([(0, 1), (0, 2), (1, 0)], 2),  # tall, leading minor 0, full rank
+        ([(1, 0), (0, 1), (1, 1)], 2),  # tall, leading minor nonzero
+        ([(1, 2, 3), (2, 4, 6), (1, 0, 1)], 2),  # square, rank-deficient
+        ([(0, 0), (0, 0), (0, 0)], 0),
+    ])
+    def test_rank_when_the_leading_minor_vanishes(self, rows, rank):
+        assert vo._rank_of_rows(rows) == span_rank(rows) == rank
 
     def test_kernel_is_a_basis_of_the_right_kernel(self, geometry_rows):
         # an empty list of rows carries no column count, so its kernel is
