@@ -5,6 +5,15 @@ else: no Fractions and no floating point.  Matrices are immutable tuples
 of row tuples; vectors are tuples of ints.  There is one unimodular
 elimination, the row Hermite normal form `hnf`; `snf` and `reduce_to_e1`
 read their results off it.
+
+The pipeline runs at n = 2 and 3, so the small kernels have closed forms
+for square 2 x 2 and 3 x 3 inputs, chosen by the size of the input: the
+right factor of `vec_mat` and `mat_mul`, and the matrix of `det`,
+`adjugate` and `first_column_cofactors`.  Every other shape, the n = 4
+cell backend's and any rectangular one, takes the general loops with
+their checks; `adjugate` alone refuses a 2- or 3-row matrix that is not
+square, with ValueError.  `content` is one gcd call and `primitivize`
+one gcd and one sign pass, at every length.
 """
 
 from __future__ import annotations
@@ -19,8 +28,22 @@ Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
 
 
+def int_vector(v) -> Vec:
+    """The entries of v as ints; ValueError when one is not integral, so
+    that 2.5 is refused instead of truncated to 2."""
+    v = tuple(v)
+    try:
+        out = tuple(map(int, v))
+    except OverflowError as exc:  # int(inf)
+        raise ValueError(f"{v} has an entry that is not an integer") from exc
+    if out != v:
+        raise ValueError(f"{v} has an entry that is not an integer")
+    return out
+
+
 def freeze(rows) -> Mat:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    """rows as a Mat; ValueError on an entry that is not integral."""
+    return tuple(map(int_vector, rows))
 
 
 def identity(n: int) -> Mat:
@@ -29,17 +52,36 @@ def identity(n: int) -> Mat:
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     """a * b; ValueError when a row of a does not match b's row count."""
+    n = len(b)
     for row in a:
-        if len(row) != len(b):
-            raise ValueError(f"a row of length {len(row)} times a matrix of {len(b)} rows")
+        if len(row) != n:
+            raise ValueError(f"a row of length {len(row)} times a matrix of {n} rows")
+    if n == 2 and len(b[0]) == len(b[1]) == 2:
+        (p, q), (r, s) = b
+        return tuple([(x * p + y * r, x * q + y * s) for x, y in a])
+    if n == 3 and len(b[0]) == len(b[1]) == len(b[2]) == 3:
+        (p, q, r), (s, t, u), (g, h, k) = b
+        return tuple([
+            (x * p + y * s + z * g, x * q + y * t + z * h, x * r + y * u + z * k)
+            for x, y, z in a
+        ])
     cols = list(zip(*b))
     return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
 def vec_mat(v: Vec, a: Mat) -> Vec:
     """The row vector v * a; ValueError when len(v) is not a's row count."""
-    if len(v) != len(a):
-        raise ValueError(f"a vector of length {len(v)} times a matrix of {len(a)} rows")
+    n = len(v)
+    if n != len(a):
+        raise ValueError(f"a vector of length {n} times a matrix of {len(a)} rows")
+    if n == 2 and len(a[0]) == len(a[1]) == 2:
+        (p, q), (r, s) = a
+        x, y = v
+        return (x * p + y * r, x * q + y * s)
+    if n == 3 and len(a[0]) == len(a[1]) == len(a[2]) == 3:
+        (p, q, r), (s, t, u), (g, h, k) = a
+        x, y, z = v
+        return (x * p + y * s + z * g, x * q + y * t + z * h, x * r + y * u + z * k)
     return tuple([sum(map(mul, v, col)) for col in zip(*a)])
 
 
@@ -48,15 +90,19 @@ def mat_neg(a: Mat) -> Mat:
 
 
 def det(a: Mat) -> int:
-    """Determinant: the closed form at 2 x 2, else fraction-free
-    (Bareiss) elimination."""
+    """Determinant: the closed forms at 2 x 2 and 3 x 3, else fraction-free
+    (Bareiss) elimination; InternalCheckError when a is not square."""
     n = len(a)
+    if n == 2 and len(a[0]) == len(a[1]) == 2:
+        (p, q), (r, s) = a
+        return p * s - q * r
+    if n == 3 and len(a[0]) == len(a[1]) == len(a[2]) == 3:
+        (p, q, r), (s, t, u), (v, w, x) = a
+        return p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v)
     if n == 0:
         return 1
     if any(len(row) != n for row in a):
         raise InternalCheckError("det needs a square matrix")
-    if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
     m = [list(row) for row in a]
     sign = 1
     prev = 1
@@ -86,21 +132,37 @@ def _minor(a: Mat, i: int, j: int) -> Mat:
 
 
 def first_column_cofactors(a: Mat) -> Vec:
-    """Row 0 of adj(a): the cofactors of a's first column.
+    """Row 0 of adj(a): the cofactors of a's first column; the closed forms
+    at 2 x 2 and 3 x 3, else determinants of minors.
 
     For det a = 1 this is e_1 * a^{-1}, the coset point of a.
     """
+    n = len(a)
+    if n == 2 and len(a[0]) == len(a[1]) == 2:
+        (_, q), (_, s) = a
+        return (s, -q)
+    if n == 3 and len(a[0]) == len(a[1]) == len(a[2]) == 3:
+        (_, q, r), (_, t, u), (_, w, x) = a
+        return (t * x - u * w, r * w - q * x, q * u - r * t)
     rest = [row[1:] for row in a]
-    return tuple((-1) ** j * det(rest[:j] + rest[j + 1:]) for j in range(len(a)))
+    return tuple((-1) ** j * det(rest[:j] + rest[j + 1:]) for j in range(n))
 
 
 def adjugate(a: Mat) -> Mat:
-    """adj(a) with a * adj(a) = det(a) * I: the closed form at 2 x 2, else
-    the transposed cofactors."""
+    """adj(a) with a * adj(a) = det(a) * I: the closed forms at 2 x 2 and
+    3 x 3 (ValueError when a 2- or 3-row a is not square), else the
+    transposed cofactors."""
     n = len(a)
     if n == 2:
         (p, q), (r, s) = a
         return ((s, -q), (-r, p))
+    if n == 3:
+        (p, q, r), (s, t, u), (v, w, x) = a
+        return (
+            (t * x - u * w, r * w - q * x, q * u - r * t),
+            (u * v - s * x, p * x - r * v, r * s - p * u),
+            (s * w - t * v, q * v - p * w, p * t - q * s),
+        )
     cof = [
         [(-1) ** (i + j) * det(_minor(a, i, j)) for j in range(n)] for i in range(n)
     ]
@@ -134,10 +196,8 @@ def is_positive_definite(a: Mat) -> bool:
 
 
 def content(v: Vec) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
+    """gcd of the entries, >= 0; 0 for a zero or empty vector."""
+    return gcd(*v)
 
 
 def sign_normalize(v: Vec) -> Vec:
@@ -151,11 +211,19 @@ def sign_normalize(v: Vec) -> Vec:
 
 
 def primitivize(v: Vec) -> Vec:
-    """Divide by the content and sign-normalize."""
-    g = content(v)
+    """Divide by the content g and sign-normalize, in one division by +-g
+    (the sign of the first nonzero entry); v itself when +-g is 1."""
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector")
-    return sign_normalize(tuple(x // g for x in v))
+    for x in v:
+        if x:
+            break
+    if x < 0:
+        g = -g
+    if g == 1:
+        return tuple(v)
+    return tuple([x // g for x in v])
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +337,13 @@ def snf(a: Mat) -> tuple[int, ...]:
 
 def reduce_to_e1(v: Vec) -> Mat:
     """gamma in SL(n,Z) with v * gamma = e_1, for a primitive v; ValueError
-    when there is none (v is not primitive, or v = (-1,)).
+    when there is none (v is not primitive, or v = (-1,)) and when an entry
+    of v is not integral.
 
     gamma is U^T for the HNF U * v^T = e_1^T of the column v^T, with its
     last column negated when det U = -1; row 0 of gamma^{-1} is then v.
     """
-    v = tuple(int(x) for x in v)
+    v = int_vector(v)
     if content(v) != 1:
         raise ValueError(f"{v} is not primitive")
     n = len(v)

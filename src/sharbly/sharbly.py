@@ -33,12 +33,15 @@ class SharblyElement:
 
 
 def normalize(n: int, vectors) -> SharblyElement | None:
-    """Normal form of [v_1, ..., v_{n+k}]; None is the zero marker."""
+    """Normal form of [v_1, ..., v_{n+k}]; None is the zero marker.
+
+    ValueError when an entry is not integral, as for `ar_reduce`'s matrix.
+    """
     if len(vectors) < n:
         raise ValueError("a sharbly needs at least n vectors")
     prim = []
     for v in vectors:
-        v = tuple(int(x) for x in v)
+        v = la.int_vector(v)
         if len(v) != n:
             raise ValueError("vector length does not match n")
         if not any(v):

@@ -83,6 +83,11 @@ def _cone_facets(gens):
 
 
 def _perm_sign(perm) -> int:
+    """Sign of a permutation of range(len(perm)): at length 3, the parity of
+    its inversions in closed form; else -1 per cycle of even length."""
+    if len(perm) == 3:
+        a, b, c = perm
+        return -1 if ((a > b) + (a > c) + (b > c)) & 1 else 1
     sign = 1
     seen = [False] * len(perm)
     for i in range(len(perm)):

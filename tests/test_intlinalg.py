@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharbly import intlinalg as la
+from sharbly.errors import InternalCheckError
 
 
 def naive_short_vectors(g, bound):
@@ -146,15 +147,66 @@ def triple_loop_product(a, b):
     return tuple(out)
 
 
+def leibniz_det(a):
+    """det a as the signed sum over permutations, each sign read off its
+    inversion count."""
+    n = len(a)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
+def loop_content(v):
+    """The gcd of the entries, one coordinate at a time."""
+    g = 0
+    for x in v:
+        g = math.gcd(g, x)
+    return g
+
+
+def loop_primitivize(v):
+    """v divided by its content, then negated if its first nonzero entry
+    is negative."""
+    g = loop_content(v)
+    if g == 0:
+        raise ValueError("zero vector")
+    w = [x // g for x in v]
+    lead = next(x for x in w if x)
+    return tuple(-x for x in w) if lead < 0 else tuple(w)
+
+
+def _small_vectors():
+    """Every vector of length 0 to 3 with entries in [-4, 4], and random
+    ones of length 4 and 5 with a common factor, zeros and signs mixed."""
+    for k in range(4):
+        yield from itertools.product(range(-4, 5), repeat=k)
+    rng = random.Random(31)
+    for _ in range(400):
+        k = rng.choice((4, 5))
+        scale = rng.choice((1, 2, -3, 6))
+        yield tuple(scale * rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(k))
+
+
 class TestProducts:
     def test_match_the_triple_loop(self):
+        # one draw per shape, then many at the square 2 x 2 and 3 x 3 right
+        # factors (the closed forms), with the left side given as lists too
         rng = random.Random(29)
-        for m, k, l in itertools.product(range(1, 5), repeat=3):
+        shapes = list(itertools.product(range(1, 5), repeat=3))
+        shapes += [(m, k, k) for m in (1, 2, 3, 5) for k in (2, 3)] * 25
+        for m, k, l in shapes:
             a = la.freeze([[rng.randint(-9, 9) for _ in range(k)] for _ in range(m)])
             b = la.freeze([[rng.randint(-9, 9) for _ in range(l)] for _ in range(k)])
             want = triple_loop_product(a, b)
             assert la.mat_mul(a, b) == want
+            assert la.mat_mul([list(row) for row in a], b) == want
             assert [la.vec_mat(row, b) for row in a] == list(want)
+            assert [la.vec_mat(list(row), b) for row in a] == list(want)
 
     def test_shape_mismatch_raises(self):
         two_by_three = ((1, 2, 3), (4, 5, 6))
@@ -269,12 +321,49 @@ class TestDetAdj:
 
     @staticmethod
     def _cofactor_adjugate(a):
-        """adj(a)[i][j] = (-1)^(i+j) det(a without row j and column i)."""
+        """adj(a)[i][j] = (-1)^(i+j) det(a without row j and column i), with
+        the minors' determinants from `leibniz_det`."""
         n = len(a)
         return tuple(
-            tuple((-1) ** (i + j) * la.det(la._minor(a, j, i)) for j in range(n))
+            tuple((-1) ** (i + j) * leibniz_det(la._minor(a, j, i)) for j in range(n))
             for i in range(n)
         )
+
+    @staticmethod
+    def _random_squares():
+        """Matrices of sizes 1 to 4: random ones, and ones with a zero row,
+        two equal rows or a zero leading entry."""
+        rng = random.Random(37)
+        for n in range(1, 5):
+            for trial in range(150):
+                a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+                if trial % 5 == 1:
+                    a[rng.randrange(n)] = [0] * n
+                elif trial % 5 == 2 and n > 1:
+                    a[0] = list(a[-1])
+                elif trial % 5 == 3:
+                    a[0][0] = 0
+                yield la.freeze(a)
+
+    def test_det_matches_the_leibniz_sum(self):
+        assert la.det(()) == 1
+        for a in self._random_squares():
+            assert la.det(a) == leibniz_det(a), a
+            assert la.det([list(row) for row in a]) == leibniz_det(a), a
+
+    def test_det_of_a_non_square_matrix_raises(self):
+        for a in (((1, 2, 3), (4, 5, 6)), ((1, 2), (3, 4), (5, 6)),
+                  ((1, 2), (3, 4, 5)), ((1, 2, 3), (4, 5, 6), (7, 8)),
+                  ((1, 2, 3, 4),) * 3, ((1, 2, 3),) * 4):
+            with pytest.raises(InternalCheckError):
+                la.det(a)
+
+    def test_first_column_cofactors_are_row_0_of_the_adjugate(self):
+        for a in self._random_squares():
+            assert la.first_column_cofactors(a) == self._cofactor_adjugate(a)[0], a
+        for a in (((1, 2, 3), (4, 5, 6)), ((1, 2, 3, 4),) * 3):
+            with pytest.raises(InternalCheckError):
+                la.first_column_cofactors(a)
 
     def test_adjugate_2x2_closed_form(self):
         for entries in itertools.product(range(-3, 4), repeat=4):
@@ -290,6 +379,41 @@ class TestDetAdj:
         for _ in range(50):
             a = la.freeze([[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)])
             assert la.adjugate(a) == self._cofactor_adjugate(a)
+        for a in self._random_squares():
+            assert la.adjugate(a) == self._cofactor_adjugate(a), a
+        for a in (((1, 2, 3), (4, 5, 6), (7, 8)), ((1, 2, 3, 4),) * 3):
+            with pytest.raises(ValueError):
+                la.adjugate(a)
+
+
+class TestContent:
+    def test_content_matches_the_loop(self):
+        for v in _small_vectors():
+            assert la.content(v) == loop_content(v), v
+
+    def test_primitivize_matches_the_loop(self):
+        for v in _small_vectors():
+            if not any(v):
+                with pytest.raises(ValueError):
+                    la.primitivize(v)
+                continue
+            got = la.primitivize(v)
+            assert got == loop_primitivize(v), v
+            assert type(got) is tuple and la.primitivize(list(v)) == got
+
+    def test_freeze_refuses_non_integral_entries(self):
+        # int(x) would truncate each of these
+        for rows in ([[2.5, 1], [1, 3]], [[1, Fraction(1, 2)]], [[float("inf")]], [["3"]]):
+            with pytest.raises(ValueError):
+                la.freeze(rows)
+        with pytest.raises(ValueError):
+            la.reduce_to_e1((2.5, 1))
+
+    def test_freeze_takes_integral_values(self):
+        frozen = la.freeze([[2.0, Fraction(6, 3)], (True, -0.0)])
+        assert frozen == ((2, 2), (1, 0))
+        assert all(type(x) is int for row in frozen for x in row)
+        assert la.freeze(((1, 2), [3, 4])) == ((1, 2), (3, 4))
 
 
 class TestReduceToE1:

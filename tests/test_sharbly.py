@@ -35,6 +35,19 @@ class TestNormalize:
         with pytest.raises(ValueError):
             sh.normalize(2, [E1, (0, 0)])
 
+    def test_non_integral_entry_rejected(self):
+        # int(x) would truncate 0.5 to 0 and 2.5 to 2
+        for vectors in ([(0.5, 1), E1], [E1, (2, 2.5)], [(Fraction(1, 3), 1), E2]):
+            with pytest.raises(ValueError):
+                sh.normalize(2, vectors)
+
+    def test_integral_values_accepted(self):
+        want = sh.normalize(2, [(2, 0), E2])
+        for vectors in ([(2.0, 0), E2], [(Fraction(4, 2), 0), (0, 1.0)]):
+            got = sh.normalize(2, vectors)
+            assert (got.vectors, got.sign) == (want.vectors, want.sign)
+            assert all(type(x) is int for v in got.vectors for x in v)
+
     def test_idempotent(self):
         e = sh.normalize(2, [(0, 3), (-2, 0), (5, 5)])
         again = sh.normalize(2, e.vectors)
@@ -262,6 +275,15 @@ class TestArReduce:
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
             sh.ar_reduce(((1, 2), (2, 4)))
+
+    def test_non_integral_entry_rejected(self):
+        for m in ([[2.5, 1], [1, 3]], [[1, 0], [0, Fraction(7, 2)]]):
+            with pytest.raises(ValueError):
+                sh.ar_reduce(m)
+
+    def test_integral_values_accepted(self):
+        want = sh.ar_reduce([[2, 1], [1, 3]])
+        assert sh.ar_reduce([[2.0, 1], [Fraction(3, 3), 3]]) == want
 
     def test_spec_example_class(self, cx11):
         # [(1,0),(1,2)] and [(1,0),(1,1)] + [(1,1),(1,2)] are the same class

@@ -39,6 +39,16 @@ class TestMinimalVectors:
             vo.minimal_vectors(la.freeze([[1, 0], [0, -1]]))
 
 
+class TestPermSign:
+    def test_matches_the_inversion_parity(self):
+        for n in range(6):
+            for perm in itertools.permutations(range(n)):
+                inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+                want = -1 if inversions % 2 else 1
+                assert vo._perm_sign(perm) == want, perm
+                assert vo._perm_sign(list(perm)) == want, perm
+
+
 class TestPerfectForms:
     def test_n2_single_class(self):
         forms = vo.perfect_forms(2)
