@@ -6,7 +6,8 @@ tracked and untracked but not ignored) into the sibling directories
 length and neither holds a `__pycache__`; every run has
 PYTHONDONTWRITEBYTECODE=1.  Then, for seeds FIRST, FIRST+1, ..., it runs
 `bench/run.py --trace 0` once on each side, the parent first for even pair
-numbers and the change first for odd ones.
+numbers and the change first for odd ones.  Without `--workload` it runs
+every workload of BENCHMARK.json, in file order.
 
 Per end-to-end metric of BENCHMARK.json it prints each side's median and
 quartiles, the pairs the change won (ties count for neither side), whether
@@ -111,19 +112,21 @@ def _run(side: Path, workload: str, seed: int, seconds: float) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="the commit to compare against")
-    ap.add_argument("--workload", required=True, action="append",
-                    help="a workload of bench/workloads.py; may be repeated")
+    ap.add_argument("--workload", action="append",
+                    help="a workload of bench/workloads.py; may be repeated "
+                         "(default: every workload of BENCHMARK.json)")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=6.0, help="bench/run.py --seconds")
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
         dest = Path(tmp)
         _checkout(args.parent, dest)
         sides = (dest / "parent", dest / "change")
-        for workload in args.workload:
+        for workload in workloads:
             runs = {side.name: [] for side in sides}
             for i in range(args.pairs):
                 seed = args.first_seed + i

@@ -216,13 +216,13 @@ def lift_point(pt: Vec, n_mod: int) -> Vec:
     if n_mod == 1:
         return (1,) + (0,) * (len(pt) - 1)
     v = list(pt)
-    if la.content(tuple(v)) == 1:
+    if gcd(*v) == 1:
         return tuple(v)
     # gcd(v) is coprime to N, so bumping one coordinate by N fixes it
     for i in range(len(v)):
         w = list(v)
         w[i] += n_mod
-        if la.content(tuple(w)) == 1:
+        if gcd(*w) == 1:
             return tuple(w)
     raise InternalCheckError(f"no primitive lift for {pt} mod {n_mod}")
 

@@ -8,12 +8,13 @@ read their results off it.
 
 The pipeline runs at n = 2 and 3, so the small kernels have closed forms
 for square 2 x 2 and 3 x 3 inputs, chosen by the size of the input: the
-right factor of `vec_mat` and `mat_mul`, and the matrix of `det`,
-`adjugate` and `first_column_cofactors`.  Every other shape, the n = 4
-cell backend's and any rectangular one, takes the general loops with
-their checks; `adjugate` alone refuses a 2- or 3-row matrix that is not
-square, with ValueError.  `content` is one gcd call and `primitivize`
-one gcd and one sign pass, at every length.
+right factor of `vec_mat` and the matrix of `det` and `adjugate`;
+`mat_mul` is `vec_mat` row by row.  Every other shape, the n = 4 cell
+backend's and any rectangular one, takes the general loops with their
+checks: `vec_mat` raises ValueError on a length mismatch or a ragged
+matrix, `adjugate` on a matrix that is not square, and `det`
+InternalCheckError.  `primitivize` is one gcd and one sign pass, at
+every length.
 """
 
 from __future__ import annotations
@@ -51,26 +52,14 @@ def identity(n: int) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    """a * b; ValueError when a row of a does not match b's row count."""
-    n = len(b)
-    for row in a:
-        if len(row) != n:
-            raise ValueError(f"a row of length {len(row)} times a matrix of {n} rows")
-    if n == 2 and len(b[0]) == len(b[1]) == 2:
-        (p, q), (r, s) = b
-        return tuple([(x * p + y * r, x * q + y * s) for x, y in a])
-    if n == 3 and len(b[0]) == len(b[1]) == len(b[2]) == 3:
-        (p, q, r), (s, t, u), (g, h, k) = b
-        return tuple([
-            (x * p + y * s + z * g, x * q + y * t + z * h, x * r + y * u + z * k)
-            for x, y, z in a
-        ])
-    cols = list(zip(*b))
-    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
+    """a * b, one `vec_mat` per row of a; ValueError when a row of a does
+    not match b's row count or b is ragged."""
+    return tuple([vec_mat(row, b) for row in a])
 
 
 def vec_mat(v: Vec, a: Mat) -> Vec:
-    """The row vector v * a; ValueError when len(v) is not a's row count."""
+    """The row vector v * a; ValueError when len(v) is not a's row count
+    or the rows of a differ in length."""
     n = len(v)
     if n != len(a):
         raise ValueError(f"a vector of length {n} times a matrix of {len(a)} rows")
@@ -82,11 +71,9 @@ def vec_mat(v: Vec, a: Mat) -> Vec:
         (p, q, r), (s, t, u), (g, h, k) = a
         x, y, z = v
         return (x * p + y * s + z * g, x * q + y * t + z * h, x * r + y * u + z * k)
+    if len(set(map(len, a))) > 1:
+        raise ValueError("a vector times a ragged matrix")
     return tuple([sum(map(mul, v, col)) for col in zip(*a)])
-
-
-def mat_neg(a: Mat) -> Mat:
-    return tuple(tuple(-x for x in row) for row in a)
 
 
 def det(a: Mat) -> int:
@@ -131,27 +118,9 @@ def _minor(a: Mat, i: int, j: int) -> Mat:
     )
 
 
-def first_column_cofactors(a: Mat) -> Vec:
-    """Row 0 of adj(a): the cofactors of a's first column; the closed forms
-    at 2 x 2 and 3 x 3, else determinants of minors.
-
-    For det a = 1 this is e_1 * a^{-1}, the coset point of a.
-    """
-    n = len(a)
-    if n == 2 and len(a[0]) == len(a[1]) == 2:
-        (_, q), (_, s) = a
-        return (s, -q)
-    if n == 3 and len(a[0]) == len(a[1]) == len(a[2]) == 3:
-        (_, q, r), (_, t, u), (_, w, x) = a
-        return (t * x - u * w, r * w - q * x, q * u - r * t)
-    rest = [row[1:] for row in a]
-    return tuple((-1) ** j * det(rest[:j] + rest[j + 1:]) for j in range(n))
-
-
 def adjugate(a: Mat) -> Mat:
     """adj(a) with a * adj(a) = det(a) * I: the closed forms at 2 x 2 and
-    3 x 3 (ValueError when a 2- or 3-row a is not square), else the
-    transposed cofactors."""
+    3 x 3, else the transposed cofactors; ValueError when a is not square."""
     n = len(a)
     if n == 2:
         (p, q), (r, s) = a
@@ -163,6 +132,8 @@ def adjugate(a: Mat) -> Mat:
             (u * v - s * x, p * x - r * v, r * s - p * u),
             (s * w - t * v, q * v - p * w, p * t - q * s),
         )
+    if any(len(row) != n for row in a):
+        raise ValueError("adjugate needs a square matrix")
     cof = [
         [(-1) ** (i + j) * det(_minor(a, i, j)) for j in range(n)] for i in range(n)
     ]
@@ -177,7 +148,7 @@ def inverse_unimodular(a: Mat) -> Mat:
     adj = adjugate(a)
     if d == 1:
         return adj
-    return mat_neg(adj)
+    return tuple(tuple(-x for x in row) for row in adj)
 
 
 def is_symmetric(a: Mat) -> bool:
@@ -193,11 +164,6 @@ def is_positive_definite(a: Mat) -> bool:
         return False
     n = len(a)
     return all(det(tuple(row[: k + 1] for row in a[: k + 1])) > 0 for k in range(n))
-
-
-def content(v: Vec) -> int:
-    """gcd of the entries, >= 0; 0 for a zero or empty vector."""
-    return gcd(*v)
 
 
 def sign_normalize(v: Vec) -> Vec:
@@ -344,7 +310,7 @@ def reduce_to_e1(v: Vec) -> Mat:
     last column negated when det U = -1; row 0 of gamma^{-1} is then v.
     """
     v = int_vector(v)
-    if content(v) != 1:
+    if gcd(*v) != 1:
         raise ValueError(f"{v} is not primitive")
     n = len(v)
     h, u = hnf(tuple((x,) for x in v))

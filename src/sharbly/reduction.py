@@ -93,15 +93,14 @@ def _tau_boundary(n, tau_key) -> tuple:
 
 @lru_cache(maxsize=None)
 def _class_map(rep: VoronoiCell, cell: VoronoiCell):
-    """(h, eta, h^-1, p) with rep * h = +-cell, h in SL(n,Z), eta the
-    transport sign of rep * h onto cell, and p = e_1 * h^-1, the coset
-    point `first_column_cofactors(h)`; None when the cells are not
-    equivalent."""
+    """(h, eta, h^-1) with rep * h = +-cell, h in SL(n,Z) and eta the
+    transport sign of rep * h onto cell; None when the cells are not
+    equivalent.  Row 0 of h^-1 is e_1 * h^-1, the coset point of h."""
     h = equivalent_cells(rep, cell)
     if h is None:
         return None
     sign = _orientation_transport_sign(rep, h, cell)
-    return h, sign, la.inverse_unimodular(h), la.first_column_cofactors(h)
+    return h, sign, la.inverse_unimodular(h)
 
 
 class _SupportSystem:
@@ -184,10 +183,10 @@ class _SupportSystem:
                 break
         else:
             one = la.identity(self.n)
-            rep, found = cell, (one, 1, one, la.first_column_cofactors(one))
+            rep, found = cell, (one, 1, one)
             same_sig.append(rep)
-        h, sign, h_inv, point = found
-        q = self._space.index(point)
+        h, sign, h_inv = found
+        q = self._space.index(h_inv[0])
         best, char = self._space.orbit_labels(rep)[q]
         label, eps = (rep, best), char * sign
         if eps:

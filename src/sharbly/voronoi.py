@@ -136,12 +136,10 @@ def is_degenerate(cell: VoronoiCell) -> bool:
     return _rank_of_rows(cell.vertices) < cell.n
 
 
-@lru_cache(maxsize=None)
 def is_simplex(cell: VoronoiCell) -> bool:
     return cell_dim(cell) + 1 == len(cell.vertices)
 
 
-@lru_cache(maxsize=None)
 def barycenter_form(cell: VoronoiCell) -> Mat:
     """Sum of v^T v over the vertices; positive definite iff non-degenerate."""
     n = cell.n
@@ -154,18 +152,15 @@ def barycenter_form(cell: VoronoiCell) -> Mat:
 
 
 @lru_cache(maxsize=None)
-def _adj_and_det(cell: VoronoiCell):
+def _pairing_table(cell: VoronoiCell) -> tuple:
+    """(P, det g) for g = `barycenter_form(cell)`, with P[i][j] =
+    v_i * adj(g) * v_j^T over the vertices v of the cell; P is symmetric,
+    since adj(g) is."""
     g = barycenter_form(cell)
-    return la.adjugate(g), la.det(g)
-
-
-@lru_cache(maxsize=None)
-def _pairing_table(cell: VoronoiCell) -> Mat:
-    """P[i][j] = v_i * adj(g) * v_j^T for the vertices v of the cell and
-    g = `barycenter_form(cell)`; symmetric, since adj(g) is."""
-    adj, _ = _adj_and_det(cell)
+    adj = la.adjugate(g)
     rows = [la.vec_mat(v, adj) for v in cell.vertices]
-    return tuple(tuple(sum(map(mul, row, w)) for w in cell.vertices) for row in rows)
+    p = tuple(tuple(sum(map(mul, row, w)) for w in cell.vertices) for row in rows)
+    return p, la.det(g)
 
 
 @lru_cache(maxsize=None)
@@ -178,8 +173,7 @@ def cell_signature(cell: VoronoiCell):
     |off-diagonal| entries are invariants.  That is why the signature
     also pre-filters `cell_stabilizer`'s det -1 maps.
     """
-    _, d = _adj_and_det(cell)
-    p = _pairing_table(cell)
+    p, d = _pairing_table(cell)
     m = len(p)
     diag = sorted(p[i][i] for i in range(m))
     off = sorted(abs(p[i][j]) for i in range(m) for j in range(i))
@@ -217,8 +211,8 @@ def _vertex_maps(src: VoronoiCell, dst: VoronoiCell, dets, limit=None):
     if cell_signature(src) != cell_signature(dst):
         return
     pivots, adj_s, det_s = _frame(src)
-    p_src = _pairing_table(src)
-    p_dst = _pairing_table(dst)
+    p_src = _pairing_table(src)[0]
+    p_dst = _pairing_table(dst)[0]
     n = src.n
     want = [[p_src[a][b] for b in pivots] for a in pivots]
     candidates = [

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -62,3 +63,27 @@ class TestSummarize:
             ab.summarize(PARENT, PARENT[:-1], "lower", 0.2)
         with pytest.raises(ValueError):
             ab.summarize([], [], "lower", 0.2)
+
+
+def test_every_workload_runs_in_file_order_by_default(monkeypatch):
+    # the checkout, the runs and the report are stubbed: only the choice
+    # of workloads and the pair order are exercised
+    runs = []
+
+    def fake_run(side, workload, seed, seconds):
+        runs.append((side.name, workload, seed))
+        return {}
+
+    monkeypatch.setattr(ab, "_checkout", lambda parent_rev, dest: None)
+    monkeypatch.setattr(ab, "_run", fake_run)
+    monkeypatch.setattr(ab, "_report", lambda workload, args, spec, runs: None)
+    assert ab.main(["--parent", "HEAD", "--pairs", "2"]) == 0
+    spec = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    assert [w for _side, w, _seed in runs] == [
+        w["name"] for w in spec["workloads"] for _ in range(4)
+    ]
+    assert runs[:4] == [("parent", runs[0][1], 1), ("change", runs[0][1], 1),
+                        ("change", runs[0][1], 2), ("parent", runs[0][1], 2)]
+    runs.clear()
+    ab.main(["--parent", "HEAD", "--pairs", "1", "--workload", "n3-cli"])
+    assert runs == [("parent", "n3-cli", 1), ("change", "n3-cli", 1)]

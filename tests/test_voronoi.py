@@ -99,11 +99,12 @@ class TestFacetNormals:
         # an outward normal drives the step search of the neighbor walk to
         # t = 0; a child process with a timeout turns a hang into a failure
         code = (
-            "from sharbly import intlinalg as la, voronoi as vo\n"
+            "from sharbly import voronoi as vo\n"
             "from sharbly.errors import InternalCheckError\n"
             "p = vo.perfect_forms(2)[0]\n"
             "try:\n"
-            "    vo._neighbor_form(p, la.mat_neg(vo._facet_normals(p)[0]))\n"
+            "    outward = tuple(tuple(-x for x in row) for row in vo._facet_normals(p)[0])\n"
+            "    vo._neighbor_form(p, outward)\n"
             "except InternalCheckError as exc:\n"
             "    print(exc)\n"
         )
@@ -550,8 +551,12 @@ class TestVertexMaps:
 
     def test_pairing_table_is_the_defining_sum(self, table_pairs, placed_pairs):
         for cell in {c for pair in table_pairs + placed_pairs for c in pair}:
-            adj = la.adjugate(vo.barycenter_form(cell))
-            p = vo._pairing_table(cell)
+            g = vo.barycenter_form(cell)
+            adj = la.adjugate(g)
+            p, d = vo._pairing_table(cell)
+            assert la.mat_mul(g, adj) == tuple(
+                tuple(d if a == b else 0 for b in range(cell.n)) for a in range(cell.n)
+            )
             for i, vi in enumerate(cell.vertices):
                 for j, vj in enumerate(cell.vertices):
                     assert p[i][j] == sum(
